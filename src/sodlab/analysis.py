@@ -48,13 +48,9 @@ class EventMetric:
 
 
 def make_metric(kind: str, **params) -> EventMetric:
-    """Metric factory: D | A | M (norm-induced), van_rossum/vr, victor_purpura/vp,
-    schreiber."""
+    """Metric factory: every norm kind `norms.canonical_kind` accepts
+    (norm-induced), van_rossum/vr, victor_purpura/vp, schreiber."""
     key = str(kind).lower()
-    if key in ("d", "a", "m", "discrepancy", "alexiewicz", "max_max_sum", "mms"):
-        tag = canonical_kind(kind)
-        normf = norm_by_kind(tag)
-        return EventMetric(tag, lambda a, b: normf(difference(a, b)), True)
     if key in ("vr", "van_rossum"):
         p = VanRossumParams(float(params.get("alpha", 1.0)))
         return EventMetric("van_rossum", lambda a, b: van_rossum(a, b, p),
@@ -68,7 +64,12 @@ def make_metric(kind: str, **params) -> EventMetric:
         p = SchreiberParams(**params)
         return EventMetric("schreiber", lambda a, b: schreiber_distance(a, b, p),
                            False, {"kernel": p.kernel, "h": p.h})
-    raise ValueError(f"unknown metric kind {kind!r}")
+    try:
+        tag = canonical_kind(kind)
+    except ValueError:
+        raise ValueError(f"unknown metric kind {kind!r}") from None
+    normf = norm_by_kind(tag)
+    return EventMetric(tag, lambda a, b: normf(difference(a, b)), True)
 
 
 # --- curated adversarial signals -------------------------------------------
@@ -147,8 +148,11 @@ def _right_limit_estimate(prev, cur, eta0: EventSequence, T: float) -> EventSequ
         return eta_cur
 
 
-def emdm_sweep(f: Signal, metric, theta_grid,
-               eps_ratios=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+# Descending eps/theta grid that `emdm_sweep` walks towards each right limit.
+EPS_RATIOS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+
+
+def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS,
                value_tol: float = 1e-9) -> SweepResult:
     """Per-signal discontinuity estimate: the metric gap between the
     normalized output at theta and its right limit in the threshold.
@@ -269,17 +273,6 @@ class EmdmReport:
     characterization: float
     growth_table: tuple[dict, ...] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "theta_grid": list(self.theta_grid),
-            "eps_ratios": list(self.eps_ratios),
-            "per_signal": [dict(row) for row in self.per_signal],
-            "characterization": self.characterization,
-            "growth_table": None if self.growth_table is None
-            else [dict(r) for r in self.growth_table],
-        }
-
 
 # --- quasi-isometry verification --------------------------------------------
 
@@ -297,21 +290,6 @@ class QiReport:
     per_trial: tuple[tuple[float, float], ...]
     rho1: tuple[tuple[float, float], ...]
     rho2: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "theta": self.theta,
-            "trials": self.trials,
-            "violations": self.violations,
-            "fitted_A": self.fitted_A,
-            "fitted_B": self.fitted_B,
-            "B_at_A1": self.B_at_A1,
-            "coarse_C": self.coarse_C,
-            "reconstruction_failures": self.reconstruction_failures,
-            "rho1": [list(p) for p in self.rho1],
-            "rho2": [list(p) for p in self.rho2],
-        }
 
 
 def make_qi_corpus(n_pairs: int, seed: int, T: float = 1.0,
@@ -340,6 +318,12 @@ def _monotone_envelopes(dxs, dys):
         rho1.append((x, run))
     rho1.reverse()
     return tuple(rho1), tuple(rho2)
+
+
+# Lower sandwich bound (a, b) per norm kind: a * diam(f - g) - b * theta;
+# the upper bound diam(f - g) + 2 theta is shared.  Kinds without an entry
+# carry no sandwich.
+SANDWICH = {"D": (1.0, 4.0), "A": (0.5, 2.0)}
 
 
 def qi_verify(corpus, theta: float, kind: str = "D",
@@ -372,15 +356,11 @@ def qi_verify(corpus, theta: float, kind: str = "D",
             back = sod_sample(reconstruct(eta), theta)
             if back.times != eta.times or back.values != eta.values:
                 failures += 1
-    if kind == "D":
+    if kind in SANDWICH:
+        a, b = SANDWICH[kind]
         violations = sum(
             1 for dx, dy in zip(dxs, dys)
-            if dy < dx - 4.0 * theta - slack or dy > dx + 2.0 * theta + slack
-        )
-    elif kind == "A":
-        violations = sum(
-            1 for dx, dy in zip(dxs, dys)
-            if dy < 0.5 * dx - 2.0 * theta - slack or dy > dx + 2.0 * theta + slack
+            if dy < a * dx - b * theta - slack or dy > dx + 2.0 * theta + slack
         )
     else:
         violations = None
@@ -425,19 +405,6 @@ class LeftContinuityReport:
     control_theta: float
     control_count: int
     control_times: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "theta0": self.theta0,
-            "reference_times": list(self.reference_times),
-            "steps": [dict(s) for s in self.steps],
-            "stabilized_at": self.stabilized_at,
-            "monotone": self.monotone,
-            "directions": list(self.directions),
-            "control_theta": self.control_theta,
-            "control_count": self.control_count,
-            "control_times": list(self.control_times),
-        }
 
 
 def left_continuity_probe(f: Signal, theta0: float,
@@ -541,23 +508,6 @@ class CertificationReport:
     sweep_witness: dict
     sweep_table: tuple[dict, ...]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "alt_bound": self.alt_bound,
-            "alt_ok": self.alt_ok,
-            "alt_witness": dict(self.alt_witness),
-            "same_sign_inf": self.same_sign_inf,
-            "same_sign_ok": self.same_sign_ok,
-            "same_sign_witness": dict(self.same_sign_witness),
-            "sweep_max_ratio": self.sweep_max_ratio,
-            "sweep_growth": self.sweep_growth,
-            "sweep_ok": self.sweep_ok,
-            "sweep_witness": dict(self.sweep_witness),
-            "sweep_table": [dict(r) for r in self.sweep_table],
-            "verdict": self.verdict,
-        }
 
 
 def _eta_payload(eta: EventSequence) -> dict:

@@ -4,14 +4,15 @@ byte-identical for identical configurations and seeds."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
 import click
 
-from . import analysis, events, norms, sampler, signals, structure
+from . import (__version__, analysis, events, norms, sampler, signals,
+               spike_metrics, structure)
 from ._util import write_text_atomic
-from .spike_metrics import SchreiberParams, VanRossumParams, VictorPurpuraParams
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -23,7 +24,10 @@ def _fail(message: str) -> None:
     sys.exit(EXIT_INVALID)
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload, omit=()) -> None:
+    """Write a dict, or a report dataclass without its `omit` fields."""
+    if dataclasses.is_dataclass(payload):
+        payload = {k: v for k, v in vars(payload).items() if k not in omit}
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -53,8 +57,27 @@ def _load_signal(path):
         _fail(f"{path}: {exc}")
 
 
-@click.group()
-@click.version_option(package_name="sodlab")
+class _Main(click.Group):
+    """Command group whose usage errors (bad flags or values, missing files)
+    exit EXIT_INVALID: click's own code 2 is EXIT_ASSERTION here."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INVALID
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INVALID
+            raise
+
+
+@click.group(cls=_Main)
+@click.version_option(__version__, package_name="sodlab")
 def main():
     """Threshold-based sampling on piecewise-polynomial signals and the
     event-sequence analysis toolkit."""
@@ -114,7 +137,8 @@ def sample(input_path, theta, scheme, out):
 
 @main.command()
 @click.option("--events", "events_path", required=True, type=click.Path(exists=True))
-@click.option("--kind", required=True, type=click.Choice(["D", "A", "M"], case_sensitive=False))
+@click.option("--kind", required=True,
+              type=click.Choice(norms.NORM_KINDS, case_sensitive=False))
 @click.option("--bruteforce", is_flag=True, default=False)
 @click.option("--horizon", type=float, default=None)
 def norm(events_path, kind, bruteforce, horizon):
@@ -139,12 +163,12 @@ def norm(events_path, kind, bruteforce, horizon):
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--s", "--s-cost", "s_cost", type=float, default=1.0,
               show_default=True, help="Victor-Purpura shift rate.")
-@click.option("--vp-mode", type=click.Choice(["combined", "separate"]),
+@click.option("--vp-mode", type=click.Choice(spike_metrics.VP_MODES),
               default="combined", show_default=True)
-@click.option("--kernel", type=click.Choice(["causal_exponential", "gaussian"]),
+@click.option("--kernel", type=click.Choice(spike_metrics.KERNELS),
               default="causal_exponential", show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--h", "h_shape", type=click.Choice(["one_minus_s", "arccos"]),
+@click.option("--h", "h_shape", type=click.Choice(spike_metrics.H_SHAPES),
               default="one_minus_s", show_default=True)
 @click.option("--horizon", type=float, default=None)
 def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
@@ -152,25 +176,22 @@ def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
     """Print a spike-train distance between two event CSVs."""
     eta1 = _load_events(path_a, horizon)
     eta2 = _load_events(path_b, horizon if horizon is not None else eta1.T)
+    params = {
+        "vr": {"alpha": alpha},
+        "vp": {"s": s_cost, "mode": vp_mode},
+        "schreiber": {"kernel": kernel, "alpha": alpha, "sigma": sigma,
+                      "h": h_shape},
+    }[metric]
     try:
-        if metric == "vr":
-            from .spike_metrics import van_rossum
-            value = van_rossum(eta1, eta2, VanRossumParams(alpha))
-        elif metric == "vp":
-            from .spike_metrics import victor_purpura
+        if metric == "vp":
             # the edit distance counts unit spikes: map a theta-pure pair
             # with one shared magnitude onto unit amplitudes
-            u1, m1 = _unit_normalized(eta1)
-            u2, m2 = _unit_normalized(eta2)
+            eta1, m1 = _unit_normalized(eta1)
+            eta2, m2 = _unit_normalized(eta2)
             if m1 is not None and m2 is not None and m1 != m2:
                 _fail(f"theta-pure trains with different magnitudes "
                       f"({m1!r} vs {m2!r}); normalize them first")
-            value = victor_purpura(u1, u2, VictorPurpuraParams(s_cost, vp_mode))
-        else:
-            from .spike_metrics import schreiber_distance
-            value = schreiber_distance(
-                eta1, eta2,
-                SchreiberParams(kernel=kernel, alpha=alpha, sigma=sigma, h=h_shape))
+        value = analysis.make_metric(metric, **params)(eta1, eta2)
     except ValueError as exc:
         _fail(str(exc))
     click.echo(repr(value))
@@ -229,7 +250,7 @@ def decompose(events_path, what, horizon, out):
 
 @main.command()
 @click.option("--metric", required=True,
-              type=click.Choice(["D", "A", "M", "vr"], case_sensitive=False))
+              type=click.Choice([*norms.NORM_KINDS, "vr"], case_sensitive=False))
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--input", "input_path", type=click.Path(exists=True), default=None,
               help="Optional signal for the per-signal sweep.")
@@ -257,14 +278,14 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
         report = analysis.EmdmReport(
             metric=m.kind,
             theta_grid=thetas,
-            eps_ratios=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+            eps_ratios=analysis.EPS_RATIOS,
             per_signal=tuple(per_signal),
             characterization=char.value,
             growth_table=char.growth_table,
         )
     except ValueError as exc:
         _fail(str(exc))
-    _write_json(out, report.to_dict())
+    _write_json(out, report)
     rows = [("characterization", "", report.characterization)]
     rows.extend(("lambda", row["signal"], row["lambda"]) for row in per_signal)
     if char.growth_table:
@@ -277,7 +298,8 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
 @main.command(name="qi-check")
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--theta", type=float, required=True)
-@click.option("--norm", "kind", type=click.Choice(["D", "A"], case_sensitive=False),
+@click.option("--norm", "kind",
+              type=click.Choice(list(analysis.SANDWICH), case_sensitive=False),
               default="D", show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--T", "horizon", type=float, default=1.0, show_default=True)
@@ -292,7 +314,7 @@ def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_p
         report = analysis.qi_verify(corpus, theta, kind)
     except ValueError as exc:
         _fail(str(exc))
-    _write_json(out, report.to_dict())
+    _write_json(out, report, omit=("per_trial",))
     _write_csv(csv_path or _csv_path(out), ("trial", "d_input", "d_output"),
                [(i, dx, dy) for i, (dx, dy) in enumerate(report.per_trial)])
     click.echo(f"wrote {out} (violations={report.violations})")
@@ -303,7 +325,7 @@ def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_p
 
 @main.command()
 @click.option("--norm", "kind", required=True,
-              type=click.Choice(["D", "A", "M"], case_sensitive=False))
+              type=click.Choice(norms.NORM_KINDS, case_sensitive=False))
 @click.option("--out", required=True, type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def certify(kind, out, csv_path):
@@ -312,7 +334,7 @@ def certify(kind, out, csv_path):
         report = analysis.certify_norm(kind)
     except ValueError as exc:
         _fail(str(exc))
-    _write_json(out, report.to_dict())
+    _write_json(out, report)
     _write_csv(csv_path or _csv_path(out),
                ("family", "n", "sweep", "norm", "ratio"),
                [(r["family"], r["n"], r["sweep"], r["norm"], r["ratio"])
@@ -333,7 +355,7 @@ def probe_continuity(input_path, theta0, steps, out, csv_path):
         report = analysis.left_continuity_probe(sig, theta0, steps)
     except ValueError as exc:
         _fail(str(exc))
-    _write_json(out, report.to_dict())
+    _write_json(out, report)
     _write_csv(csv_path or _csv_path(out), ("n", "theta", "count", "max_gap"),
                [(s["n"], s["theta"], s["count"], s["max_gap"])
                 for s in report.steps])

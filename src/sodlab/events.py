@@ -9,9 +9,30 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from ._util import write_text_atomic
+
+
+def _check_grid(T, times, values, what: str):
+    """Validation shared by EventSequence and DenseEvents: a positive finite
+    float horizon, strictly increasing `what` times in [0, T], and one finite
+    value per time.  Returns times and values as float tuples."""
+    if not (isinstance(T, float) and math.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon must be a positive finite float, got {T!r}")
+    times = tuple(map(float, times))
+    values = tuple(map(float, values))
+    if len(times) != len(values):
+        raise ValueError(f"{what} times and values must have equal length")
+    if not all(map(operator.lt, times, times[1:])):
+        raise ValueError(f"{what} times must be strictly increasing")
+    for t in times[:1] + times[-1:]:  # increasing: the ends bound the rest
+        if not 0.0 <= t <= T:
+            raise ValueError(f"{what} time {t!r} outside [0, {T!r}]")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} values must be finite")
+    return times, values
 
 
 @dataclass(frozen=True)
@@ -28,24 +49,11 @@ class EventSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.T, float) and math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon must be a positive finite float, got {self.T!r}")
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times, values = _check_grid(self.T, self.times, self.values, "event")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        prev = -math.inf
-        for t in times:
-            if not (0.0 <= t <= self.T):
-                raise ValueError(f"event time {t!r} outside [0, {self.T!r}]")
-            if not t > prev:
-                raise ValueError("event times must be strictly increasing")
-            prev = t
-        for v in values:
-            if v == 0.0 or not math.isfinite(v):
-                raise ValueError(f"event amplitudes must be nonzero and finite, got {v!r}")
+        if 0.0 in values:
+            raise ValueError("event amplitudes must be nonzero")
 
     def __len__(self) -> int:
         return len(self.times)

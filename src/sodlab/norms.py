@@ -7,8 +7,6 @@ accepts an EventSequence, a DenseEvents, or a plain iterable of amplitudes.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def _amplitudes(eta):
     values = getattr(eta, "values", eta)
@@ -35,12 +33,6 @@ def discrepancy_bruteforce(eta, max_events: int = 10_000) -> float:
     n = len(values)
     if n > max_events:
         raise ValueError(f"brute force refuses n={n} > {max_events}")
-    if n > 64:
-        arr = np.asarray(values, dtype=float)
-        best = 0.0
-        for i in range(n):
-            best = max(best, float(np.abs(np.cumsum(arr[i:])).max()))
-        return best
     best = 0.0
     for i in range(n):
         acc = 0.0
@@ -76,6 +68,9 @@ _ALIASES = {
 }
 
 _FUNCS = {"D": discrepancy_norm, "A": alexiewicz_norm, "M": max_max_sum_norm}
+
+# Canonical norm tags, in the order the CLI lists them.
+NORM_KINDS = tuple(_FUNCS)
 
 
 def canonical_kind(kind: str) -> str:

@@ -17,8 +17,9 @@ import numpy as np
 
 from ._util import write_text_atomic
 
-# Absolute tolerance for structural checks (continuity at segment joints);
-# all desk-scale magnitudes are ~1.
+# Tolerance for structural checks (continuity at segment joints), relative
+# to the joint's magnitude once that exceeds 1: sampling is homogeneous, so
+# a signal scaled by 1e6 must pass as the unscaled one does.
 STRUCT_TOL = 1e-12
 
 
@@ -45,7 +46,8 @@ class Signal:
 
     Segments are ordered by strictly increasing start time, the first
     starts at 0, and consecutive pieces agree at the joints (within
-    ``STRUCT_TOL``).  Signals are immutable and safe to share.
+    ``STRUCT_TOL`` times the larger of 1 and the joint's magnitude).
+    Signals are immutable and safe to share.
     """
 
     T: float
@@ -67,10 +69,12 @@ class Signal:
             if not seg.t0 < self.T:
                 raise ValueError("segment start times must lie in [0, T)")
             if abs(prev.value(seg.t0) - seg.c0) > STRUCT_TOL:
-                raise ValueError(
-                    f"discontinuity at t={seg.t0!r}: "
-                    f"{prev.value(seg.t0)!r} vs {seg.c0!r}"
-                )
+                # above magnitude 1 the bound is relative
+                left = prev.value(seg.t0)
+                if abs(left - seg.c0) > STRUCT_TOL * max(abs(left), abs(seg.c0)):
+                    raise ValueError(
+                        f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}"
+                    )
             prev = seg
 
     def __call__(self, t: float) -> float:

@@ -8,7 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventSequence, difference, split_signs
+from .events import EventSequence, add_events, difference, split_signs
+
+# Valid Params names, in the order the CLI lists them.
+VP_MODES = ("combined", "separate")
+KERNELS = ("causal_exponential", "gaussian")
+H_SHAPES = ("one_minus_s", "arccos")
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,7 @@ class VictorPurpuraParams:
     def __post_init__(self):
         if not (math.isfinite(self.s) and self.s >= 0.0):
             raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
-        if self.mode not in ("combined", "separate"):
+        if self.mode not in VP_MODES:
             raise ValueError(f"mode must be 'combined' or 'separate', got {self.mode!r}")
 
 
@@ -58,9 +63,9 @@ class SchreiberParams:
     h: str = "one_minus_s"
 
     def __post_init__(self):
-        if self.kernel not in ("causal_exponential", "gaussian"):
+        if self.kernel not in KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.h not in ("one_minus_s", "arccos"):
+        if self.h not in H_SHAPES:
             raise ValueError(f"unknown distance shape {self.h!r}")
         if self.kernel == "causal_exponential" and not self.alpha > 0.0:
             raise ValueError("causal_exponential needs alpha > 0")
@@ -189,12 +194,6 @@ def _spike_times(eta: EventSequence) -> list[float]:
     return out
 
 
-def _merge_sum(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
-    from .events import add_events
-
-    return add_events(eta1, eta2)
-
-
 def _vp_dp(ta: list[float], tb: list[float], s: float) -> float:
     """Classic O(nm) edit distance: insert/delete cost 1, shift cost s*|dt|."""
     n, m = len(ta), len(tb)
@@ -225,6 +224,6 @@ def victor_purpura(eta1: EventSequence, eta2: EventSequence,
     if params.mode == "separate":
         return (_vp_dp(_spike_times(p1), _spike_times(p2), params.s)
                 + _vp_dp(_spike_times(m1), _spike_times(m2), params.s))
-    a = _merge_sum(p1, m2)
-    b = _merge_sum(m1, p2)
+    a = add_events(p1, m2)
+    b = add_events(m1, p2)
     return _vp_dp(_spike_times(a), _spike_times(b), params.s)

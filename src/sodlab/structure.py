@@ -10,10 +10,9 @@ range queries on one array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .events import EventSequence
+from .events import EventSequence, _check_grid
 from .norms import discrepancy_norm, norm_by_kind
 
 
@@ -26,19 +25,9 @@ class DenseEvents:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.grid)
-        values = tuple(float(v) for v in self.values)
+        grid, values = _check_grid(self.T, self.grid, self.values, "grid")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if len(grid) != len(values):
-            raise ValueError("grid and values must have equal length")
-        prev = -math.inf
-        for t in grid:
-            if not (0.0 <= t <= self.T):
-                raise ValueError(f"grid time {t!r} outside [0, {self.T!r}]")
-            if not t > prev:
-                raise ValueError("grid times must be strictly increasing")
-            prev = t
 
     def __len__(self) -> int:
         return len(self.grid)

@@ -15,8 +15,8 @@ from sodlab.analysis import (
     qi_verify,
     schreiber_conflation_witness,
 )
-from sodlab.events import from_pairs
-from sodlab.norms import norm_by_kind
+from sodlab.events import difference, from_pairs
+from sodlab.norms import _ALIASES, NORM_KINDS, canonical_kind, norm_by_kind
 from sodlab.signals import Segment, Signal, diameter_norm, subtract, zero
 from sodlab.trains import alternating_train
 
@@ -33,6 +33,15 @@ class TestMetricFactory:
         assert m.is_norm and m.kind == "D"
         assert m(a, a) == 0.0
         assert m(a, b) == 2.0
+
+    @pytest.mark.parametrize("alias", sorted(
+        {*_ALIASES, *map(str.upper, _ALIASES), *NORM_KINDS, "Discrepancy"}))
+    def test_every_norm_alias(self, alias):
+        m = make_metric(alias)
+        a = alternating_train(4)
+        b = from_pairs(1.0, [(0.5, 1.0)])
+        assert m.is_norm and m.kind == canonical_kind(alias) in NORM_KINDS
+        assert m(a, b) == norm_by_kind(alias)(difference(a, b))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

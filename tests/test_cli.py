@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sodlab.cli import main
-from sodlab.events import read_events_csv, write_events_csv
+from sodlab.events import read_events_csv, scale_events, write_events_csv
 from sodlab.trains import alternating_train
 
 
@@ -67,6 +67,17 @@ def test_distance_command(runner, tmp_path):
     assert res.exit_code == 0
 
 
+def test_vp_rejects_pure_trains_of_different_magnitudes(runner, tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_events_csv(a, scale_events(alternating_train(5), 0.1))
+    write_events_csv(b, scale_events(alternating_train(5), 0.2))
+    res = runner.invoke(main, ["distance", "--a", str(a), "--b", str(b),
+                               "--metric", "vp"])
+    assert res.exit_code == 1
+    assert "different magnitudes" in res.output
+
+
 def test_decompose_commands(runner, tmp_path):
     path = tmp_path / "eta.csv"
     write_events_csv(path, alternating_train(6, T=3.0))
@@ -112,6 +123,10 @@ def test_qi_check_success_and_determinism(runner, tmp_path):
         (tmp_path / "qi2.json.csv").read_bytes()
     report = json.loads(out1.read_text())
     assert report["violations"] == 0
+    # per_trial goes to the CSV only
+    assert set(report) == {
+        "kind", "theta", "trials", "violations", "fitted_A", "fitted_B",
+        "B_at_A1", "coarse_C", "reconstruction_failures", "rho1", "rho2"}
 
 
 def test_emdm_command(runner, tmp_path):
@@ -124,6 +139,8 @@ def test_emdm_command(runner, tmp_path):
                  "--theta-grid", "0.25", "--out", str(out))
     assert res.exit_code == 0
     report = json.loads(out.read_text())
+    assert set(report) == {"metric", "theta_grid", "eps_ratios", "per_signal",
+                           "characterization", "growth_table"}
     assert report["characterization"] == 1.0
     assert report["per_signal"][0]["lambda"] == 1.0
 
@@ -133,6 +150,10 @@ def test_certify_command(runner, tmp_path):
     res = invoke(runner, "certify", "--norm", "M", "--out", str(out))
     assert res.exit_code == 0
     report = json.loads(out.read_text())
+    assert set(report) == {
+        "kind", "alt_bound", "alt_ok", "alt_witness", "same_sign_inf",
+        "same_sign_ok", "same_sign_witness", "sweep_max_ratio", "sweep_growth",
+        "sweep_ok", "sweep_witness", "sweep_table", "verdict"}
     assert report["verdict"] == "not_equivalent"
 
 
@@ -146,6 +167,9 @@ def test_probe_continuity_command(runner, tmp_path):
                  "--theta0", "0.25", "--steps", "8", "--out", str(out))
     assert res.exit_code == 0
     report = json.loads(out.read_text())
+    assert set(report) == {
+        "theta0", "reference_times", "steps", "stabilized_at", "monotone",
+        "directions", "control_theta", "control_count", "control_times"}
     assert report["control_count"] < len(report["reference_times"])
 
 
@@ -193,3 +217,22 @@ def test_invalid_theta_exits_one(runner, tmp_path):
     res = runner.invoke(main, ["sample", "--input", str(sig), "--theta", "-1",
                                "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["norm", "--help"]])
+def test_help_and_version_exit_zero(runner, args):
+    assert runner.invoke(main, args).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["qi-check", "--theta", "0.1", "--norm", "M", "--out", "x.json"],
+    ["norm", "--kind", "Q", "--events", "x.csv"],
+    ["sample", "--input", "missing.json", "--theta", "0.1", "--out", "x.csv"],
+])
+def test_usage_errors_exit_one(runner, tmp_path, monkeypatch, args):
+    # click's own usage-error code 2 is reserved for a sandwich violation
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("t,v\n")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert "Error" in res.output

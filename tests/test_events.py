@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,6 +146,12 @@ def test_validation_rejects_bad_sequences():
         EventSequence(1.0, (1.5,), (1.0,))  # beyond horizon
     with pytest.raises(ValueError):
         EventSequence(1.0, (0.5, 0.7), (1.0,))  # length mismatch
+    for times in ((-0.1, 0.5), (0.2, math.nan, 0.7), (math.nan,)):
+        with pytest.raises(ValueError):
+            EventSequence(1.0, times, (1.0,) * len(times))
+    for v in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            EventSequence(1.0, (0.5,), (v,))
 
 
 def test_csv_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sodlab.sampler import reconstruct, sod_sample
 from sodlab.signals import (
     Segment,
     Signal,
@@ -202,6 +203,18 @@ def test_signal_validation():
         Signal(1.0, (Segment(0.0, 0.0, 1.0), Segment(0.5, 99.0)))  # jump
     with pytest.raises(ValueError):
         Signal(-1.0, (Segment(0.0, 0.0),))
+
+
+def test_continuity_tolerance_scales_with_magnitude():
+    # one ulp of joint drift at magnitude 1e6 used to fail an absolute 1e-12
+    f = random_walk(1.0, 3, 50, 1e6)
+    g = scale(random_walk(1.0, 3, 50, 1.0), 1e6)
+    for h in (f, g):
+        eta = sod_sample(h, 2.0 ** 17)
+        assert len(eta) > 0
+        assert sod_sample(reconstruct(eta), 2.0 ** 17) == eta
+    with pytest.raises(ValueError):
+        Signal(1.0, (Segment(0.0, 1e6, 1e6), Segment(0.5, 1.5e6 + 1.0)))
 
 
 def test_pwl_from_points_validation():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sodlab.events import from_pairs, is_alternating
@@ -53,6 +55,12 @@ def test_dense_validation():
         DenseEvents(1.0, (0.5, 0.5), (1.0, 1.0))
     with pytest.raises(ValueError):
         DenseEvents(1.0, (0.5,), (1.0, 0.0))
+    for T in (-1.0, 0.0, math.inf):
+        with pytest.raises(ValueError):
+            DenseEvents(T, (0.5,), (1.0,))
+    with pytest.raises(ValueError):
+        DenseEvents(1.0, (0.5,), (math.nan,))
+    assert DenseEvents(1.0, (0.5,), (0.0,)).nonzero_count() == 0
 
 
 class TestMmd:
