@@ -127,7 +127,7 @@ def _right_limit_estimate(prev, cur, eta0: EventSequence, T: float) -> EventSequ
     factor = eps_cur / (eps_prev - eps_cur)
     times = [tc - (tp - tc) * factor
              for tp, tc in zip(eta_prev.times, eta_cur.times)]
-    tol = 1e-7 * max(1.0, T)
+    tol = 1e-7 * T
     snapped = []
     i = 0
     for t, v in zip(times, eta_cur.values):
@@ -150,10 +150,11 @@ def _right_limit_estimate(prev, cur, eta0: EventSequence, T: float) -> EventSequ
 
 # Descending eps/theta grid that `emdm_sweep` walks towards each right limit.
 EPS_RATIOS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# Two consecutive right-limit metric values this close count as stabilized.
+_VALUE_TOL = 1e-9
 
 
-def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS,
-               value_tol: float = 1e-9) -> SweepResult:
+def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepResult:
     """Per-signal discontinuity estimate: the metric gap between the
     normalized output at theta and its right limit in the threshold.
 
@@ -163,7 +164,7 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS,
     event times are extrapolated linearly to eps = 0, events that converge
     onto same-sign events of the theta-output are snapped to them, and the
     metric value between the theta-output and this right-limit estimate is
-    recorded; two consecutive values within `value_tol` count as stabilized.
+    recorded; two consecutive values within 1e-9 count as stabilized.
     The estimate is the maximum over the theta grid.
     """
     if isinstance(metric, str):
@@ -190,7 +191,7 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS,
             if prev is not None and _sign_struct(eta) == _sign_struct(prev[1]):
                 limit = _right_limit_estimate(prev, (eps, eta), eta0, f.T)
                 values.append(metric(eta0, limit))
-                if len(values) >= 2 and abs(values[-1] - values[-2]) <= value_tol:
+                if len(values) >= 2 and abs(values[-1] - values[-2]) <= _VALUE_TOL:
                     stabilized = True
                     eps_used = eps
                     value = values[-1]
@@ -324,10 +325,11 @@ def _monotone_envelopes(dxs, dys):
 # the upper bound diam(f - g) + 2 theta is shared.  Kinds without an entry
 # carry no sandwich.
 SANDWICH = {"D": (1.0, 4.0), "A": (0.5, 2.0)}
+# Absolute rounding allowance on both sides of the sandwich.
+_QI_SLACK = 1e-9
 
 
-def qi_verify(corpus, theta: float, kind: str = "D",
-              slack: float = 1e-9) -> QiReport:
+def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
     """Check the sampling sandwich over a corpus of signal pairs and fit the
     empirical quasi-isometry constants.
 
@@ -360,7 +362,7 @@ def qi_verify(corpus, theta: float, kind: str = "D",
         a, b = SANDWICH[kind]
         violations = sum(
             1 for dx, dy in zip(dxs, dys)
-            if dy < a * dx - b * theta - slack or dy > dx + 2.0 * theta + slack
+            if dy < a * dx - b * theta - _QI_SLACK or dy > dx + 2.0 * theta + _QI_SLACK
         )
     else:
         violations = None
@@ -452,11 +454,12 @@ def left_continuity_probe(f: Signal, theta0: float,
     monotone = stabilized_at is not None
     directions = []
     if stabilized_at is not None:
+        tol = 1e-12 * f.T
         tail_times = [tuple(s["times"]) for s in steps[stabilized_at - 1:]]
         for k in range(len(ref_times)):
             seq = [t[k] for t in tail_times] + [ref_times[k]]
-            nondec = all(a <= b + 1e-12 for a, b in zip(seq, seq[1:]))
-            noninc = all(a >= b - 1e-12 for a, b in zip(seq, seq[1:]))
+            nondec = all(a <= b + tol for a, b in zip(seq, seq[1:]))
+            noninc = all(a >= b - tol for a, b in zip(seq, seq[1:]))
             if not (nondec or noninc):
                 monotone = False
                 directions.append("none")
@@ -481,16 +484,12 @@ def left_continuity_probe(f: Signal, theta0: float,
 
 # --- norm certification -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertifyFamilies:
-    """Generator configuration for the three equivalence conditions; sizes
-    stay within the transcription-sweep guard."""
-
-    alternating_counts: tuple = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 200)
-    same_sign_counts: tuple = (1, 2, 3, 5, 8, 13, 21, 34, 50)
-    mmsn_counts: tuple = (8, 16, 24, 40)
-    random_sweep: tuple = ((101, 24), (202, 32), (303, 40))
-    T: float = 1.0
+# Family sizes for the three equivalence conditions, on [0, 1]; they stay
+# within the transcription-sweep guard.  Random sweeps are (seed, n) pairs.
+_ALT_COUNTS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 128, 200)
+_SAME_SIGN_COUNTS = (1, 2, 3, 5, 8, 13, 21, 34, 50)
+_MMSN_COUNTS = (8, 16, 24, 40)
+_RANDOM_SWEEP = ((101, 24), (202, 32), (303, 40))
 
 
 @dataclass(frozen=True)
@@ -527,7 +526,7 @@ _SWEEP_RATIO_CAP = 4.0
 _GROWTH_CAP = 1.5
 
 
-def certify_norm(kind: str, families: CertifyFamilies | None = None) -> CertificationReport:
+def certify_norm(kind: str) -> CertificationReport:
     """Test a norm against the three discrepancy-equivalence conditions.
 
     (i) boundedness over alternating families, (ii) a positive infimum of
@@ -537,35 +536,33 @@ def certify_norm(kind: str, families: CertifyFamilies | None = None) -> Certific
     """
     kind = canonical_kind(kind)
     normf = norm_by_kind(kind)
-    fam = families or CertifyFamilies()
-    T = fam.T
 
     alt_rows = []
-    for n in fam.alternating_counts:
+    for n in _ALT_COUNTS:
         for start in (1, -1):
-            eta = alternating_train(n, T, start)
+            eta = alternating_train(n, start=start)
             alt_rows.append((normf(eta), n, eta))
     alt_value, _, alt_eta = max(alt_rows, key=lambda r: r[0])
-    small = min(v for v, n, _ in alt_rows if n == min(fam.alternating_counts))
-    big = max(v for v, n, _ in alt_rows if n == max(fam.alternating_counts))
+    small = min(v for v, n, _ in alt_rows if n == min(_ALT_COUNTS))
+    big = max(v for v, n, _ in alt_rows if n == max(_ALT_COUNTS))
     alt_ok = alt_value <= _ALT_CAP and big <= _GROWTH_CAP * max(small, 1e-12)
 
     same_rows = []
-    for n in fam.same_sign_counts:
-        eta = positive_train(n, T)
+    for n in _SAME_SIGN_COUNTS:
+        eta = positive_train(n)
         same_rows.append((normf(eta) / len(eta), n, eta))
     same_value, _, same_eta = min(same_rows, key=lambda r: r[0])
     same_ok = same_value >= _SAME_SIGN_FLOOR
 
     sweep_table = []
     sweep_rows = []
-    for n in fam.mmsn_counts:
-        eta = mmsn_train(n, T)
+    for n in _MMSN_COUNTS:
+        eta = mmsn_train(n)
         nv = normf(eta)
         sw = transcription_sweep(eta, kind)
         sweep_rows.append((sw / nv, eta, "mmsn", n, sw, nv))
-    for seed, n in fam.random_sweep:
-        eta = random_unit_train(seed, n, T)
+    for seed, n in _RANDOM_SWEEP:
+        eta = random_unit_train(seed, n)
         nv = normf(eta)
         sw = transcription_sweep(eta, kind)
         sweep_rows.append((sw / nv, eta, "random", n, sw, nv))

@@ -172,9 +172,8 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
             with open(_sidecar_path(path)) as handle:
                 horizon = float(json.load(handle)["T"])
         except FileNotFoundError:
-            if not pairs:
-                raise ValueError(
-                    f"{path}: empty event file needs --horizon or a sidecar"
-                ) from None
-            horizon = pairs[-1][0]
+            raise ValueError(
+                f"{path}: no horizon; pass --horizon or keep the "
+                f"{_sidecar_path(path)} sidecar"
+            ) from None
     return from_pairs(float(horizon), pairs)

@@ -1,12 +1,15 @@
 """Send-on-delta sampling, level-crossing with hysteresis, integrate-and-fire,
 and the canonical right inverse (reconstruction).
 
-Events are emitted at the exact first time |f(t) - f(t_k)| reaches the
-threshold.  Crossings are computed closed-form per polynomial piece; the
-earliest root wins.  Exact endpoint hits are recognized by comparing stored
-joint values, which is what makes ``sod_sample(reconstruct(eta)) == eta``
-bit-exact: the reconstruction's breakpoint levels are produced by the same
-float additions the sampler uses for its reference levels.
+SOD and LC share one first-crossing recursion: from the last event the next
+fires at the first time f hits one of two levels, ref +- theta for SOD and
+(k +- 1)*theta for LC.  Crossings are computed closed-form per polynomial
+piece and the earliest root wins; root tolerances are relative to the piece
+length, so the output commutes exactly with power-of-two rescaling of time.
+Exact endpoint hits are recognized by comparing stored joint values, which is
+what makes ``sod_sample(reconstruct(eta)) == eta`` bit-exact: the
+reconstruction's breakpoint levels are produced by the same float additions
+the sampler uses for its reference levels.
 """
 
 from __future__ import annotations
@@ -56,55 +59,71 @@ def _quadratic_roots(a: float, b: float, c: float):
     return (r1, r2)
 
 
-def _segment_level_hits(seg: Segment, lo_t: float, hi_t: float, end_value: float,
-                        level: float, t_from: float):
-    """Times t in (t_from, hi_t] with seg(t) == level, ascending.
+def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
+                       level: float, t_from: float):
+    """Earliest t in (t_from, hi_t] with seg(t) == level, or None.
 
     Exact joint hits (stored start/end values equal to the level bit-for-bit)
     are reported at the stored joint times; closed-form roots landing within a
-    rounding error of such a joint are folded into it.
+    rounding error of such a joint, or of an earlier root, are folded into it.
     """
-    hits = []
     if seg.c0 == level and lo_t > t_from:
-        hits.append(lo_t)
-    if end_value == level and hi_t > t_from:
-        hits.append(hi_t)
+        return lo_t
+    hits = [hi_t] if end_value == level and hi_t > t_from else []
     seg_len = hi_t - lo_t
-    slack = 1e-12 * max(1.0, seg_len)
-    snap = 1e-9 * max(1.0, seg_len)
+    slack = 1e-12 * seg_len
+    snap = 1e-9 * seg_len
     if seg.c2 == 0.0:
         roots = ((level - seg.c0) / seg.c1,) if seg.c1 != 0.0 else ()
     else:
         roots = _quadratic_roots(seg.c2, seg.c1, seg.c0 - level)
     for u in roots:
-        if not -slack <= u <= seg_len + slack:
-            continue
-        t = lo_t + min(max(u, 0.0), seg_len)
-        if t <= t_from:
-            continue
-        if any(abs(t - h) <= snap for h in hits):
-            continue
-        hits.append(t)
-    hits.sort()
-    return hits
+        if -slack <= u <= seg_len + slack:
+            t = lo_t + min(max(u, 0.0), seg_len)
+            if t > t_from and all(abs(t - h) > snap for h in hits):
+                hits.append(t)
+    return min(hits) if hits else None
 
 
 def _first_crossing(arrays, seg_idx: int, t_from: float,
                     level_up: float, level_down: float):
-    """Earliest (t, level) with f(t) hitting either level after t_from."""
+    """Earliest (t, sign, segment index) with f(t) hitting level_up (sign +1)
+    or level_down (sign -1) after t_from; an exact tie goes to level_up."""
     segs, starts, ends, end_values = arrays
     for i in range(seg_idx, len(segs)):
         if ends[i] <= t_from:
             continue
-        best = None
-        for level in (level_up, level_down):
-            hits = _segment_level_hits(segs[i], starts[i], ends[i],
-                                       end_values[i], level, t_from)
-            if hits and (best is None or hits[0] < best[0]):
-                best = (hits[0], level)
-        if best is not None:
-            return best[0], best[1], i
+        seg, lo_t, hi_t, end_value = segs[i], starts[i], ends[i], end_values[i]
+        t_up = _segment_first_hit(seg, lo_t, hi_t, end_value, level_up, t_from)
+        t_down = _segment_first_hit(seg, lo_t, hi_t, end_value, level_down, t_from)
+        if t_up is not None and (t_down is None or t_up <= t_down):
+            return t_up, 1, i
+        if t_down is not None:
+            return t_down, -1, i
     return None
+
+
+def _sample(f: Signal, theta: float, levels) -> EventSequence:
+    """The first-crossing recursion: after an event at reference level `ref`
+    (the level it hit) and net index `k`, both 0 at the start, the next event
+    is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta."""
+    _check_anchored(f)
+    arrays = _segment_arrays(f)
+    ref, k = 0.0, 0
+    t_cur = 0.0
+    seg_idx = 0
+    times, values = [], []
+    while True:
+        up, down = levels(ref, k)
+        hit = _first_crossing(arrays, seg_idx, t_cur, up, down)
+        if hit is None:
+            break
+        t_cur, sign, seg_idx = hit
+        times.append(t_cur)
+        values.append(sign * theta)
+        ref = up if sign > 0 else down
+        k += sign
+    return EventSequence(f.T, tuple(times), tuple(values))
 
 
 def sod_sample(f: Signal, theta: float) -> EventSequence:
@@ -115,22 +134,7 @@ def sod_sample(f: Signal, theta: float) -> EventSequence:
     empty sequence.
     """
     theta = _check_theta(theta)
-    _check_anchored(f)
-    arrays = _segment_arrays(f)
-    ref = 0.0
-    t_cur = 0.0
-    seg_idx = 0
-    times, values = [], []
-    while True:
-        hit = _first_crossing(arrays, seg_idx, t_cur, ref + theta, ref - theta)
-        if hit is None:
-            break
-        t_hit, level, seg_idx = hit
-        times.append(t_hit)
-        values.append(theta if level > ref else -theta)
-        ref = level
-        t_cur = t_hit
-    return EventSequence(f.T, tuple(times), tuple(values))
+    return _sample(f, theta, lambda ref, k: (ref + theta, ref - theta))
 
 
 def lc_sample(f: Signal, theta: float) -> EventSequence:
@@ -141,24 +145,7 @@ def lc_sample(f: Signal, theta: float) -> EventSequence:
     lies on the lattice.
     """
     theta = _check_theta(theta)
-    _check_anchored(f)
-    arrays = _segment_arrays(f)
-    k0 = 0
-    t_cur = 0.0
-    seg_idx = 0
-    times, values = [], []
-    while True:
-        up = (k0 + 1) * theta
-        down = (k0 - 1) * theta
-        hit = _first_crossing(arrays, seg_idx, t_cur, up, down)
-        if hit is None:
-            break
-        t_hit, level, seg_idx = hit
-        times.append(t_hit)
-        values.append(theta if level == up else -theta)
-        k0 += 1 if level == up else -1
-        t_cur = t_hit
-    return EventSequence(f.T, tuple(times), tuple(values))
+    return _sample(f, theta, lambda ref, k: ((k + 1) * theta, (k - 1) * theta))
 
 
 def if_sample(f: Signal, theta: float) -> EventSequence:

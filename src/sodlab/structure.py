@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import EventSequence, _check_grid
+from .events import EventSequence, _check_grid, difference
 from .norms import discrepancy_norm, norm_by_kind
 
 
@@ -68,19 +68,8 @@ class ChainDecomposition:
         return len(self.stages) - 1
 
     def increments(self) -> list[EventSequence]:
-        out = []
-        for prev, cur in zip(self.stages, self.stages[1:]):
-            pairs = [
-                (t, b - a)
-                for t, a, b in zip(cur.grid, prev.values, cur.values)
-                if b - a != 0.0
-            ]
-            out.append(EventSequence(
-                cur.T,
-                tuple(t for t, _ in pairs),
-                tuple(v for _, v in pairs),
-            ))
-        return out
+        return [difference(to_sparse(cur), to_sparse(prev))
+                for prev, cur in zip(self.stages, self.stages[1:])]
 
 
 def _require_unit(values, zeros_ok: bool) -> None:

@@ -201,8 +201,8 @@ def test_qi_check_violation_exits_two(runner, tmp_path, monkeypatch):
 
     real = analysis.qi_verify
 
-    def doctored(corpus, theta, kind="D", slack=1e-9):
-        report = real(corpus, theta, kind, slack)
+    def doctored(corpus, theta, kind="D"):
+        report = real(corpus, theta, kind)
         return type(report)(**{**report.__dict__, "violations": 1})
 
     monkeypatch.setattr("sodlab.cli.analysis.qi_verify", doctored)

@@ -177,6 +177,16 @@ def test_csv_horizon_flag_wins(tmp_path):
     assert read_events_csv(path, horizon=20.0).T == 20.0
 
 
+def test_csv_without_horizon_is_an_error(tmp_path):
+    # the last event time is not the horizon: no sidecar and no flag raises
+    for eta in (seq((1.0, 1.0), T=10.0), empty(2.0)):
+        path = tmp_path / f"events{len(eta)}.csv"
+        write_events_csv(path, eta, sidecar=False)
+        with pytest.raises(ValueError, match="horizon"):
+            read_events_csv(path)
+        assert read_events_csv(path, horizon=eta.T).pairs() == eta.pairs()
+
+
 def test_csv_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v\n0.1,1.0,extra\n")

@@ -199,17 +199,43 @@ def sod_bruteforce(f, theta, n_grid=50_000):
     return out
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_sod_against_grid_bisection_oracle(seed):
-    f = random_walk(1.0, seed, 10, 0.6)
-    for g in (f, integrate(f)):
+def check_against_oracle(T, seed):
+    f = random_walk(T, seed, 10, 0.6)
+    # divided by T, the antiderivative keeps the amplitudes of the T = 1 one
+    for g in (f, scale(integrate(f), 1.0 / T)):
         for theta in (0.05, 0.13):
             fast = sod_sample(g, theta).pairs()
             slow = sod_bruteforce(g, theta)
             assert len(fast) == len(slow)
             for (tf, vf), (tb, vb) in zip(fast, slow):
-                assert tf == pytest.approx(tb, abs=1e-8)
+                assert tf == pytest.approx(tb, abs=1e-8 * T)
                 assert vf * vb > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sod_against_grid_bisection_oracle(seed):
+    check_against_oracle(1.0, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sod_against_grid_bisection_oracle_short_horizon(seed):
+    check_against_oracle(2.0 ** -30, seed)
+
+
+@pytest.mark.parametrize("k", [-40, -30, -20, -4, 20])
+def test_exact_time_scale_equivariance(k):
+    # random_walk(2^k, ...) is the unit walk with time scaled by 2^k, exactly;
+    # so is its antiderivative divided by 2^k.  Sampling must commute with it.
+    T = 2.0 ** k
+    for seed in range(10):
+        f1, fk = random_walk(1.0, seed, 200, 0.6), random_walk(T, seed, 200, 0.6)
+        pairs = [(f1, fk), (integrate(f1), scale(integrate(fk), 1.0 / T))]
+        for g1, gk in pairs:
+            for theta in (0.05, 0.13):
+                for sample in (sod_sample, lc_sample):
+                    unit, scaled = sample(g1, theta), sample(gk, theta)
+                    assert scaled.times == tuple(T * t for t in unit.times)
+                    assert scaled.values == unit.values
 
 
 class TestHomogeneity:
