@@ -325,7 +325,7 @@ def _monotone_envelopes(dxs, dys):
 # the upper bound diam(f - g) + 2 theta is shared.  Kinds without an entry
 # carry no sandwich.
 SANDWICH = {"D": (1.0, 4.0), "A": (0.5, 2.0)}
-# Absolute rounding allowance on both sides of the sandwich.
+# Rounding allowance on both sides of the sandwich, per unit diam(f - g) + theta.
 _QI_SLACK = 1e-9
 
 
@@ -362,7 +362,8 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
         a, b = SANDWICH[kind]
         violations = sum(
             1 for dx, dy in zip(dxs, dys)
-            if dy < a * dx - b * theta - _QI_SLACK or dy > dx + 2.0 * theta + _QI_SLACK
+            if dy < a * dx - b * theta - _QI_SLACK * (dx + theta)
+            or dy > dx + 2.0 * theta + _QI_SLACK * (dx + theta)
         )
     else:
         violations = None

@@ -175,7 +175,7 @@ def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
              h_shape, horizon):
     """Print a spike-train distance between two event CSVs."""
     eta1 = _load_events(path_a, horizon)
-    eta2 = _load_events(path_b, horizon if horizon is not None else eta1.T)
+    eta2 = _load_events(path_b, horizon)
     params = {
         "vr": {"alpha": alpha},
         "vp": {"s": s_cost, "mode": vp_mode},

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -73,36 +75,45 @@ class SchreiberParams:
             raise ValueError("gaussian needs sigma > 0")
 
 
-def _exp_gram(times1, values1, times2, values2, alpha: float, T: float) -> float:
-    """Inner product of causal-exponential smoothings over [0, T].
+def _exp_gram(eta1: EventSequence, eta2: EventSequence, alpha: float) -> float:
+    """Inner product over [0, T] of the causal-exponential smoothings.
 
-    Pairwise term: int_max(ti,tj)^T e^{-a(t-ti)} e^{-a(t-tj)} dt
-                 = (e^{-a|ti-tj|} - e^{-a(2T-ti-tj)}) / (2a).
+    The pair weight (e^{-a|ti-tj|} - e^{-a(2T-ti-tj)}) / (2a) equals
+    e^{-a|ti-tj|} (1 - e^{-2a(T - max(ti,tj))}) / (2a), so one sweep over the
+    merged times pairs each event with the other train's decayed running
+    sum and weights it at its own time: no large terms cancel as aT -> 0,
+    the factor e^{-a dt} <= 1 cannot overflow, and equal times pair with
+    e^0 = 1.  O(n + m) time and memory (Houghton & Kreuz, Network 23, 2012).
     """
-    if not times1 or not times2:
-        return 0.0
-    t1 = np.asarray(times1)
-    v1 = np.asarray(values1)
-    t2 = np.asarray(times2)
-    v2 = np.asarray(values2)
-    dt = np.abs(t1[:, None] - t2[None, :])
-    tail = 2.0 * T - t1[:, None] - t2[None, :]
-    kern = (np.exp(-alpha * dt) - np.exp(-alpha * tail)) / (2.0 * alpha)
-    return float(v1 @ kern @ v2)
+    acc = [0.0, 0.0]
+    total = t_prev = 0.0
+    for t, side, v in sorted(chain(zip(eta1.times, repeat(0), eta1.values),
+                                   zip(eta2.times, repeat(1), eta2.values))):
+        decay = math.exp(-alpha * (t - t_prev))
+        acc[0] *= decay
+        acc[1] *= decay
+        t_prev = t
+        total -= v * acc[1 - side] * math.expm1(-2.0 * alpha * (eta1.T - t))
+        acc[side] += v
+    return total / (2.0 * alpha)
 
 
-def _gauss_gram(times1, values1, times2, values2, sigma: float) -> float:
+# Kernel rows evaluated at once: peak memory is _GAUSS_ROWS x m floats.
+_GAUSS_ROWS = 256
+
+
+def _gauss_gram(eta1: EventSequence, eta2: EventSequence, sigma: float) -> float:
     """Whole-line Gaussian-smoothing inner product (peak-normalized; the
     constant sigma*sqrt(pi) factor cancels in the similarity)."""
-    if not times1 or not times2:
-        return 0.0
-    t1 = np.asarray(times1)
-    v1 = np.asarray(values1)
-    t2 = np.asarray(times2)
-    v2 = np.asarray(values2)
-    d = t1[:, None] - t2[None, :]
-    kern = np.exp(-(d * d) / (4.0 * sigma * sigma))
-    return float(v1 @ kern @ v2)
+    t1, v1 = np.asarray(eta1.times), np.asarray(eta1.values)
+    t2, v2 = np.asarray(eta2.times), np.asarray(eta2.values)
+    total = 0.0
+    for lo in range(0, len(t1), _GAUSS_ROWS):
+        kern = t1[lo:lo + _GAUSS_ROWS, None] - t2[None, :]
+        kern *= kern
+        kern /= -4.0 * sigma * sigma
+        total += float(v1[lo:lo + _GAUSS_ROWS] @ (np.exp(kern, out=kern) @ v2))
+    return total
 
 
 def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:
@@ -121,17 +132,12 @@ def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:
 
 def _step_l2(eta: EventSequence) -> float:
     """L2 norm over [0, T] of the running-sum step function of eta."""
-    acc = 0.0
-    energy = 0.0
-    prev_t = None
+    acc = energy = prev_t = 0.0
     for t, v in zip(eta.times, eta.values):
-        if prev_t is not None:
-            energy += acc * acc * (t - prev_t)
+        energy += acc * acc * (t - prev_t)
         acc += v
         prev_t = t
-    if prev_t is not None:
-        energy += acc * acc * (eta.T - prev_t)
-    return math.sqrt(max(energy, 0.0))
+    return math.sqrt(energy + acc * acc * (eta.T - prev_t))
 
 
 def van_rossum(eta1: EventSequence, eta2: EventSequence,
@@ -148,9 +154,7 @@ def van_rossum(eta1: EventSequence, eta2: EventSequence,
     diff = difference(eta1, eta2)
     if params.alpha == 0.0:
         return _step_l2(diff)
-    d2 = _exp_gram(diff.times, diff.values, diff.times, diff.values,
-                   params.alpha, diff.T)
-    return math.sqrt(max(d2, 0.0))
+    return math.sqrt(max(_exp_gram(diff, diff, params.alpha), 0.0))
 
 
 def schreiber_similarity(eta1: EventSequence, eta2: EventSequence,
@@ -158,19 +162,13 @@ def schreiber_similarity(eta1: EventSequence, eta2: EventSequence,
     """Normalized inner product of kernel-smoothed trains, in [-1, 1]."""
     if eta1.T != eta2.T:
         raise ValueError(f"horizon mismatch: {eta1.T!r} vs {eta2.T!r}")
-    if not eta1.times or not eta2.times:
-        raise ValueError("Schreiber similarity is undefined for empty trains")
-    if params.kernel == "causal_exponential":
-        def gram(a, b):
-            return _exp_gram(a.times, a.values, b.times, b.values,
-                             params.alpha, eta1.T)
-    else:
-        def gram(a, b):
-            return _gauss_gram(a.times, a.values, b.times, b.values, params.sigma)
-    g12 = gram(eta1, eta2)
-    g11 = gram(eta1, eta1)
-    g22 = gram(eta2, eta2)
-    return g12 / (math.sqrt(g11) * math.sqrt(g22))
+    gram = (partial(_exp_gram, alpha=params.alpha)
+            if params.kernel == "causal_exponential"
+            else partial(_gauss_gram, sigma=params.sigma))
+    g11, g22 = gram(eta1, eta1), gram(eta2, eta2)
+    if not (g11 > 0.0 and g22 > 0.0):
+        raise ValueError("Schreiber similarity is undefined when a smoothing vanishes")
+    return gram(eta1, eta2) / (math.sqrt(g11) * math.sqrt(g22))
 
 
 def schreiber_distance(eta1: EventSequence, eta2: EventSequence,

@@ -189,6 +189,15 @@ class TestQiVerify:
         with pytest.raises(ValueError):
             qi_verify([], 0.1)
 
+    def test_small_scale_violations_are_visible(self, monkeypatch):
+        # the 200-pair campaign scaled by 1e-10: every lower bound
+        # diam - 4 theta is positive, so a norm that returns 0 violates it
+        corpus = make_qi_corpus(200, 7, amplitude=4e-11)
+        assert qi_verify(corpus, 2.5e-12, "D").violations == 0
+        monkeypatch.setattr("sodlab.analysis.norm_by_kind",
+                            lambda kind: lambda eta: 0.0)
+        assert qi_verify(corpus, 2.5e-12, "D").violations == len(corpus)
+
 
 class TestLeftContinuityProbe:
     def test_ramp_closed_form(self):

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sodlab.cli import main
-from sodlab.events import read_events_csv, scale_events, write_events_csv
+from sodlab.events import from_pairs, read_events_csv, scale_events, write_events_csv
 from sodlab.trains import alternating_train
 
 
@@ -209,6 +209,19 @@ def test_qi_check_violation_exits_two(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["qi-check", "--trials", "5", "--theta", "0.1",
                                "--out", str(tmp_path / "qi.json")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("horizons", [(1.0, 2.0), (2.0, 1.0)])
+def test_distance_keeps_each_sidecar_horizon(runner, tmp_path, horizons):
+    paths = []
+    for k, T in enumerate(horizons):
+        path = tmp_path / f"eta{k}.csv"
+        write_events_csv(path, from_pairs(T, [(0.5, 1.0)]))
+        paths.append(str(path))
+    res = runner.invoke(main, ["distance", "--a", paths[0], "--b", paths[1],
+                               "--metric", "vr"])
+    assert res.exit_code == 1
+    assert "horizon mismatch" in res.output
 
 
 def test_invalid_theta_exits_one(runner, tmp_path):

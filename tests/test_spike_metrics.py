@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodlab.events import difference, empty, from_pairs, scale_events, split_signs
 from sodlab.spike_metrics import (
     SchreiberParams,
     VanRossumParams,
     VictorPurpuraParams,
+    _exp_gram,
+    _gauss_gram,
     exp_response,
     schreiber_distance,
     schreiber_similarity,
@@ -45,6 +50,142 @@ def vr_quadrature(eta1, eta2, alpha, n_sub=2000):
     return math.sqrt(total)
 
 
+def exp_gram_matrix(times1, values1, times2, values2, alpha, T):
+    """n x m oracle for the causal-exponential Gram form over [0, T].
+
+    Pairwise term: int_max(ti,tj)^T e^{-a(t-ti)} e^{-a(t-tj)} dt
+                 = (e^{-a|ti-tj|} - e^{-a(2T-ti-tj)}) / (2a).
+    """
+    if not times1 or not times2:
+        return 0.0
+    t1 = np.asarray(times1)
+    v1 = np.asarray(values1)
+    t2 = np.asarray(times2)
+    v2 = np.asarray(values2)
+    dt = np.abs(t1[:, None] - t2[None, :])
+    tail = 2.0 * T - t1[:, None] - t2[None, :]
+    kern = (np.exp(-alpha * dt) - np.exp(-alpha * tail)) / (2.0 * alpha)
+    return float(v1 @ kern @ v2)
+
+
+def gauss_gram_matrix(times1, values1, times2, values2, sigma):
+    """n x m oracle for the whole-line Gaussian Gram form."""
+    if not times1 or not times2:
+        return 0.0
+    t1 = np.asarray(times1)
+    v1 = np.asarray(values1)
+    t2 = np.asarray(times2)
+    v2 = np.asarray(values2)
+    d = t1[:, None] - t2[None, :]
+    kern = np.exp(-(d * d) / (4.0 * sigma * sigma))
+    return float(v1 @ kern @ v2)
+
+
+EPS = np.finfo(float).eps
+
+
+def exp_tol(a, b, alpha):
+    """Allowed gap between _exp_gram and the matrix oracle, in units of the
+    largest possible Gram value sum|v1| sum|v2| / (2 alpha).  n + m covers
+    the summation order; alpha * T covers the oracle's tail exponent
+    alpha (2T - ti - tj), which rounds at the scale of T."""
+    scale = sum(map(abs, a.values)) * sum(map(abs, b.values)) / (2.0 * alpha)
+    return 4.0 * EPS * (len(a) + len(b) + alpha * a.T) * scale
+
+
+def gauss_tol(a, b):
+    """The kernel entries are bit-identical; only the summation order of the
+    row blocks differs."""
+    return 4.0 * EPS * (len(a) + len(b)) * sum(map(abs, a.values)) * sum(map(abs, b.values))
+
+
+def check_similarity(similarity, grams, tols):
+    """similarity() must lie within the first-order propagation of the Gram
+    tolerances through g12 / sqrt(g11 g22).  A self-Gram within twice its
+    tolerance of 0 is ill-conditioned (and may be refused), so only the Gram
+    checks cover it."""
+    (g12, g11, g22), (e12, e11, e22) = grams, tols
+    if g11 <= 2.0 * e11 or g22 <= 2.0 * e22:
+        return
+    s = g12 / (math.sqrt(g11) * math.sqrt(g22))
+    r1, r2 = e11 / g11, e22 / g22
+    bound = (e12 / math.sqrt((g11 - e11) * (g22 - e22))
+             + abs(s) * (1.0 / math.sqrt((1.0 - r1) * (1.0 - r2)) - 1.0)
+             + 8.0 * EPS * max(abs(s), 1.0))
+    assert abs(similarity() - s) <= bound
+
+
+@st.composite
+def shared_time_pairs(draw):
+    """Two trains of at most 60 events on one horizon whose times come from
+    one pool, so that many times coincide across the trains."""
+    T = 10.0 ** draw(st.floats(-6.0, 6.0))
+    units = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=90))
+    pool = sorted({T * u for u in units})
+
+    def train():
+        times = sorted(draw(st.sets(st.sampled_from(pool), min_size=1,
+                                    max_size=min(60, len(pool)))))
+        values = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-3.0, 3.0))
+                  for _ in times]
+        return from_pairs(T, list(zip(times, values)))
+
+    return train(), train()
+
+
+@given(shared_time_pairs(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_grams_match_matrix_oracles(pair, log_alpha, log_sigma):
+    a, b = pair
+    alpha = 10.0 ** log_alpha
+    sigma = a.T * 10.0 ** log_sigma
+    diff = difference(a, b)
+    oracle = exp_gram_matrix(diff.times, diff.values, diff.times, diff.values, alpha, a.T)
+    got = van_rossum(a, b, VanRossumParams(alpha))
+    assert abs(got * got - max(oracle, 0.0)) <= exp_tol(diff, diff, alpha) + 2.0 * EPS * got * got
+    pairs = ((a, b), (a, a), (b, b))
+    for kernel, gram, oracle_of, tol_of in (
+        ("causal_exponential", lambda x, y: _exp_gram(x, y, alpha),
+         lambda x, y: exp_gram_matrix(x.times, x.values, y.times, y.values, alpha, a.T),
+         lambda x, y: exp_tol(x, y, alpha)),
+        ("gaussian", lambda x, y: _gauss_gram(x, y, sigma),
+         lambda x, y: gauss_gram_matrix(x.times, x.values, y.times, y.values, sigma),
+         gauss_tol),
+    ):
+        oracles = [oracle_of(x, y) for x, y in pairs]
+        tols = [tol_of(x, y) for x, y in pairs]
+        for (x, y), o, e in zip(pairs, oracles, tols):
+            assert abs(gram(x, y) - o) <= e
+        params = SchreiberParams(kernel=kernel, alpha=alpha, sigma=sigma)
+        check_similarity(lambda: schreiber_similarity(a, b, params), oracles, tols)
+
+
+def test_gauss_gram_row_blocks_match_oracle():
+    # 700 rows span three row blocks, the last one partial
+    a = random_signed_train(3, 700, T=4.0)
+    b = random_signed_train(4, 300, T=4.0)
+    for x, y in ((a, b), (b, a), (a, a)):
+        oracle = gauss_gram_matrix(x.times, x.values, y.times, y.values, 0.3)
+        assert abs(_gauss_gram(x, y, 0.3) - oracle) <= gauss_tol(x, y)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda a, b: van_rossum(a, b, VanRossumParams(1.0)),
+    lambda a, b: schreiber_similarity(a, b, SchreiberParams()),
+    lambda a, b: schreiber_similarity(a, b, SchreiberParams(kernel="gaussian")),
+], ids=["van_rossum", "schreiber_exp", "schreiber_gauss"])
+def test_memory_bounded_at_2000_events(metric):
+    a = random_signed_train(21, 2000)
+    b = random_signed_train(22, 2000)
+    tracemalloc.start()
+    try:
+        metric(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 class TestVanRossum:
     def test_identical_trains(self):
         eta = random_unit_train(4, 9)
@@ -70,6 +211,16 @@ class TestVanRossum:
         b = random_unit_train(19, 5, T=4.0)
         got = van_rossum(a, b, VanRossumParams(0.0))
         assert got == pytest.approx(vr_quadrature(a, b, 0.0), rel=1e-9)
+
+    def test_small_alpha_tends_to_step_kernel(self):
+        # the distance moves by O(alpha T) towards the alpha = 0 limit; no
+        # digits may be lost to cancellation on the way
+        a = random_signed_train(1, 50)
+        b = random_signed_train(2, 50)
+        step = van_rossum(a, b, VanRossumParams(0.0))
+        for alpha in (1e-8, 1e-12, 1e-200):
+            got = van_rossum(a, b, VanRossumParams(alpha))
+            assert got == pytest.approx(step, rel=2.0 * alpha + 1e-14)
 
     def test_symmetry(self):
         a = random_signed_train(5, 10)
@@ -131,6 +282,12 @@ class TestSchreiber:
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             schreiber_similarity(empty(1.0), random_unit_train(1, 3), SchreiberParams())
+
+    def test_vanishing_smoothing_rejected(self):
+        # the causal smoothing of an event at T is zero on [0, T]
+        at_T = from_pairs(1.0, [(1.0, -1.0)])
+        with pytest.raises(ValueError, match="vanishes"):
+            schreiber_similarity(at_T, random_unit_train(1, 3), SchreiberParams())
 
     def test_distance_shapes(self):
         a = random_unit_train(5, 6)
