@@ -5,14 +5,18 @@ import tempfile
 
 
 def write_text_atomic(path, text):
-    """Write `text` to `path` via a temp file + rename in the same directory."""
+    """Write `text` to `path` via a temp file + rename in the same directory.
+    A failure raises an OSError that names `path`, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise

@@ -150,7 +150,8 @@ def _right_limit_estimate(prev, cur, eta0: EventSequence, T: float) -> EventSequ
 
 # Descending eps/theta grid that `emdm_sweep` walks towards each right limit.
 EPS_RATIOS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# Two consecutive right-limit metric values this close count as stabilized.
+# Two consecutive right-limit metric values count as stabilized when they
+# differ by at most this fraction of the theta-output's distance to zero.
 _VALUE_TOL = 1e-9
 
 
@@ -164,8 +165,11 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepRes
     event times are extrapolated linearly to eps = 0, events that converge
     onto same-sign events of the theta-output are snapped to them, and the
     metric value between the theta-output and this right-limit estimate is
-    recorded; two consecutive values within 1e-9 count as stabilized.
-    The estimate is the maximum over the theta grid.
+    recorded.  Two consecutive values count as stabilized when they differ by
+    at most 1e-9 times the theta-output's distance to the empty sequence, so
+    the verdict does not depend on the signal's time or amplitude scale.
+    The estimate is the maximum over the theta grid.  The Schreiber metric
+    has no distance to the empty sequence and raises ValueError.
     """
     if isinstance(metric, str):
         metric = make_metric(metric)
@@ -180,6 +184,7 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepRes
     per = []
     for theta in thetas:
         eta0 = scale_events(sod_sample(f, theta), 1.0 / theta)
+        tol = _VALUE_TOL * metric(eta0, empty(f.T))
         prev = None
         values = []
         stabilized = False
@@ -191,7 +196,7 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepRes
             if prev is not None and _sign_struct(eta) == _sign_struct(prev[1]):
                 limit = _right_limit_estimate(prev, (eps, eta), eta0, f.T)
                 values.append(metric(eta0, limit))
-                if len(values) >= 2 and abs(values[-1] - values[-2]) <= _VALUE_TOL:
+                if len(values) >= 2 and abs(values[-1] - values[-2]) <= tol:
                     stabilized = True
                     eps_used = eps
                     value = values[-1]

@@ -19,11 +19,6 @@ EXIT_INVALID = 1
 EXIT_ASSERTION = 2
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_INVALID)
-
-
 def _write_json(path, payload, omit=()) -> None:
     """Write a dict, or a report dataclass without its `omit` fields."""
     if dataclasses.is_dataclass(payload):
@@ -43,23 +38,10 @@ def _csv_path(out_path) -> str:
         else f"{str(out_path)[:-5]}.csv"
 
 
-def _load_events(path, horizon):
-    try:
-        return events.read_events_csv(path, horizon)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
-
-
-def _load_signal(path):
-    try:
-        return signals.load_signal(path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        _fail(f"{path}: {exc}")
-
-
 class _Main(click.Group):
-    """Command group whose usage errors (bad flags or values, missing files)
-    exit EXIT_INVALID: click's own code 2 is EXIT_ASSERTION here."""
+    """Command group that owns exit code EXIT_INVALID: usage errors (click's
+    own code 2 is EXIT_ASSERTION here) and a ValueError or OSError from any
+    subcommand, printed as `error: <message>`."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -74,6 +56,9 @@ class _Main(click.Group):
         except click.UsageError as exc:
             exc.exit_code = EXIT_INVALID
             raise
+        except (OSError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INVALID)
 
 
 @click.group(cls=_Main)
@@ -100,18 +85,13 @@ def main():
 def generate(kind, horizon, resolution, seed, n_breaks, amplitude,
              events_path, events_horizon, out):
     """Write a generated signal as JSON."""
-    try:
-        if kind == "from_events":
-            if not events_path:
-                _fail("kind=from_events needs --events")
-            eta = _load_events(events_path, events_horizon)
-            sig = sampler.reconstruct(eta)
-        else:
-            sig = signals.generate(kind, horizon, resolution=resolution,
-                                   seed=seed, n_breaks=n_breaks,
-                                   amplitude=amplitude)
-    except ValueError as exc:
-        _fail(str(exc))
+    if kind == "from_events":
+        if not events_path:
+            raise ValueError("kind=from_events needs --events")
+        sig = sampler.reconstruct(events.read_events_csv(events_path, events_horizon))
+    else:
+        sig = signals.generate(kind, horizon, resolution=resolution, seed=seed,
+                               n_breaks=n_breaks, amplitude=amplitude)
     signals.save_signal(out, sig)
     click.echo(f"wrote {out}")
 
@@ -124,13 +104,9 @@ def generate(kind, horizon, resolution, seed, n_breaks, amplitude,
 @click.option("--out", required=True, type=click.Path())
 def sample(input_path, theta, scheme, out):
     """Sample a signal; writes an event CSV plus a horizon sidecar."""
-    sig = _load_signal(input_path)
-    try:
-        fn = {"sod": sampler.sod_sample, "lc": sampler.lc_sample,
-              "if": sampler.if_sample}[scheme]
-        eta = fn(sig, theta)
-    except ValueError as exc:
-        _fail(str(exc))
+    fn = {"sod": sampler.sod_sample, "lc": sampler.lc_sample,
+          "if": sampler.if_sample}[scheme]
+    eta = fn(signals.load_signal(input_path), theta)
     events.write_events_csv(out, eta)
     click.echo(f"wrote {out} ({len(eta)} events)")
 
@@ -143,16 +119,13 @@ def sample(input_path, theta, scheme, out):
 @click.option("--horizon", type=float, default=None)
 def norm(events_path, kind, bruteforce, horizon):
     """Print a norm value of an event sequence."""
-    eta = _load_events(events_path, horizon)
-    try:
-        if bruteforce:
-            if norms.canonical_kind(kind) != "D":
-                _fail("--bruteforce applies to the discrepancy norm only")
-            value = norms.discrepancy_bruteforce(eta)
-        else:
-            value = norms.norm_by_kind(kind)(eta)
-    except ValueError as exc:
-        _fail(str(exc))
+    eta = events.read_events_csv(events_path, horizon)
+    if bruteforce:
+        if norms.canonical_kind(kind) != "D":
+            raise ValueError("--bruteforce applies to the discrepancy norm only")
+        value = norms.discrepancy_bruteforce(eta)
+    else:
+        value = norms.norm_by_kind(kind)(eta)
     click.echo(repr(value))
 
 
@@ -174,27 +147,23 @@ def norm(events_path, kind, bruteforce, horizon):
 def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
              h_shape, horizon):
     """Print a spike-train distance between two event CSVs."""
-    eta1 = _load_events(path_a, horizon)
-    eta2 = _load_events(path_b, horizon)
+    eta1 = events.read_events_csv(path_a, horizon)
+    eta2 = events.read_events_csv(path_b, horizon)
     params = {
         "vr": {"alpha": alpha},
         "vp": {"s": s_cost, "mode": vp_mode},
         "schreiber": {"kernel": kernel, "alpha": alpha, "sigma": sigma,
                       "h": h_shape},
     }[metric]
-    try:
-        if metric == "vp":
-            # the edit distance counts unit spikes: map a theta-pure pair
-            # with one shared magnitude onto unit amplitudes
-            eta1, m1 = _unit_normalized(eta1)
-            eta2, m2 = _unit_normalized(eta2)
-            if m1 is not None and m2 is not None and m1 != m2:
-                _fail(f"theta-pure trains with different magnitudes "
-                      f"({m1!r} vs {m2!r}); normalize them first")
-        value = analysis.make_metric(metric, **params)(eta1, eta2)
-    except ValueError as exc:
-        _fail(str(exc))
-    click.echo(repr(value))
+    if metric == "vp":
+        # the edit distance counts unit spikes: map a theta-pure pair
+        # with one shared magnitude onto unit amplitudes
+        eta1, m1 = _unit_normalized(eta1)
+        eta2, m2 = _unit_normalized(eta2)
+        if m1 is not None and m2 is not None and m1 != m2:
+            raise ValueError(f"theta-pure trains with different magnitudes "
+                             f"({m1!r} vs {m2!r}); normalize them first")
+    click.echo(repr(analysis.make_metric(metric, **params)(eta1, eta2)))
 
 
 def _unit_normalized(eta):
@@ -218,32 +187,29 @@ def decompose(events_path, what, horizon, out):
     Chain and sign-purification run on unit amplitudes; a theta-pure input is
     normalized by 1/theta first and the theta recorded in the payload.
     """
-    eta = _load_events(events_path, horizon)
+    eta = events.read_events_csv(events_path, horizon)
     theta = None
     if what in ("chain", "pi"):
         eta, theta = _unit_normalized(eta)
-    try:
-        if what == "mmd":
-            dec = structure.mmd_intervals(eta)
-            payload = {
-                "r": dec.r,
-                "intervals": [list(iv) for iv in dec.intervals],
-                "partial_sums": list(dec.partial_sums),
-            }
-        elif what == "chain":
-            chain = structure.chain_decompose(eta)
-            payload = {
-                "r": chain.r,
-                "grid": list(chain.stages[0].grid),
-                "stages": [list(stage.values) for stage in chain.stages],
-            }
-        else:
-            dense = structure.pi_map(eta)
-            payload = {"grid": list(dense.grid), "values": list(dense.values)}
-        if theta is not None:
-            payload["theta"] = theta
-    except ValueError as exc:
-        _fail(str(exc))
+    if what == "mmd":
+        dec = structure.mmd_intervals(eta)
+        payload = {
+            "r": dec.r,
+            "intervals": [list(iv) for iv in dec.intervals],
+            "partial_sums": list(dec.partial_sums),
+        }
+    elif what == "chain":
+        chain = structure.chain_decompose(eta)
+        payload = {
+            "r": chain.r,
+            "grid": list(chain.stages[0].grid),
+            "stages": [list(stage.values) for stage in chain.stages],
+        }
+    else:
+        dense = structure.pi_map(eta)
+        payload = {"grid": list(dense.grid), "values": list(dense.values)}
+    if theta is not None:
+        payload["theta"] = theta
     _write_json(out, payload)
     click.echo(f"wrote {out}")
 
@@ -261,30 +227,26 @@ def decompose(events_path, what, horizon, out):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
     """Threshold-discontinuity report: characterization plus optional sweep."""
-    try:
-        m = analysis.make_metric(metric, alpha=alpha)
-        thetas = tuple(float(x) for x in theta_grid.split(","))
-        char = analysis.emdm_characterize(m, n_max=n_max, T=horizon)
-        per_signal = []
-        if input_path:
-            sig = _load_signal(input_path)
-            sweep = analysis.emdm_sweep(sig, m, thetas)
-            per_signal.append({
-                "signal": str(input_path),
-                "lambda": sweep.lambda_estimate,
-                "theta_at_max": sweep.theta_at_max,
-                "stabilized": sweep.stabilized,
-            })
-        report = analysis.EmdmReport(
-            metric=m.kind,
-            theta_grid=thetas,
-            eps_ratios=analysis.EPS_RATIOS,
-            per_signal=tuple(per_signal),
-            characterization=char.value,
-            growth_table=char.growth_table,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    m = analysis.make_metric(metric, alpha=alpha)
+    thetas = tuple(float(x) for x in theta_grid.split(","))
+    char = analysis.emdm_characterize(m, n_max=n_max, T=horizon)
+    per_signal = []
+    if input_path:
+        sweep = analysis.emdm_sweep(signals.load_signal(input_path), m, thetas)
+        per_signal.append({
+            "signal": str(input_path),
+            "lambda": sweep.lambda_estimate,
+            "theta_at_max": sweep.theta_at_max,
+            "stabilized": sweep.stabilized,
+        })
+    report = analysis.EmdmReport(
+        metric=m.kind,
+        theta_grid=thetas,
+        eps_ratios=analysis.EPS_RATIOS,
+        per_signal=tuple(per_signal),
+        characterization=char.value,
+        growth_table=char.growth_table,
+    )
     _write_json(out, report)
     rows = [("characterization", "", report.characterization)]
     rows.extend(("lambda", row["signal"], row["lambda"]) for row in per_signal)
@@ -309,11 +271,8 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_path):
     """Quasi-isometry sandwich campaign; exits 2 if any violation is found."""
-    try:
-        corpus = analysis.make_qi_corpus(trials, seed, horizon, n_breaks, amplitude)
-        report = analysis.qi_verify(corpus, theta, kind)
-    except ValueError as exc:
-        _fail(str(exc))
+    corpus = analysis.make_qi_corpus(trials, seed, horizon, n_breaks, amplitude)
+    report = analysis.qi_verify(corpus, theta, kind)
     _write_json(out, report, omit=("per_trial",))
     _write_csv(csv_path or _csv_path(out), ("trial", "d_input", "d_output"),
                [(i, dx, dy) for i, (dx, dy) in enumerate(report.per_trial)])
@@ -330,10 +289,7 @@ def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_p
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def certify(kind, out, csv_path):
     """Certify a norm against the discrepancy-equivalence conditions."""
-    try:
-        report = analysis.certify_norm(kind)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = analysis.certify_norm(kind)
     _write_json(out, report)
     _write_csv(csv_path or _csv_path(out),
                ("family", "n", "sweep", "norm", "ratio"),
@@ -350,11 +306,8 @@ def certify(kind, out, csv_path):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def probe_continuity(input_path, theta0, steps, out, csv_path):
     """Left-continuity probe with a control run from above."""
-    sig = _load_signal(input_path)
-    try:
-        report = analysis.left_continuity_probe(sig, theta0, steps)
-    except ValueError as exc:
-        _fail(str(exc))
+    report = analysis.left_continuity_probe(signals.load_signal(input_path),
+                                            theta0, steps)
     _write_json(out, report)
     _write_csv(csv_path or _csv_path(out), ("n", "theta", "count", "max_gap"),
                [(s["n"], s["theta"], s["count"], s["max_gap"])

@@ -327,5 +327,10 @@ def save_signal(path, f: Signal) -> None:
 
 
 def load_signal(path) -> Signal:
+    """Read a signal JSON file; a malformed file raises a ValueError that
+    names `path`."""
     with open(path) as handle:
-        return signal_from_dict(json.load(handle))
+        try:
+            return signal_from_dict(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

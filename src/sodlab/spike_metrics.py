@@ -149,8 +149,6 @@ def van_rossum(eta1: EventSequence, eta2: EventSequence,
     alpha = 0 the kernel is the unit step and the distance is the L2 norm of
     the difference of running-sum step functions.
     """
-    if eta1.T != eta2.T:
-        raise ValueError(f"horizon mismatch: {eta1.T!r} vs {eta2.T!r}")
     diff = difference(eta1, eta2)
     if params.alpha == 0.0:
         return _step_l2(diff)

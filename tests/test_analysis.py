@@ -99,6 +99,22 @@ class TestEmdmSweep:
             assert short.per_theta == unit.per_theta
 
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_stabilized_flags_do_not_depend_on_time_scale(self, seed):
+        # the van Rossum gap shrinks like sqrt(s) at alpha = 1/s, so an
+        # absolute value tolerance would flip flags at small s
+        flags = []
+        for s in (1.0, 2.0 ** 20, 2.0 ** -20):
+            res = emdm_sweep(random_walk(s, seed, 40, 0.4),
+                             make_metric("vr", alpha=1.0 / s), (0.2, 0.25, 0.3))
+            flags.append(tuple(p.stabilized for p in res.per_theta))
+        assert flags[1] == flags[0] and flags[2] == flags[0]
+
+    def test_schreiber_is_refused(self):
+        with pytest.raises(ValueError):
+            emdm_sweep(random_walk(1.0, 3, 40, 0.4), "schreiber", [0.2])
+
+
 class TestEmdmCharacterize:
     def test_discrepancy_and_alexiewicz_are_exactly_one(self):
         assert emdm_characterize("D", n_max=200).value == 1.0

@@ -232,6 +232,36 @@ def test_invalid_theta_exits_one(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["emdm", "--metric", "D", "--theta-grid", "a", "--out", "e.json"],
+    ["probe-continuity", "--input", "sig.json", "--theta0", "-1", "--out", "p.json"],
+    ["qi-check", "--trials", "3", "--theta", "-1", "--out", "q.json"],
+    ["generate", "--kind", "from_events", "--out", "g.json"],
+    ["norm", "--events", "alt.csv", "--kind", "A", "--bruteforce"],
+    ["decompose", "--events", "impure.csv", "--what", "chain", "--out", "c.json"],
+])
+def test_invalid_input_exits_one_with_error_line(runner, tmp_path, monkeypatch, args):
+    # the group's error boundary turns each library ValueError into exit 1
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, "generate", "--kind", "ramp_plateau", "--out", "sig.json")
+    write_events_csv("alt.csv", alternating_train(4, T=1.0))
+    write_events_csv("impure.csv", from_pairs(1.0, [(0.25, 0.5), (0.5, 2.0)]))
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+
+
+def test_unwritable_output_names_the_destination(runner, tmp_path):
+    sig = tmp_path / "ramp.json"
+    invoke(runner, "generate", "--kind", "ramp_plateau", "--out", str(sig))
+    out = tmp_path / "missing" / "x.csv"
+    res = invoke(runner, "sample", "--input", str(sig), "--theta", "0.1",
+                 "--out", str(out))
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and str(out) in res.output
+    assert ".tmp-" not in res.output
+
+
 @pytest.mark.parametrize("args", [["--help"], ["--version"], ["norm", "--help"]])
 def test_help_and_version_exit_zero(runner, args):
     assert runner.invoke(main, args).exit_code == 0

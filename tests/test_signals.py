@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,15 @@ def test_json_roundtrip_bit_faithful(tmp_path):
     # a second dump is byte-identical
     text = json.dumps(signal_to_dict(g), indent=2, sort_keys=True) + "\n"
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("text", ['{"T": 1.0, "segments": [{"t": 0.0}]}',
+                                  '{"T": 1.0, ', '{"T": -1.0, "segments": []}'])
+def test_load_signal_malformed_names_the_path(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        load_signal(path)
 
 
 def test_signal_from_dict_malformed():
