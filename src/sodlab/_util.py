@@ -1,7 +1,22 @@
-"""Small shared helpers (atomic file output)."""
+"""Small shared helpers (horizon check, atomic file output)."""
 
+import math
+import numbers
 import os
 import tempfile
+
+
+def check_horizon(T) -> float:
+    """T as a float, if T is a positive finite real number (ints and numpy
+    scalars included); anything else raises ValueError."""
+    if type(T) is float or isinstance(T, numbers.Real):  # the ABC check is slow
+        try:
+            horizon = float(T)
+        except OverflowError:
+            horizon = math.inf
+        if math.isfinite(horizon) and horizon > 0.0:
+            return horizon
+    raise ValueError(f"horizon must be a positive finite number, got {T!r}")
 
 
 def write_text_atomic(path, text):

@@ -11,16 +11,17 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
-from ._util import write_text_atomic
+from ._util import check_horizon, write_text_atomic
 
 
 def _check_grid(T, times, values, what: str):
     """Validation shared by EventSequence and DenseEvents: a positive finite
-    float horizon, strictly increasing `what` times in [0, T], and one finite
-    value per time.  Returns times and values as float tuples."""
-    if not (isinstance(T, float) and math.isfinite(T) and T > 0.0):
-        raise ValueError(f"horizon must be a positive finite float, got {T!r}")
+    horizon, strictly increasing `what` times in [0, T], and one finite
+    value per time.  Returns the horizon as a float and times and values as
+    float tuples."""
+    T = check_horizon(T)
     times = tuple(map(float, times))
     values = tuple(map(float, values))
     if len(times) != len(values):
@@ -32,7 +33,7 @@ def _check_grid(T, times, values, what: str):
             raise ValueError(f"{what} time {t!r} outside [0, {T!r}]")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} values must be finite")
-    return times, values
+    return T, times, values
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ class EventSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        times, values = _check_grid(self.T, self.times, self.values, "event")
+        T, times, values = _check_grid(self.T, self.times, self.values, "event")
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if 0.0 in values:
@@ -153,20 +155,39 @@ def write_events_csv(path, eta: EventSequence, sidecar: bool = True) -> None:
         write_text_atomic(_sidecar_path(path), json.dumps({"T": eta.T}) + "\n")
 
 
-def read_events_csv(path, horizon: float | None = None) -> EventSequence:
+def _bad_row(path) -> ValueError:
+    """The error for the first malformed data row of the CSV at `path`,
+    numbered by its physical line."""
     with open(path) as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines or lines[0] != "t,v":
-        raise ValueError(f"{path}: expected header 't,v'")
-    pairs = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
+        rows = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
+    for lineno, row in rows[1:]:  # after the header
+        cells = row.split(",")
         if len(cells) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two columns, got {line!r}")
+            return ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
         try:
-            pairs.append((float(cells[0]), float(cells[1])))
+            float(cells[0]), float(cells[1])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            return ValueError(f"{path}:{lineno}: {exc}")
+    raise AssertionError("no malformed row")
+
+
+def read_events_csv(path, horizon: float | None = None) -> EventSequence:
+    """Read an event CSV; blank lines are skipped, and a malformed row raises
+    a ValueError that starts with ``path:line:``."""
+    with open(path) as handle:
+        rows = list(filter(None, map(str.strip, handle)))
+    if not rows or rows[0] != "t,v":
+        raise ValueError(f"{path}: expected header 't,v'")
+    del rows[0]
+    try:
+        if set(map(str.count, rows, repeat(","))) - {1}:
+            raise ValueError("a row without exactly two columns")
+        cells = ",".join(rows).split(",") if rows else []
+        del rows  # freed before the floats are built, to lower the peak
+        times = list(map(float, cells[0::2]))
+        values = list(map(float, cells[1::2]))
+    except ValueError as exc:
+        raise _bad_row(path) from exc
     if horizon is None:
         try:
             with open(_sidecar_path(path)) as handle:
@@ -176,4 +197,4 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
                 f"{path}: no horizon; pass --horizon or keep the "
                 f"{_sidecar_path(path)} sidecar"
             ) from None
-    return from_pairs(float(horizon), pairs)
+    return EventSequence(float(horizon), times, values)

@@ -106,23 +106,62 @@ def _first_crossing(arrays, seg_idx: int, t_from: float,
 def _sample(f: Signal, theta: float, levels) -> EventSequence:
     """The first-crossing recursion: after an event at reference level `ref`
     (the level it hit) and net index `k`, both 0 at the start, the next event
-    is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta."""
+    is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta.
+
+    After an event on a linear piece rising (falling) with the event's sign,
+    the next up (down) levels on that piece are run on in place, each as the
+    root ``lo + clamp((level - c0) / c1)`` that `_first_crossing` would
+    return: the opposite level's root cannot lie after the last event, and
+    no stored joint value is hit while the level stays short of the piece's
+    end value.  The run hands back to `_first_crossing` once the level
+    reaches the end value, the root leaves the slack band, or the root is
+    not after the last event.  The last stop also covers `_first_crossing`
+    skipping a piece whose end the last event reached: with times >= 0, no
+    root short of ``lo + seg_len`` rounds to the piece's end when that one
+    rounds past it.
+    """
     _check_anchored(f)
-    arrays = _segment_arrays(f)
+    arrays = segs, starts, ends, end_values = _segment_arrays(f)
     ref, k = 0.0, 0
     t_cur = 0.0
     seg_idx = 0
     times, values = [], []
+    up, down = levels(ref, k)
     while True:
-        up, down = levels(ref, k)
         hit = _first_crossing(arrays, seg_idx, t_cur, up, down)
         if hit is None:
             break
         t_cur, sign, seg_idx = hit
+        amp = sign * theta
         times.append(t_cur)
-        values.append(sign * theta)
+        values.append(amp)
         ref = up if sign > 0 else down
         k += sign
+        up, down = levels(ref, k)
+        seg = segs[seg_idx]
+        if seg.c2 != 0.0 or sign * seg.c1 <= 0.0:
+            continue
+        c0, c1, lo, end_value = seg.c0, seg.c1, starts[seg_idx], end_values[seg_idx]
+        seg_len = ends[seg_idx] - lo
+        slack = 1e-12 * seg_len
+        u_max = seg_len + slack
+        while True:
+            level = up if sign > 0 else down
+            if (level >= end_value) if sign > 0 else (level <= end_value):
+                break
+            u = (level - c0) / c1
+            if not -slack <= u <= u_max:
+                break
+            # lo + min(max(u, 0.0), seg_len), without the two calls
+            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+            if not t > t_cur:
+                break
+            t_cur = t
+            times.append(t)
+            values.append(amp)
+            ref = level
+            k += sign
+            up, down = levels(ref, k)
     return EventSequence(f.T, tuple(times), tuple(values))
 
 

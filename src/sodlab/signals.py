@@ -12,10 +12,11 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._util import write_text_atomic
+from ._util import check_horizon, write_text_atomic
 
 # Tolerance for structural checks (continuity at segment joints), relative
 # to the joint's magnitude once that exceeds 1: sampling is homogeneous, so
@@ -45,25 +46,31 @@ class Signal:
     """A continuous piecewise-polynomial function on [0, T].
 
     Segments are ordered by strictly increasing start time, the first
-    starts at 0, and consecutive pieces agree at the joints (within
-    ``STRUCT_TOL`` times the larger of 1 and the joint's magnitude).
-    Signals are immutable and safe to share.
+    starts at 0, every coefficient is finite, and consecutive pieces agree
+    at the joints (within ``STRUCT_TOL`` times the larger of 1 and the
+    joint's magnitude).  The horizon is stored as a float.  Signals are
+    immutable and safe to share.
     """
 
     T: float
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.T, float) and math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon must be a positive finite float, got {self.T!r}")
+        object.__setattr__(self, "T", check_horizon(self.T))
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ValueError("signal needs at least one segment")
         if segs[0].t0 != 0.0:
             raise ValueError(f"first segment must start at 0, got {segs[0].t0!r}")
-        prev = segs[0]
-        for seg in segs[1:]:
+        isfinite = math.isfinite
+        prev = None
+        for seg in segs:
+            if not (isfinite(seg.c0) and isfinite(seg.c1) and isfinite(seg.c2)):
+                raise ValueError(f"non-finite coefficient in the segment at t={seg.t0!r}")
+            if prev is None:
+                prev = seg
+                continue
             if not seg.t0 > prev.t0:
                 raise ValueError("segment start times must be strictly increasing")
             if not seg.t0 < self.T:
@@ -80,7 +87,7 @@ class Signal:
     def __call__(self, t: float) -> float:
         return evaluate(self, t)
 
-    @property
+    @cached_property
     def starts(self) -> tuple[float, ...]:
         return tuple(seg.t0 for seg in self.segments)
 
@@ -322,8 +329,29 @@ def signal_from_dict(d: dict) -> Signal:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
 
+def _signal_layout(f: Signal, num) -> str:
+    body = ",\n".join(
+        f'    {{\n      "c0": {num(s.c0)},\n      "c1": {num(s.c1)},\n'
+        f'      "c2": {num(s.c2)},\n      "t": {num(s.t0)}\n    }}'
+        for s in f.segments
+    )
+    return f'{{\n  "T": {num(f.T)},\n  "segments": [\n{body}\n  ]\n}}\n'
+
+
+def _signal_json(f: Signal) -> str:
+    """``json.dumps(signal_to_dict(f), indent=2, sort_keys=True) + "\\n"``,
+    written directly, since with an indent json falls back to its
+    pure-Python encoder.  Numbers are written as json writes them: floats
+    (numpy's included) by float.__repr__, anything else by json itself.  A
+    Signal's coefficients are finite, so no non-standard token can arise."""
+    try:
+        return _signal_layout(f, float.__repr__)
+    except TypeError:  # a coefficient that is not a float, such as an int
+        return _signal_layout(f, json.dumps)
+
+
 def save_signal(path, f: Signal) -> None:
-    write_text_atomic(path, json.dumps(signal_to_dict(f), indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, _signal_json(f))
 
 
 def load_signal(path) -> Signal:

@@ -25,7 +25,8 @@ class DenseEvents:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        grid, values = _check_grid(self.T, self.grid, self.values, "grid")
+        T, grid, values = _check_grid(self.T, self.grid, self.values, "grid")
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from sodlab.events import (
 )
 from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points
+from sodlab.structure import DenseEvents
 from sodlab.trains import random_signed_train
 
 
@@ -152,6 +154,15 @@ def test_validation_rejects_bad_sequences():
     for v in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             EventSequence(1.0, (0.5,), (v,))
+    for T in (0, -1, math.inf, math.nan, "1"):
+        with pytest.raises(ValueError, match="horizon"):
+            EventSequence(T, (), ())
+
+
+def test_int_horizon_stored_as_float():
+    for T in (1, np.int64(1), np.float64(1.0)):
+        for eta in (EventSequence(T, (0.5,), (1.0,)), DenseEvents(T, (0.5,), (0.0,))):
+            assert type(eta.T) is float and eta.T == 1.0
 
 
 def test_csv_roundtrip(tmp_path):
@@ -161,6 +172,13 @@ def test_csv_roundtrip(tmp_path):
     back = read_events_csv(path)
     assert back.T == eta.T
     assert back.pairs() == eta.pairs()
+
+
+def test_csv_blank_lines_and_spaces(tmp_path):
+    path = tmp_path / "events.csv"
+    path.write_text("\n t,v \n\n0.25, 1.0\n  \n0.5 ,-1.0\r\n")
+    back = read_events_csv(path, horizon=1)
+    assert back.T == 1.0 and back.pairs() == [(0.25, 1.0), (0.5, -1.0)]
 
 
 def test_csv_roundtrip_empty(tmp_path):
@@ -191,6 +209,13 @@ def test_csv_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t,v\n0.1,1.0,extra\n")
     with pytest.raises(ValueError, match="bad.csv:2"):
+        read_events_csv(path, horizon=1.0)
+    # errors name the physical line, blank lines included
+    path.write_text("t,v\n\n\n0.1,1.0,extra\n")
+    with pytest.raises(ValueError, match="bad.csv:4: expected two columns"):
+        read_events_csv(path, horizon=1.0)
+    path.write_text("\nt,v\n0.1,1.0\n\n0.2,x\n0.3\n")
+    with pytest.raises(ValueError, match="bad.csv:5: could not convert"):
         read_events_csv(path, horizon=1.0)
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from sodlab.events import from_pairs
+from sodlab.events import EventSequence, from_pairs
 from sodlab.sampler import (
+    _check_anchored,
+    _quadratic_roots,
+    _segment_arrays,
     homogeneity_check,
     if_sample,
     lc_sample,
@@ -253,3 +258,149 @@ class TestHomogeneity:
             theta = float(rng.uniform(0.03, 0.5))
             j = int(rng.integers(-3, 4))
             assert homogeneity_check(f, theta, theta * 2.0 ** j)
+
+
+# --- scalar oracle for the run-on crossings ------------------------------------
+# The first-crossing recursion without run-on crossings, kept verbatim as the
+# reference that `sod_sample` and `lc_sample` must match bit for bit.
+
+def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
+                       level: float, t_from: float):
+    """Earliest t in (t_from, hi_t] with seg(t) == level, or None.
+
+    Exact joint hits (stored start/end values equal to the level bit-for-bit)
+    are reported at the stored joint times; closed-form roots landing within a
+    rounding error of such a joint, or of an earlier root, are folded into it.
+    """
+    if seg.c0 == level and lo_t > t_from:
+        return lo_t
+    hits = [hi_t] if end_value == level and hi_t > t_from else []
+    seg_len = hi_t - lo_t
+    slack = 1e-12 * seg_len
+    snap = 1e-9 * seg_len
+    if seg.c2 == 0.0:
+        roots = ((level - seg.c0) / seg.c1,) if seg.c1 != 0.0 else ()
+    else:
+        roots = _quadratic_roots(seg.c2, seg.c1, seg.c0 - level)
+    for u in roots:
+        if -slack <= u <= seg_len + slack:
+            t = lo_t + min(max(u, 0.0), seg_len)
+            if t > t_from and all(abs(t - h) > snap for h in hits):
+                hits.append(t)
+    return min(hits) if hits else None
+
+
+def _first_crossing(arrays, seg_idx: int, t_from: float,
+                    level_up: float, level_down: float):
+    """Earliest (t, sign, segment index) with f(t) hitting level_up (sign +1)
+    or level_down (sign -1) after t_from; an exact tie goes to level_up."""
+    segs, starts, ends, end_values = arrays
+    for i in range(seg_idx, len(segs)):
+        if ends[i] <= t_from:
+            continue
+        seg, lo_t, hi_t, end_value = segs[i], starts[i], ends[i], end_values[i]
+        t_up = _segment_first_hit(seg, lo_t, hi_t, end_value, level_up, t_from)
+        t_down = _segment_first_hit(seg, lo_t, hi_t, end_value, level_down, t_from)
+        if t_up is not None and (t_down is None or t_up <= t_down):
+            return t_up, 1, i
+        if t_down is not None:
+            return t_down, -1, i
+    return None
+
+
+def _sample(f: Signal, theta: float, levels) -> EventSequence:
+    """The first-crossing recursion: after an event at reference level `ref`
+    (the level it hit) and net index `k`, both 0 at the start, the next event
+    is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta."""
+    _check_anchored(f)
+    arrays = _segment_arrays(f)
+    ref, k = 0.0, 0
+    t_cur = 0.0
+    seg_idx = 0
+    times, values = [], []
+    while True:
+        up, down = levels(ref, k)
+        hit = _first_crossing(arrays, seg_idx, t_cur, up, down)
+        if hit is None:
+            break
+        t_cur, sign, seg_idx = hit
+        times.append(t_cur)
+        values.append(sign * theta)
+        ref = up if sign > 0 else down
+        k += sign
+    return EventSequence(f.T, tuple(times), tuple(values))
+
+
+def scalar_sod(f, theta):
+    return _sample(f, theta, lambda ref, k: (ref + theta, ref - theta))
+
+
+def scalar_lc(f, theta):
+    return _sample(f, theta, lambda ref, k: ((k + 1) * theta, (k - 1) * theta))
+
+
+@st.composite
+def run_on_inputs(draw):
+    """(signal, theta) over horizons 2^-30..2^20 and amplitudes 1e-9..1e9,
+    with theta a power of two or not.  Three signal kinds: random walks,
+    their antiderivatives (quadratic pieces), and lattice walks whose knot
+    values are integer multiples of theta, so that pieces end exactly on a
+    level, repeat a value (constant pieces) or, when two knots are a few
+    ulps apart, are steep enough that several levels round to one time."""
+    T = 2.0 ** draw(st.integers(-30, 20))
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    if draw(st.booleans()):
+        theta = 2.0 ** (math.floor(math.log2(amplitude)) - draw(st.integers(0, 6)))
+    else:
+        theta = amplitude * draw(st.floats(1.0 / 64.0, 1.0))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("walk", "integral", "lattice")))
+    if kind != "lattice":
+        f = random_walk(T, draw(st.integers(0, 2**32 - 1)), n, amplitude)
+        return (f if kind == "walk" else scale(integrate(f), 1.0 / T)), theta
+    fracs = draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True),
+                          min_size=n, max_size=n, unique=True))
+    times = [0.0] + sorted(T * x for x in fracs)
+    for i in draw(st.lists(st.integers(2, max(n, 2)), max_size=3)):  # steep pieces
+        nudged = times[i - 1]
+        for _ in range(draw(st.integers(1, 4))):
+            nudged = math.nextafter(nudged, math.inf)
+        if i <= n and nudged < (times[i + 1] if i < n else T):
+            times[i] = nudged
+    values = [0.0] + [k * theta for k in draw(st.lists(st.integers(-12, 12),
+                                                        min_size=n, max_size=n))]
+    try:
+        return pwl_from_points(T, times, values), theta
+    except ValueError:
+        # a large piece ending at 0 can miss the joint by more than the
+        # absolute tolerance there; a few draws in a thousand
+        reject()
+
+
+def _steep(theta):
+    # a plateau, then a rise of 40 levels within two ulps of t = 0.5: the
+    # first crossing lands at 0.5 and the next ones round to it as well
+    t2 = math.nextafter(math.nextafter(0.5, 1.0), 1.0)
+    return pwl_from_points(1.0, [0.0, 0.25, 0.5, t2, 1.0],
+                           [0.0, theta, theta, 41 * theta, 40 * theta])
+
+
+@given(run_on_inputs())
+@settings(max_examples=300, deadline=None)
+@example((_steep(0.25), 0.25))
+@example((_steep(0.1), 0.1))
+# a constant piece, then a rise ending exactly on the third level: its root
+# rounds short of the joint, where the stored end value puts the event
+@example((pwl_from_points(1.0, [0.0, 0.2, 0.9], [0.0, 0.0, 3.0]), 1.0))
+@example((pwl_from_points(2.0, [0.0, 0.3, 1.1, 2.0], [0.0, 0.7, 0.7, 0.0]), 0.1))
+# the stored joint value 1e-13 above the piece's end, a level between them:
+# the root lies past the slack band, so the crossing is not sampled
+@example((Signal(2.0, (Segment(0.0, 0.0, 1e-3), Segment(1.0, 1e-3 + 1e-13))),
+          (1e-3 + 5e-14) / 2))
+def test_run_on_crossings_match_scalar_oracle(case):
+    f, theta = case
+    for fast, scalar in ((sod_sample, scalar_sod), (lc_sample, scalar_lc)):
+        eta = fast(f, theta)
+        ref = scalar(f, theta)
+        assert eta.times == ref.times
+        assert eta.values == ref.values

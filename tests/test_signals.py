@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodlab.sampler import reconstruct, sod_sample
 from sodlab.signals import (
@@ -206,6 +208,53 @@ def test_signal_validation():
         Signal(-1.0, (Segment(0.0, 0.0),))
 
 
+@pytest.mark.parametrize("T", [0, 0.0, -1, -1.0, math.inf, math.nan, "1", "1.0", 10**400])
+def test_horizon_refused(T):
+    with pytest.raises(ValueError, match="horizon"):
+        Signal(T, (Segment(0.0, 0.0),))
+
+
+@pytest.mark.parametrize("T", [1, 3, 0.4, np.float64(2.5), np.int64(2), np.float32(0.5)])
+def test_horizon_any_positive_real_stored_as_float(T):
+    f = Signal(T, (Segment(0.0, 0.0, 1.0),))
+    assert type(f.T) is float and f.T == float(T)
+    assert type(zero(T).T) is float
+
+
+def test_int_horizon_generators():
+    f = random_walk(1, 3, 40, 0.4)
+    assert f == random_walk(1.0, 3, 40, 0.4)
+    assert type(f.T) is float
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("coef", ["c0", "c1", "c2"])
+@pytest.mark.parametrize("where", [0, 2])
+def test_non_finite_coefficients_refused(bad, coef, where):
+    segs = [Segment(0.0, 0.0, 1.0), Segment(0.5, 0.5), Segment(0.75, 0.5, -1.0)]
+    segs[where] = Segment(**{**vars(segs[where]), coef: bad})
+    with pytest.raises(ValueError, match="non-finite"):
+        Signal(1.0, tuple(segs))
+
+
+def test_starts_are_stored_once():
+    f = random_walk(1.0, 5, 64, 0.5)
+    assert f.starts is f.starts
+    assert f.starts == tuple(s.t0 for s in f.segments)
+
+
+def test_evaluate_matches_linear_scan():
+    for f in (random_walk(1.0, 6, 50, 0.5), integrate(random_walk(3.0, 7, 20, 0.5))):
+        ends = f.starts[1:] + (f.T,)
+        for i, seg in enumerate(f.segments):
+            mid = 0.5 * (seg.t0 + ends[i])
+            for t in (seg.t0, mid):
+                # the last segment whose start is at or before t
+                scan = [s for s in f.segments if s.t0 <= t][-1]
+                assert evaluate(f, t) == scan.value(t)
+        assert evaluate(f, f.T) == f.segments[-1].value(f.T)
+
+
 def test_continuity_tolerance_scales_with_magnitude():
     # one ulp of joint drift at magnitude 1e6 used to fail an absolute 1e-12
     f = random_walk(1.0, 3, 50, 1e6)
@@ -234,6 +283,43 @@ def test_json_roundtrip_bit_faithful(tmp_path):
     # a second dump is byte-identical
     text = json.dumps(signal_to_dict(g), indent=2, sort_keys=True) + "\n"
     assert path.read_text() == text
+
+
+def _assert_saved_as_json_dumps(tmp_path, f):
+    path = tmp_path / "sig.json"
+    save_signal(path, f)
+    text = path.read_bytes().decode()
+    assert text == json.dumps(signal_to_dict(f), indent=2, sort_keys=True) + "\n"
+    for token in ("inf", "nan", "Infinity", "NaN"):
+        assert token not in text
+
+
+@st.composite
+def signals_to_save(draw):
+    T = 2.0 ** draw(st.integers(-30, 20)) * draw(st.floats(0.5, 1.0))
+    f = random_walk(T, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)),
+                    10.0 ** draw(st.floats(-300.0, 300.0)))
+    return integrate(f) if draw(st.booleans()) and diameter_norm(f) < 1e300 else f
+
+
+@given(signals_to_save())
+@settings(max_examples=100, deadline=None)
+def test_save_signal_writes_json_dumps_bytes(tmp_path_factory, f):
+    _assert_saved_as_json_dumps(tmp_path_factory.mktemp("save"), f)
+
+
+@pytest.mark.parametrize("f", [
+    zero(1.0),
+    Signal(2.0, (Segment(0.0, 0.0, 1.0, 0.5),)),
+    integrate(random_walk(1.0, 8, 6, 0.5)),
+    Signal(1.0, (Segment(0.0, -0.0, -0.0, -0.0),)),
+    Signal(1.0, (Segment(0.0, 0.0, 4e-320), Segment(0.5, 2e-320, -5e-324))),
+    Signal(1.0, (Segment(0.0, 1e300, -1e300, 1e300),)),
+    scale(random_walk(1.0, 9, 5, 0.5), np.float64(1.5)),
+    Signal(3, (Segment(0, 0, 1), Segment(1, 1, 0, -1))),
+])
+def test_save_signal_edge_cases(tmp_path, f):
+    _assert_saved_as_json_dumps(tmp_path, f)
 
 
 @pytest.mark.parametrize("text", ['{"T": 1.0, "segments": [{"t": 0.0}]}',
