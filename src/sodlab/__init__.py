@@ -15,13 +15,11 @@ from .signals import (
     scale,
     sine_pwl,
     subtract,
-    sup_norm,
 )
 from .events import (
     EventSequence,
     difference,
     is_alternating,
-    restrict,
     scale_events,
     split_signs,
 )
@@ -34,7 +32,6 @@ from .sampler import (
 )
 from .norms import (
     alexiewicz_norm,
-    discrepancy_bruteforce,
     discrepancy_norm,
     max_max_sum_norm,
     norm_by_kind,
@@ -62,21 +59,3 @@ from .structure import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Segment", "Signal", "add", "diameter_norm", "evaluate", "generate",
-    "integrate", "ramp_plateau", "random_walk", "scale", "sine_pwl",
-    "subtract", "sup_norm",
-    "EventSequence", "difference", "is_alternating", "restrict",
-    "scale_events", "split_signs",
-    "homogeneity_check", "if_sample", "lc_sample", "reconstruct",
-    "sod_sample",
-    "alexiewicz_norm", "discrepancy_bruteforce", "discrepancy_norm",
-    "max_max_sum_norm", "norm_by_kind",
-    "SchreiberParams", "VanRossumParams", "VictorPurpuraParams",
-    "schreiber_distance", "schreiber_similarity", "van_rossum",
-    "victor_purpura",
-    "ChainDecomposition", "DenseEvents", "MmdDecomposition",
-    "chain_decompose", "mmd_intervals", "pi_map", "to_dense", "to_sparse",
-    "transcribe", "transcription_sweep",
-]

@@ -1,4 +1,4 @@
-"""Small shared helpers (horizon check, atomic file output)."""
+"""Small shared helpers (positive-number check, atomic file output)."""
 
 import math
 import numbers
@@ -6,17 +6,18 @@ import os
 import tempfile
 
 
-def check_horizon(T) -> float:
-    """T as a float, if T is a positive finite real number (ints and numpy
-    scalars included); anything else raises ValueError."""
-    if type(T) is float or isinstance(T, numbers.Real):  # the ABC check is slow
+def check_positive(x, name: str) -> float:
+    """x as a float, if x is a positive finite real number (ints and numpy
+    scalars included); anything else raises a ValueError naming the
+    quantity `name`."""
+    if type(x) is float or isinstance(x, numbers.Real):  # the ABC check is slow
         try:
-            horizon = float(T)
+            value = float(x)
         except OverflowError:
-            horizon = math.inf
-        if math.isfinite(horizon) and horizon > 0.0:
-            return horizon
-    raise ValueError(f"horizon must be a positive finite number, got {T!r}")
+            value = math.inf
+        if math.isfinite(value) and value > 0.0:
+            return value
+    raise ValueError(f"{name} must be a positive finite number, got {x!r}")
 
 
 def write_text_atomic(path, text):

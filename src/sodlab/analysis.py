@@ -13,7 +13,7 @@ import numpy as np
 from .events import EventSequence, difference, empty, from_pairs, scale_events
 from .norms import canonical_kind, discrepancy_norm, norm_by_kind
 from .sampler import reconstruct, sod_sample
-from .signals import Segment, Signal, diameter_norm, random_walk, subtract
+from .signals import Signal, diameter_norm, random_walk, subtract
 from .spike_metrics import (
     SchreiberParams,
     VanRossumParams,
@@ -70,31 +70,6 @@ def make_metric(kind: str, **params) -> EventMetric:
         raise ValueError(f"unknown metric kind {kind!r}") from None
     normf = norm_by_kind(tag)
     return EventMetric(tag, lambda a, b: normf(difference(a, b)), True)
-
-
-# --- curated adversarial signals -------------------------------------------
-
-def local_max_signal(theta: float = 0.25, T: float = 2.0) -> Signal:
-    """Rise to 3*theta on [0, T/2], fall back to 0: the local maximum touches
-    a threshold level exactly, the canonical right-discontinuous situation."""
-    peak = 3.0 * theta
-    half = T / 2.0
-    return Signal(T, (
-        Segment(0.0, 0.0, peak / half),
-        Segment(half, peak, -peak / half),
-    ))
-
-
-def comb_signal(n_peaks: int = 3, theta: float = 0.25) -> Signal:
-    """Zigzag between 0 and 2*theta with every peak and valley critical."""
-    if n_peaks < 1:
-        raise ValueError("n_peaks must be >= 1")
-    top = 2.0 * theta
-    segs = []
-    for i in range(n_peaks):
-        segs.append(Segment(2.0 * i, 0.0, top))
-        segs.append(Segment(2.0 * i + 1.0, top, -top))
-    return Signal(2.0 * n_peaks, tuple(segs))
 
 
 # --- EMDM sweep and characterization ----------------------------------------
@@ -155,11 +130,11 @@ EPS_RATIOS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _VALUE_TOL = 1e-9
 
 
-def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepResult:
+def emdm_sweep(f: Signal, metric, theta_grid) -> SweepResult:
     """Per-signal discontinuity estimate: the metric gap between the
     normalized output at theta and its right limit in the threshold.
 
-    For each theta the sweep walks a descending geometric eps grid.  The
+    For each theta the sweep walks the descending eps grid `EPS_RATIOS`.  The
     output structure (event count and sign pattern) is piecewise constant in
     the threshold, so once consecutive grid points agree structurally the
     event times are extrapolated linearly to eps = 0, events that converge
@@ -176,11 +151,6 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepRes
     thetas = [float(t) for t in theta_grid]
     if not thetas or any(not (t > 0.0) for t in thetas):
         raise ValueError("theta grid must be positive")
-    ratios = [float(r) for r in eps_ratios]
-    if not ratios or any(not (r > 0.0) for r in ratios):
-        raise ValueError("eps ratios must be positive")
-    if any(b >= a for a, b in zip(ratios, ratios[1:])):
-        raise ValueError("eps ratios must strictly descend")
     per = []
     for theta in thetas:
         eta0 = scale_events(sod_sample(f, theta), 1.0 / theta)
@@ -190,7 +160,7 @@ def emdm_sweep(f: Signal, metric, theta_grid, eps_ratios=EPS_RATIOS) -> SweepRes
         stabilized = False
         eps_used = None
         value = 0.0
-        for ratio in ratios:
+        for ratio in EPS_RATIOS:
             eps = theta * ratio
             eta = scale_events(sod_sample(f, theta + eps), 1.0 / (theta + eps))
             if prev is not None and _sign_struct(eta) == _sign_struct(prev[1]):

@@ -115,18 +115,11 @@ def sample(input_path, theta, scheme, out):
 @click.option("--events", "events_path", required=True, type=click.Path(exists=True))
 @click.option("--kind", required=True,
               type=click.Choice(norms.NORM_KINDS, case_sensitive=False))
-@click.option("--bruteforce", is_flag=True, default=False)
 @click.option("--horizon", type=float, default=None)
-def norm(events_path, kind, bruteforce, horizon):
+def norm(events_path, kind, horizon):
     """Print a norm value of an event sequence."""
     eta = events.read_events_csv(events_path, horizon)
-    if bruteforce:
-        if norms.canonical_kind(kind) != "D":
-            raise ValueError("--bruteforce applies to the discrepancy norm only")
-        value = norms.discrepancy_bruteforce(eta)
-    else:
-        value = norms.norm_by_kind(kind)(eta)
-    click.echo(repr(value))
+    click.echo(repr(norms.norm_by_kind(kind)(eta)))
 
 
 @main.command()

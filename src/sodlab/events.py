@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._util import check_horizon, write_text_atomic
+from ._util import check_positive, write_text_atomic
 
 
 def _check_grid(T, times, values, what: str):
@@ -21,7 +21,7 @@ def _check_grid(T, times, values, what: str):
     horizon, strictly increasing `what` times in [0, T], and one finite
     value per time.  Returns the horizon as a float and times and values as
     float tuples."""
-    T = check_horizon(T)
+    T = check_positive(T, "horizon")
     times = tuple(map(float, times))
     values = tuple(map(float, values))
     if len(times) != len(values):
@@ -117,14 +117,6 @@ def add_events(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
     return difference(eta1, scale_events(eta2, -1.0))
 
 
-def restrict(eta: EventSequence, a: float, b: float) -> EventSequence:
-    """Events with t in [a, b]; the horizon is unchanged."""
-    if not (0.0 <= a <= b <= eta.T):
-        raise ValueError(f"interval [{a!r}, {b!r}] not inside [0, {eta.T!r}]")
-    kept = [(t, v) for t, v in zip(eta.times, eta.values) if a <= t <= b]
-    return from_pairs(eta.T, kept)
-
-
 def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
     """(positive part, negated negative part); both carry amplitudes > 0 and
     eta reconstructs as plus - minus on the merged grid."""
@@ -147,12 +139,11 @@ def _sidecar_path(path) -> str:
     return f"{path}.meta.json"
 
 
-def write_events_csv(path, eta: EventSequence, sidecar: bool = True) -> None:
+def write_events_csv(path, eta: EventSequence) -> None:
     lines = ["t,v"]
     lines.extend(f"{t!r},{v!r}" for t, v in zip(eta.times, eta.values))
     write_text_atomic(path, "\n".join(lines) + "\n")
-    if sidecar:
-        write_text_atomic(_sidecar_path(path), json.dumps({"T": eta.T}) + "\n")
+    write_text_atomic(_sidecar_path(path), json.dumps({"T": eta.T}) + "\n")
 
 
 def _bad_row(path) -> ValueError:
@@ -169,6 +160,23 @@ def _bad_row(path) -> ValueError:
         except ValueError as exc:
             return ValueError(f"{path}:{lineno}: {exc}")
     raise AssertionError("no malformed row")
+
+
+def _read_sidecar(path) -> float:
+    """The horizon `T` from the sidecar of the CSV at `path`; a missing or
+    malformed sidecar raises a ValueError that names it."""
+    meta_path = _sidecar_path(path)
+    try:
+        with open(meta_path) as handle:
+            return check_positive(float(json.load(handle)["T"]), "horizon")
+    except FileNotFoundError:
+        raise ValueError(
+            f"{path}: no horizon; pass --horizon or keep the {meta_path} sidecar"
+        ) from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{meta_path}: expected a JSON object with a positive numeric \"T\" ({exc!r})"
+        ) from None
 
 
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:
@@ -189,12 +197,5 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     except ValueError as exc:
         raise _bad_row(path) from exc
     if horizon is None:
-        try:
-            with open(_sidecar_path(path)) as handle:
-                horizon = float(json.load(handle)["T"])
-        except FileNotFoundError:
-            raise ValueError(
-                f"{path}: no horizon; pass --horizon or keep the "
-                f"{_sidecar_path(path)} sidecar"
-            ) from None
+        horizon = _read_sidecar(path)
     return EventSequence(float(horizon), times, values)

@@ -26,23 +26,6 @@ def discrepancy_norm(eta) -> float:
     return hi - lo
 
 
-def discrepancy_bruteforce(eta, max_events: int = 10_000) -> float:
-    """Direct evaluation of the interval supremum: every interval sum is
-    accumulated from scratch, O(n^2).  Refuses inputs above `max_events`."""
-    values = _amplitudes(eta)
-    n = len(values)
-    if n > max_events:
-        raise ValueError(f"brute force refuses n={n} > {max_events}")
-    best = 0.0
-    for i in range(n):
-        acc = 0.0
-        for j in range(i, n):
-            acc += values[j]
-            if abs(acc) > best:
-                best = abs(acc)
-    return best
-
-
 def alexiewicz_norm(eta) -> float:
     """max over prefixes of |prefix sum| (intervals anchored at 0)."""
     best = acc = 0.0

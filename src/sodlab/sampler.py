@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 
+from ._util import check_positive
 from .events import EventSequence
 from .signals import Segment, Signal, integrate, pwl_from_points, scale, zero
 
 
 def _check_theta(theta: float) -> float:
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"threshold must be a positive finite number, got {theta!r}")
-    return float(theta)
+    return check_positive(theta, "threshold")
 
 
 def _check_anchored(f: Signal) -> None:

@@ -16,11 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import check_horizon, write_text_atomic
+from ._util import check_positive, write_text_atomic
 
 # Tolerance for structural checks (continuity at segment joints), relative
-# to the joint's magnitude once that exceeds 1: sampling is homogeneous, so
-# a signal scaled by 1e6 must pass as the unscaled one does.
+# to the size of the joint's terms once that exceeds 1: sampling is
+# homogeneous, so a signal scaled by 1e6 must pass as the unscaled one does.
 STRUCT_TOL = 1e-12
 
 
@@ -37,9 +37,6 @@ class Segment:
         u = t - self.t0
         return self.c0 + u * (self.c1 + u * self.c2)
 
-    def derivative(self, t: float) -> float:
-        return self.c1 + 2.0 * self.c2 * (t - self.t0)
-
 
 @dataclass(frozen=True)
 class Signal:
@@ -47,8 +44,9 @@ class Signal:
 
     Segments are ordered by strictly increasing start time, the first
     starts at 0, every coefficient is finite, and consecutive pieces agree
-    at the joints (within ``STRUCT_TOL`` times the larger of 1 and the
-    joint's magnitude).  The horizon is stored as a float.  Signals are
+    at the joints (within ``STRUCT_TOL`` times the largest of 1, the joint
+    values and the terms c0, c1*u, c2*u^2 that evaluate the left piece
+    there).  The horizon is stored as a float.  Signals are
     immutable and safe to share.
     """
 
@@ -56,7 +54,7 @@ class Signal:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "T", check_horizon(self.T))
+        object.__setattr__(self, "T", check_positive(self.T, "horizon"))
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
@@ -76,9 +74,13 @@ class Signal:
             if not seg.t0 < self.T:
                 raise ValueError("segment start times must lie in [0, T)")
             if abs(prev.value(seg.t0) - seg.c0) > STRUCT_TOL:
-                # above magnitude 1 the bound is relative
+                # above magnitude 1 the bound is relative to the largest
+                # term of the sum that evaluates the joint
+                u = seg.t0 - prev.t0
                 left = prev.value(seg.t0)
-                if abs(left - seg.c0) > STRUCT_TOL * max(abs(left), abs(seg.c0)):
+                size = max(abs(left), abs(seg.c0), abs(prev.c0),
+                           abs(prev.c1 * u), abs(prev.c2 * u * u))
+                if abs(left - seg.c0) > STRUCT_TOL * size:
                     raise ValueError(
                         f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}"
                     )
@@ -167,7 +169,8 @@ def _segment_extrema(seg: Segment, hi: float) -> tuple[float, float]:
     return mn, mx
 
 
-def _range(f: Signal) -> tuple[float, float]:
+def diameter_norm(f: Signal) -> float:
+    """sup f - inf f over [0, T], from exact per-segment extrema."""
     mn = math.inf
     mx = -math.inf
     segs = f.segments
@@ -176,18 +179,7 @@ def _range(f: Signal) -> tuple[float, float]:
         a, b = _segment_extrema(seg, hi)
         mn = min(mn, a)
         mx = max(mx, b)
-    return mn, mx
-
-
-def diameter_norm(f: Signal) -> float:
-    """sup f - inf f over [0, T], from exact per-segment extrema."""
-    mn, mx = _range(f)
     return mx - mn
-
-
-def sup_norm(f: Signal) -> float:
-    mn, mx = _range(f)
-    return max(abs(mn), abs(mx))
 
 
 def integrate(f: Signal) -> Signal:
@@ -204,18 +196,6 @@ def integrate(f: Signal) -> Signal:
         d = hi - seg.t0
         acc += d * (seg.c0 + 0.5 * seg.c1 * d)
     return Signal(f.T, tuple(out))
-
-
-def differentiate(f: Signal) -> Signal:
-    """Per-segment derivative (degree drops by one).
-
-    The result must still satisfy the continuity invariant, so this is mainly
-    useful on outputs of `integrate`.
-    """
-    return Signal(
-        f.T,
-        tuple(Segment(s.t0, s.c1, 2.0 * s.c2, 0.0) for s in f.segments),
-    )
 
 
 def pwl_from_points(T: float, times, values) -> Signal:
@@ -309,15 +289,6 @@ def generate(kind: str, T: float, **params) -> Signal:
 # {"T": number, "segments": [{"t": .., "c0": .., "c1": .., "c2": ..}, ...]}
 # Round-trips bit-faithfully: json emits shortest round-tripping decimals.
 
-def signal_to_dict(f: Signal) -> dict:
-    return {
-        "T": f.T,
-        "segments": [
-            {"t": s.t0, "c0": s.c0, "c1": s.c1, "c2": s.c2} for s in f.segments
-        ],
-    }
-
-
 def signal_from_dict(d: dict) -> Signal:
     try:
         segs = tuple(
@@ -339,11 +310,12 @@ def _signal_layout(f: Signal, num) -> str:
 
 
 def _signal_json(f: Signal) -> str:
-    """``json.dumps(signal_to_dict(f), indent=2, sort_keys=True) + "\\n"``,
-    written directly, since with an indent json falls back to its
-    pure-Python encoder.  Numbers are written as json writes them: floats
-    (numpy's included) by float.__repr__, anything else by json itself.  A
-    Signal's coefficients are finite, so no non-standard token can arise."""
+    """The JSON layout above, byte for byte as ``json.dumps(...,
+    indent=2, sort_keys=True) + "\\n"`` writes it, but built directly,
+    since with an indent json falls back to its pure-Python encoder.
+    Numbers are written as json writes them: floats (numpy's included) by
+    float.__repr__, anything else by json itself.  A Signal's coefficients
+    are finite, so no non-standard token can arise."""
     try:
         return _signal_layout(f, float.__repr__)
     except TypeError:  # a coefficient that is not a float, such as an int

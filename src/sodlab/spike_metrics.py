@@ -116,20 +116,6 @@ def _gauss_gram(eta1: EventSequence, eta2: EventSequence, sigma: float) -> float
     return total
 
 
-def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:
-    """Smoothed train R_eta at times t: sum of v_k e^{-alpha (t - t_k)} over
-    t_k <= t (alpha = 0 gives the running-sum step function)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t)
-    for tk, vk in zip(eta.times, eta.values):
-        mask = t >= tk
-        if alpha == 0.0:
-            out[mask] += vk
-        else:
-            out[mask] += vk * np.exp(-alpha * (t[mask] - tk))
-    return out
-
-
 def _step_l2(eta: EventSequence) -> float:
     """L2 norm over [0, T] of the running-sum step function of eta."""
     acc = energy = prev_t = 0.0

@@ -33,9 +33,6 @@ class DenseEvents:
     def __len__(self) -> int:
         return len(self.grid)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for v in self.values if v != 0.0)
-
 
 def to_dense(eta: EventSequence) -> DenseEvents:
     return DenseEvents(eta.T, eta.times, eta.values)
@@ -229,17 +226,22 @@ def _compact_chain(signs, first, second):
         cur = out
 
 
-def transcription_sweep(eta: EventSequence, kind: str, max_events: int = 300) -> float:
+# Largest sequence `transcription_sweep` accepts: its interval enumeration
+# is O(n^2) and each interval runs two transcription chains.
+_SWEEP_MAX_EVENTS = 300
+
+
+def transcription_sweep(eta: EventSequence, kind: str) -> float:
     """max of ||T^n_(-+)(T^m_(+-)(eta|_I))|| over all contiguous index
     intervals I and all application depths up to the per-interval fixpoints.
 
-    O(n^2) interval enumeration; refuses sequences above `max_events`.
+    O(n^2) interval enumeration; refuses sequences above `_SWEEP_MAX_EVENTS`.
     """
     normf = norm_by_kind(kind)
     _require_unit(eta.values, zeros_ok=False)
     n = len(eta.values)
-    if n > max_events:
-        raise ValueError(f"transcription_sweep refuses n={n} > {max_events}")
+    if n > _SWEEP_MAX_EVENTS:
+        raise ValueError(f"transcription_sweep refuses n={n} > {_SWEEP_MAX_EVENTS}")
     vals = list(eta.values)
     best = 0.0
     for i in range(n):

@@ -58,29 +58,3 @@ def random_unit_train(seed: int, n: int, T: float = 1.0) -> EventSequence:
     times = _random_times(rng, n, T)
     signs = rng.integers(0, 2, n) * 2 - 1
     return from_pairs(T, list(zip(times, (float(s) for s in signs))))
-
-
-def random_signed_train(seed: int, n: int, T: float = 1.0,
-                        amplitudes=(-2.0, -1.0, 1.0, 2.0)) -> EventSequence:
-    """n events with amplitudes drawn from a small integer-valued alphabet
-    (keeps all norm arithmetic exact in floats)."""
-    rng = np.random.default_rng(seed)
-    times = _random_times(rng, n, T)
-    amps = rng.choice(np.asarray(amplitudes, dtype=float), n)
-    return from_pairs(T, list(zip(times, (float(a) for a in amps))))
-
-
-def random_pure_train(seed: int, n: int, theta: float, T: float = 1.0) -> EventSequence:
-    """theta-pure train: random signs, all magnitudes exactly theta."""
-    if theta <= 0.0:
-        raise ValueError("theta must be positive")
-    rng = np.random.default_rng(seed)
-    times = _random_times(rng, n, T)
-    signs = rng.integers(0, 2, n) * 2 - 1
-    return from_pairs(T, [(t, float(s) * theta) for t, s in zip(times, signs)])
-
-
-def random_nonnegative_train(seed: int, n: int, T: float = 1.0) -> EventSequence:
-    """n unit up events at sorted uniform times."""
-    rng = np.random.default_rng(seed)
-    return from_pairs(T, [(t, 1.0) for t in _random_times(rng, n, T)])

@@ -11,11 +11,9 @@ import pytest
 
 from sodlab.analysis import (
     certify_norm,
-    comb_signal,
     emdm_characterize,
     emdm_sweep,
     left_continuity_probe,
-    local_max_signal,
     make_metric,
     make_qi_corpus,
     schreiber_conflation_witness,
@@ -23,7 +21,6 @@ from sodlab.analysis import (
 from sodlab.events import difference, from_pairs, split_signs
 from sodlab.norms import (
     alexiewicz_norm,
-    discrepancy_bruteforce,
     discrepancy_norm,
     max_max_sum_norm,
 )
@@ -36,14 +33,21 @@ from sodlab.signals import (
     random_walk,
     subtract,
 )
-from sodlab.spike_metrics import VictorPurpuraParams, exp_response, victor_purpura
+from sodlab.spike_metrics import VictorPurpuraParams, victor_purpura
 from sodlab.structure import pi_map, to_dense, transcribe
 from sodlab.trains import (
     equidistant_alternating,
     mmsn_train,
+    random_unit_train,
+)
+
+from oracles import (
+    comb_signal,
+    discrepancy_bruteforce,
+    exp_response,
+    local_max_signal,
     random_nonnegative_train,
     random_pure_train,
-    random_unit_train,
 )
 
 

@@ -7,6 +7,8 @@ from sodlab.cli import main
 from sodlab.events import from_pairs, read_events_csv, scale_events, write_events_csv
 from sodlab.trains import alternating_train
 
+from oracles import discrepancy_bruteforce, local_max_signal
+
 
 @pytest.fixture()
 def runner():
@@ -40,8 +42,7 @@ def test_sample_and_norm_pipeline(runner, tmp_path):
     res = invoke(runner, "norm", "--events", str(out), "--kind", "D")
     assert res.exit_code == 0
     fast = float(res.output)
-    res = invoke(runner, "norm", "--events", str(out), "--kind", "D", "--bruteforce")
-    assert float(res.output) == fast
+    assert fast == discrepancy_bruteforce(eta)
 
 
 def test_norm_alternating_prints_one(runner, tmp_path):
@@ -131,7 +132,6 @@ def test_qi_check_success_and_determinism(runner, tmp_path):
 
 def test_emdm_command(runner, tmp_path):
     sig = tmp_path / "fig2.json"
-    from sodlab.analysis import local_max_signal
     from sodlab.signals import save_signal
     save_signal(sig, local_max_signal(0.25))
     out = tmp_path / "emdm.json"
@@ -159,7 +159,6 @@ def test_certify_command(runner, tmp_path):
 
 def test_probe_continuity_command(runner, tmp_path):
     sig = tmp_path / "fig2.json"
-    from sodlab.analysis import local_max_signal
     from sodlab.signals import save_signal
     save_signal(sig, local_max_signal(0.25))
     out = tmp_path / "probe.json"
@@ -194,6 +193,18 @@ def test_malformed_input_exits_one(runner, tmp_path):
     badcsv.write_text("t,v\n0.5,oops\n")
     res = runner.invoke(main, ["norm", "--events", str(badcsv), "--kind", "D"])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("meta", ['{"X": 1}', "[1]", '{"T": "abc"}', '{"T": -1}'])
+def test_malformed_sidecar_exits_one_naming_it(runner, tmp_path, meta):
+    path = tmp_path / "alt.csv"
+    write_events_csv(path, alternating_train(4))
+    sidecar = tmp_path / "alt.csv.meta.json"
+    sidecar.write_text(meta + "\n")
+    res = runner.invoke(main, ["norm", "--events", str(path), "--kind", "D"])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: {sidecar}: ")
+    assert res.output.count("\n") == 1 and "Traceback" not in res.output
 
 
 def test_qi_check_violation_exits_two(runner, tmp_path, monkeypatch):
@@ -237,7 +248,7 @@ def test_invalid_theta_exits_one(runner, tmp_path):
     ["probe-continuity", "--input", "sig.json", "--theta0", "-1", "--out", "p.json"],
     ["qi-check", "--trials", "3", "--theta", "-1", "--out", "q.json"],
     ["generate", "--kind", "from_events", "--out", "g.json"],
-    ["norm", "--events", "alt.csv", "--kind", "A", "--bruteforce"],
+    ["norm", "--events", "alt.csv", "--kind", "A", "--horizon", "-1"],
     ["decompose", "--events", "impure.csv", "--what", "chain", "--out", "c.json"],
 ])
 def test_invalid_input_exits_one_with_error_line(runner, tmp_path, monkeypatch, args):

@@ -13,7 +13,6 @@ from sodlab.events import (
     from_pairs,
     is_alternating,
     read_events_csv,
-    restrict,
     scale_events,
     split_signs,
     write_events_csv,
@@ -21,7 +20,8 @@ from sodlab.events import (
 from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points
 from sodlab.structure import DenseEvents
-from sodlab.trains import random_signed_train
+
+from oracles import random_signed_train
 
 
 def seq(*pairs, T=10.0):
@@ -58,41 +58,6 @@ def test_difference_antisymmetry(s1, s2):
     lhs = difference(a, b)
     rhs = scale_events(difference(b, a), -1.0)
     assert lhs.times == rhs.times and lhs.values == rhs.values
-
-
-def test_restrict_full_interval_is_identity():
-    eta = seq((1.0, 1.0), (2.0, 1.0), (3.0, -1.0))
-    out = restrict(eta, 0.0, eta.T)
-    assert out.pairs() == eta.pairs()
-
-
-def test_restrict_to_eventless_interval():
-    eta = seq((1.0, 1.0), (5.0, -1.0))
-    assert len(restrict(eta, 2.0, 4.0)) == 0
-
-
-def test_restrict_membership():
-    eta = seq((1.0, 1.0), (2.0, 1.0), (3.0, -1.0))
-    assert restrict(eta, 2.0, 3.0).pairs() == [(2.0, 1.0), (3.0, -1.0)]
-
-
-def test_restrict_outside_domain():
-    with pytest.raises(ValueError):
-        restrict(seq((1.0, 1.0)), 0.0, 11.0)
-
-
-@given(st.integers(0, 2**31 - 1),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=50, deadline=None)
-def test_restrict_composition_is_intersection(s, a1, b1, a2, b2):
-    a1, b1 = sorted((a1, b1))
-    a2, b2 = sorted((a2, b2))
-    eta = random_signed_train(s, 15, T=1.0)
-    lhs = restrict(restrict(eta, a1, b1), a2, b2)
-    lo, hi = max(a1, a2), min(b1, b2)
-    rhs = restrict(eta, lo, hi) if lo <= hi else empty(1.0)
-    assert lhs.pairs() == rhs.pairs()
 
 
 def test_split_signs_all_positive():
@@ -199,7 +164,8 @@ def test_csv_without_horizon_is_an_error(tmp_path):
     # the last event time is not the horizon: no sidecar and no flag raises
     for eta in (seq((1.0, 1.0), T=10.0), empty(2.0)):
         path = tmp_path / f"events{len(eta)}.csv"
-        write_events_csv(path, eta, sidecar=False)
+        write_events_csv(path, eta)
+        (tmp_path / f"events{len(eta)}.csv.meta.json").unlink()
         with pytest.raises(ValueError, match="horizon"):
             read_events_csv(path)
         assert read_events_csv(path, horizon=eta.T).pairs() == eta.pairs()

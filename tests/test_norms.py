@@ -6,12 +6,13 @@ from sodlab.events import from_pairs, scale_events
 from sodlab.norms import (
     alexiewicz_norm,
     canonical_kind,
-    discrepancy_bruteforce,
     discrepancy_norm,
     max_max_sum_norm,
     norm_by_kind,
 )
-from sodlab.trains import alternating_train, mmsn_train, random_signed_train
+from sodlab.trains import alternating_train, mmsn_train
+
+from oracles import discrepancy_bruteforce, random_signed_train
 
 amp_lists = st.lists(
     st.sampled_from([-2.0, -1.0, 1.0, 2.0]), min_size=0, max_size=60)

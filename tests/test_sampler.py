@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sodlab.events import EventSequence, from_pairs
@@ -27,7 +27,8 @@ from sodlab.signals import (
     scale,
     zero,
 )
-from sodlab.trains import random_pure_train
+
+from oracles import random_pure_train
 
 
 def ramp(T=1.0, slope=1.0):
@@ -91,6 +92,23 @@ class TestSod:
         expected = [math.sqrt(2 * k * 0.125) for k in (1, 2, 3, 4)]
         assert eta.times == pytest.approx(expected, abs=1e-12)
         assert eta.values == (0.125,) * 4
+
+
+@pytest.mark.parametrize("sample", [sod_sample, lc_sample, if_sample])
+@pytest.mark.parametrize("theta, plain", [(np.int64(1), 1.0), (np.float32(0.25), 0.25)])
+def test_numpy_scalar_threshold(sample, theta, plain):
+    f = random_walk(1.0, 4, 20, 1.5)
+    eta, ref = sample(f, theta), sample(f, plain)
+    assert len(ref) > 0
+    assert eta.times == ref.times and eta.values == ref.values
+    assert all(type(v) is float for v in eta.values)
+
+
+@pytest.mark.parametrize("sample", [sod_sample, lc_sample, if_sample])
+@pytest.mark.parametrize("theta", [math.nan, -1, "0.25"])
+def test_invalid_threshold_refused(sample, theta):
+    with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+        sample(ramp(), theta)
 
 
 class TestLc:
@@ -369,12 +387,7 @@ def run_on_inputs(draw):
             times[i] = nudged
     values = [0.0] + [k * theta for k in draw(st.lists(st.integers(-12, 12),
                                                         min_size=n, max_size=n))]
-    try:
-        return pwl_from_points(T, times, values), theta
-    except ValueError:
-        # a large piece ending at 0 can miss the joint by more than the
-        # absolute tolerance there; a few draws in a thousand
-        reject()
+    return pwl_from_points(T, times, values), theta
 
 
 def _steep(theta):
@@ -397,6 +410,8 @@ def _steep(theta):
 # the root lies past the slack band, so the crossing is not sampled
 @example((Signal(2.0, (Segment(0.0, 0.0, 1e-3), Segment(1.0, 1e-3 + 1e-13))),
           (1e-3 + 5e-14) / 2))
+# a 1e9 fall ending at 0: the joint evaluates to one ulp of 1e9
+@example((pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0]), 1e8))
 def test_run_on_crossings_match_scalar_oracle(case):
     f, theta = case
     for fast, scalar in ((sod_sample, scalar_sod), (lc_sample, scalar_lc)):

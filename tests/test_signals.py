@@ -13,7 +13,6 @@ from sodlab.signals import (
     Signal,
     add,
     diameter_norm,
-    differentiate,
     evaluate,
     generate,
     integrate,
@@ -24,12 +23,12 @@ from sodlab.signals import (
     save_signal,
     scale,
     signal_from_dict,
-    signal_to_dict,
     sine_pwl,
     subtract,
-    sup_norm,
     zero,
 )
+
+from oracles import differentiate, signal_to_dict, sup_norm
 
 
 def test_ramp_plateau_evaluate():
@@ -265,6 +264,18 @@ def test_continuity_tolerance_scales_with_magnitude():
         assert sod_sample(reconstruct(eta), 2.0 ** 17) == eta
     with pytest.raises(ValueError):
         Signal(1.0, (Segment(0.0, 1e6, 1e6), Segment(0.5, 1.5e6 + 1.0)))
+
+
+def test_continuity_tolerance_scales_with_the_piece():
+    # a 1e9 fall ending at 0 evaluates the joint to one ulp of 1e9, not 0
+    f = pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0])
+    assert f.segments[-1].c0 == 0.0
+    assert sod_sample(reconstruct(sod_sample(f, 2.5e8)), 2.5e8) == sod_sample(f, 2.5e8)
+    # a joint that misses by 1e-11 of the piece's size is still a jump
+    rise, fall = f.segments[:2]
+    for miss in (1e-11, -1e-11):
+        with pytest.raises(ValueError, match="discontinuity at t=0.525"):
+            Signal(1.0, (rise, fall, Segment(0.525, fall.value(0.525) + miss * 1e9)))
 
 
 def test_pwl_from_points_validation():

@@ -13,7 +13,6 @@ from sodlab.spike_metrics import (
     VictorPurpuraParams,
     _exp_gram,
     _gauss_gram,
-    exp_response,
     schreiber_distance,
     schreiber_similarity,
     van_rossum,
@@ -23,10 +22,10 @@ from sodlab.trains import (
     alternating_train,
     equidistant_alternating,
     mmsn_train,
-    random_nonnegative_train,
-    random_signed_train,
     random_unit_train,
 )
+
+from oracles import exp_response, random_nonnegative_train, random_signed_train
 
 
 def vr_quadrature(eta1, eta2, alpha, n_sub=2000):
