@@ -8,9 +8,10 @@ import tempfile
 
 def check_positive(x, name: str) -> float:
     """x as a float, if x is a positive finite real number (ints and numpy
-    scalars included); anything else raises a ValueError naming the
-    quantity `name`."""
-    if type(x) is float or isinstance(x, numbers.Real):  # the ABC check is slow
+    scalars included, bools not); anything else raises a ValueError naming
+    the quantity `name`."""
+    # the ABC check is slow; bool is a numbers.Real, but not a quantity
+    if type(x) is float or (type(x) is not bool and isinstance(x, numbers.Real)):
         try:
             value = float(x)
         except OverflowError:

@@ -180,8 +180,9 @@ def _read_sidecar(path) -> float:
 
 
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:
-    """Read an event CSV; blank lines are skipped, and a malformed row raises
-    a ValueError that starts with ``path:line:``."""
+    """Read an event CSV; blank lines are skipped, a malformed row raises
+    a ValueError that starts with ``path:line:``, and events the horizon
+    refuses raise one that starts with ``path:``."""
     with open(path) as handle:
         rows = list(filter(None, map(str.strip, handle)))
     if not rows or rows[0] != "t,v":
@@ -198,4 +199,7 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
         raise _bad_row(path) from exc
     if horizon is None:
         horizon = _read_sidecar(path)
-    return EventSequence(float(horizon), times, values)
+    try:
+        return EventSequence(float(horizon), times, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -30,20 +30,6 @@ def _check_anchored(f: Signal) -> None:
         raise ValueError("sampling requires f(0) = 0")
 
 
-def _segment_arrays(f: Signal):
-    """Flatten segments into parallel lists plus exact joint values.
-
-    The value at each segment's right endpoint is taken from the next
-    segment's stored c0 (exact by the continuity invariant); the last
-    endpoint is evaluated at T.
-    """
-    segs = f.segments
-    starts = [s.t0 for s in segs]
-    ends = [segs[i + 1].t0 for i in range(len(segs) - 1)] + [f.T]
-    end_values = [segs[i + 1].c0 for i in range(len(segs) - 1)] + [segs[-1].value(f.T)]
-    return segs, starts, ends, end_values
-
-
 def _quadratic_roots(a: float, b: float, c: float):
     """Real roots of a*u^2 + b*u + c = 0 with a != 0, numerically stable."""
     disc = b * b - 4.0 * a * c
@@ -84,83 +70,82 @@ def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
     return min(hits) if hits else None
 
 
-def _first_crossing(arrays, seg_idx: int, t_from: float,
-                    level_up: float, level_down: float):
-    """Earliest (t, sign, segment index) with f(t) hitting level_up (sign +1)
-    or level_down (sign -1) after t_from; an exact tie goes to level_up."""
-    segs, starts, ends, end_values = arrays
-    for i in range(seg_idx, len(segs)):
-        if ends[i] <= t_from:
-            continue
-        seg, lo_t, hi_t, end_value = segs[i], starts[i], ends[i], end_values[i]
-        t_up = _segment_first_hit(seg, lo_t, hi_t, end_value, level_up, t_from)
-        t_down = _segment_first_hit(seg, lo_t, hi_t, end_value, level_down, t_from)
-        if t_up is not None and (t_down is None or t_up <= t_down):
-            return t_up, 1, i
-        if t_down is not None:
-            return t_down, -1, i
-    return None
-
-
 def _sample(f: Signal, theta: float, levels) -> EventSequence:
     """The first-crossing recursion: after an event at reference level `ref`
     (the level it hit) and net index `k`, both 0 at the start, the next event
     is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta.
 
+    The pieces are walked once, in time order.  While a piece ends after the
+    last event (``hi > t_cur``) it is searched for the earlier of its first
+    up and down hits after that event, an exact tie going to up; with
+    neither level hit, the walk moves on with the same levels.  This is the
+    per-event search inlined, which restarts at the piece of the last event
+    and skips every piece that ends at or before it.  The right endpoint's
+    value is the next piece's stored c0 (exact by the continuity
+    invariant), or f(T) for the last piece.
+
     After an event on a linear piece rising (falling) with the event's sign,
     the next up (down) levels on that piece are run on in place, each as the
-    root ``lo + clamp((level - c0) / c1)`` that `_first_crossing` would
+    root ``lo + clamp((level - c0) / c1)`` that the piece's search would
     return: the opposite level's root cannot lie after the last event, and
     no stored joint value is hit while the level stays short of the piece's
-    end value.  The run hands back to `_first_crossing` once the level
+    end value.  The run hands back to the piece's search once the level
     reaches the end value, the root leaves the slack band, or the root is
-    not after the last event.  The last stop also covers `_first_crossing`
-    skipping a piece whose end the last event reached: with times >= 0, no
-    root short of ``lo + seg_len`` rounds to the piece's end when that one
-    rounds past it.
+    not after the last event.  The last stop also covers the walk leaving a
+    piece whose end the last event reached: with times >= 0, no root short
+    of ``lo + seg_len`` rounds to the piece's end when that one rounds past
+    it.
     """
     _check_anchored(f)
-    arrays = segs, starts, ends, end_values = _segment_arrays(f)
+    segs = f.segments
     ref, k = 0.0, 0
     t_cur = 0.0
-    seg_idx = 0
     times, values = [], []
     up, down = levels(ref, k)
-    while True:
-        hit = _first_crossing(arrays, seg_idx, t_cur, up, down)
-        if hit is None:
-            break
-        t_cur, sign, seg_idx = hit
-        amp = sign * theta
-        times.append(t_cur)
-        values.append(amp)
-        ref = up if sign > 0 else down
-        k += sign
-        up, down = levels(ref, k)
-        seg = segs[seg_idx]
-        if seg.c2 != 0.0 or sign * seg.c1 <= 0.0:
-            continue
-        c0, c1, lo, end_value = seg.c0, seg.c1, starts[seg_idx], end_values[seg_idx]
-        seg_len = ends[seg_idx] - lo
-        slack = 1e-12 * seg_len
-        u_max = seg_len + slack
-        while True:
-            level = up if sign > 0 else down
-            if (level >= end_value) if sign > 0 else (level <= end_value):
+    for i, seg in enumerate(segs):
+        if i + 1 < len(segs):
+            hi, end_value = segs[i + 1].t0, segs[i + 1].c0
+        else:
+            hi, end_value = f.T, seg.value(f.T)
+        lo = seg.t0
+        while hi > t_cur:
+            t_up = _segment_first_hit(seg, lo, hi, end_value, up, t_cur)
+            t_down = _segment_first_hit(seg, lo, hi, end_value, down, t_cur)
+            if t_up is not None and (t_down is None or t_up <= t_down):
+                t_cur, sign = t_up, 1
+            elif t_down is not None:
+                t_cur, sign = t_down, -1
+            else:
                 break
-            u = (level - c0) / c1
-            if not -slack <= u <= u_max:
-                break
-            # lo + min(max(u, 0.0), seg_len), without the two calls
-            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
-            if not t > t_cur:
-                break
-            t_cur = t
-            times.append(t)
+            amp = sign * theta
+            times.append(t_cur)
             values.append(amp)
-            ref = level
+            ref = up if sign > 0 else down
             k += sign
             up, down = levels(ref, k)
+            if seg.c2 != 0.0 or sign * seg.c1 <= 0.0:
+                continue
+            c0, c1 = seg.c0, seg.c1
+            seg_len = hi - lo
+            slack = 1e-12 * seg_len
+            u_max = seg_len + slack
+            while True:
+                level = up if sign > 0 else down
+                if (level >= end_value) if sign > 0 else (level <= end_value):
+                    break
+                u = (level - c0) / c1
+                if not -slack <= u <= u_max:
+                    break
+                # lo + min(max(u, 0.0), seg_len), without the two calls
+                t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                if not t > t_cur:
+                    break
+                t_cur = t
+                times.append(t)
+                values.append(amp)
+                ref = level
+                k += sign
+                up, down = levels(ref, k)
     return EventSequence(f.T, tuple(times), tuple(values))
 
 

@@ -12,7 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -89,16 +89,6 @@ class Signal:
     def __call__(self, t: float) -> float:
         return evaluate(self, t)
 
-    @cached_property
-    def starts(self) -> tuple[float, ...]:
-        return tuple(seg.t0 for seg in self.segments)
-
-    def segment_index(self, t: float) -> int:
-        """Index of the segment whose half-open domain contains t (t=T maps
-        to the last segment)."""
-        idx = bisect_right(self.starts, t) - 1
-        return max(idx, 0)
-
     def is_linear(self) -> bool:
         return all(seg.c2 == 0.0 for seg in self.segments)
 
@@ -111,7 +101,9 @@ def evaluate(f: Signal, t: float) -> float:
     """Value of f at t; raises for t outside [0, T]."""
     if not 0.0 <= t <= f.T:
         raise ValueError(f"t={t!r} outside [0, {f.T!r}]")
-    return f.segments[f.segment_index(t)].value(t)
+    # the last segment starting at or before t (t = T falls in the last one)
+    idx = bisect_right(f.segments, t, key=attrgetter("t0")) - 1
+    return f.segments[idx].value(t)
 
 
 def scale(f: Signal, lam: float) -> Signal:
@@ -136,7 +128,7 @@ def add(f: Signal, g: Signal) -> Signal:
     """Pointwise f + g on the merged segment grid (equal horizons required)."""
     if f.T != g.T:
         raise ValueError(f"horizon mismatch: {f.T!r} vs {g.T!r}")
-    starts = sorted(set(f.starts) | set(g.starts))
+    starts = sorted({s.t0 for s in f.segments} | {s.t0 for s in g.segments})
     fi = gi = 0
     fsegs, gsegs = f.segments, g.segments
     out = []

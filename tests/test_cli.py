@@ -207,6 +207,16 @@ def test_malformed_sidecar_exits_one_naming_it(runner, tmp_path, meta):
     assert res.output.count("\n") == 1 and "Traceback" not in res.output
 
 
+def test_events_past_the_sidecar_horizon_exit_one_naming_the_csv(runner, tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("t,v\n0.5,1.0\n")
+    (tmp_path / "one.csv.meta.json").write_text('{"T": 0.25}\n')
+    res = runner.invoke(main, ["norm", "--events", str(path), "--kind", "D"])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: {path}: ")
+    assert res.output.count("\n") == 1 and "Traceback" not in res.output
+
+
 def test_qi_check_violation_exits_two(runner, tmp_path, monkeypatch):
     from sodlab import analysis
 

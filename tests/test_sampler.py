@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sodlab.analysis import qi_verify
 from sodlab.events import EventSequence, from_pairs
 from sodlab.sampler import (
     _check_anchored,
     _quadratic_roots,
-    _segment_arrays,
     homogeneity_check,
     if_sample,
     lc_sample,
@@ -109,6 +109,16 @@ def test_numpy_scalar_threshold(sample, theta, plain):
 def test_invalid_threshold_refused(sample, theta):
     with pytest.raises(ValueError, match="threshold must be a positive finite number"):
         sample(ramp(), theta)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sod_sample(random_walk(1.0, 4, 20, 1.5), True),
+    lambda: random_walk(True, 4, 20, 1.5),
+    lambda: EventSequence(True, (), ()),
+])
+def test_bool_is_not_a_positive_number(build):
+    with pytest.raises(ValueError, match="must be a positive finite number, got True"):
+        build()
 
 
 class TestLc:
@@ -282,6 +292,20 @@ class TestHomogeneity:
 # The first-crossing recursion without run-on crossings, kept verbatim as the
 # reference that `sod_sample` and `lc_sample` must match bit for bit.
 
+def _segment_arrays(f: Signal):
+    """Flatten segments into parallel lists plus exact joint values.
+
+    The value at each segment's right endpoint is taken from the next
+    segment's stored c0 (exact by the continuity invariant); the last
+    endpoint is evaluated at T.
+    """
+    segs = f.segments
+    starts = [s.t0 for s in segs]
+    ends = [segs[i + 1].t0 for i in range(len(segs) - 1)] + [f.T]
+    end_values = [segs[i + 1].c0 for i in range(len(segs) - 1)] + [segs[-1].value(f.T)]
+    return segs, starts, ends, end_values
+
+
 def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
                        level: float, t_from: float):
     """Earliest t in (t_from, hi_t] with seg(t) == level, or None.
@@ -419,3 +443,35 @@ def test_run_on_crossings_match_scalar_oracle(case):
         ref = scalar(f, theta)
         assert eta.times == ref.times
         assert eta.values == ref.values
+
+
+@st.composite
+def cross_scale_inputs(draw):
+    """(f, g, theta) over horizons 1e-6..1e9 and amplitudes 1e-9..1e9, with
+    theta = amplitude * [1/64, 1]; f and g are random walks of 1..30 pieces
+    or their antiderivatives divided by T."""
+    T = 10.0 ** draw(st.floats(-6.0, 9.0))
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    theta = amplitude * draw(st.floats(1.0 / 64.0, 1.0))
+
+    def signal():
+        f = random_walk(T, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 30)),
+                        amplitude)
+        return scale(integrate(f), 1.0 / T) if draw(st.booleans()) else f
+
+    return signal(), signal(), theta
+
+
+@given(cross_scale_inputs())
+@settings(max_examples=300, deadline=None)
+def test_sampling_invariants_hold_across_scales(case):
+    f, g, theta = case
+    for h in (f, g):
+        for sample in (sod_sample, lc_sample):
+            assert all(v in (theta, -theta) for v in sample(h, theta).values)
+        for j in range(-3, 4):
+            assert homogeneity_check(h, theta, theta * 2.0 ** j)
+    for kind in ("D", "A"):
+        rep = qi_verify([(f, g)], theta, kind)
+        assert rep.violations == 0
+        assert rep.reconstruction_failures == 0

@@ -152,7 +152,7 @@ def test_integrate_zero():
 def test_integrate_matches_trapezoid_at_breakpoints():
     f = random_walk(1.0, 33, 16, 0.5)
     g = integrate(f)
-    knots = list(f.starts) + [1.0]
+    knots = [s.t0 for s in f.segments] + [1.0]
     acc = 0.0
     for a, b in zip(knots, knots[1:]):
         assert g(a) == pytest.approx(acc, abs=1e-12)
@@ -236,15 +236,9 @@ def test_non_finite_coefficients_refused(bad, coef, where):
         Signal(1.0, tuple(segs))
 
 
-def test_starts_are_stored_once():
-    f = random_walk(1.0, 5, 64, 0.5)
-    assert f.starts is f.starts
-    assert f.starts == tuple(s.t0 for s in f.segments)
-
-
 def test_evaluate_matches_linear_scan():
     for f in (random_walk(1.0, 6, 50, 0.5), integrate(random_walk(3.0, 7, 20, 0.5))):
-        ends = f.starts[1:] + (f.T,)
+        ends = [s.t0 for s in f.segments[1:]] + [f.T]
         for i, seg in enumerate(f.segments):
             mid = 0.5 * (seg.t0 + ends[i])
             for t in (seg.t0, mid):
