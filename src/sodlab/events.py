@@ -168,7 +168,7 @@ def _read_sidecar(path) -> float:
     meta_path = _sidecar_path(path)
     try:
         with open(meta_path) as handle:
-            return check_positive(float(json.load(handle)["T"]), "horizon")
+            return check_positive(json.load(handle)["T"], "horizon")
     except FileNotFoundError:
         raise ValueError(
             f"{path}: no horizon; pass --horizon or keep the {meta_path} sidecar"
@@ -200,6 +200,6 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     if horizon is None:
         horizon = _read_sidecar(path)
     try:
-        return EventSequence(float(horizon), times, values)
+        return EventSequence(horizon, times, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -45,8 +45,9 @@ def _quadratic_roots(a: float, b: float, c: float):
 
 
 def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
-                       level: float, t_from: float):
-    """Earliest t in (t_from, hi_t] with seg(t) == level, or None.
+                       level: float, t_from: float) -> float:
+    """Earliest t in (t_from, hi_t] with seg(t) == level, or inf, on a
+    quadratic piece (``seg.c2 != 0``; `_sample` searches linear ones inline).
 
     Exact joint hits (stored start/end values equal to the level bit-for-bit)
     are reported at the stored joint times; closed-form roots landing within a
@@ -58,16 +59,12 @@ def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
     seg_len = hi_t - lo_t
     slack = 1e-12 * seg_len
     snap = 1e-9 * seg_len
-    if seg.c2 == 0.0:
-        roots = ((level - seg.c0) / seg.c1,) if seg.c1 != 0.0 else ()
-    else:
-        roots = _quadratic_roots(seg.c2, seg.c1, seg.c0 - level)
-    for u in roots:
+    for u in _quadratic_roots(seg.c2, seg.c1, seg.c0 - level):
         if -slack <= u <= seg_len + slack:
             t = lo_t + min(max(u, 0.0), seg_len)
             if t > t_from and all(abs(t - h) > snap for h in hits):
                 hits.append(t)
-    return min(hits) if hits else None
+    return min(hits) if hits else math.inf
 
 
 def _sample(f: Signal, theta: float, levels) -> EventSequence:
@@ -84,6 +81,16 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
     value is the next piece's stored c0 (exact by the continuity
     invariant), or f(T) for the last piece.
 
+    A quadratic piece is searched by `_segment_first_hit`.  A linear piece
+    is searched for both levels in one pass, without allocations, that
+    makes for each level the float operations of `_segment_first_hit` in
+    its order: the start-joint hit; the stored end-joint candidate (after
+    the last event, by the loop's guard); the one root, kept inside the
+    slack band and clamped into the piece; and, in one test that is the
+    snap fold and the ``min``, the root replacing the candidate when it
+    lies more than `snap` before it.  ``inf`` stands for no hit, so the
+    earlier level, an exact tie going to up, is one comparison.
+
     After an event on a linear piece rising (falling) with the event's sign,
     the next up (down) levels on that piece are run on in place, each as the
     root ``lo + clamp((level - c0) / c1)`` that the piece's search would
@@ -98,6 +105,7 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
     """
     _check_anchored(f)
     segs = f.segments
+    inf = math.inf
     ref, k = 0.0, 0
     t_cur = 0.0
     times, values = [], []
@@ -108,27 +116,52 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
         else:
             hi, end_value = f.T, seg.value(f.T)
         lo = seg.t0
+        linear = seg.c2 == 0.0
+        if linear:  # the terms of the linear search and the run-on
+            c0, c1 = seg.c0, seg.c1
+            seg_len = hi - lo
+            slack = 1e-12 * seg_len
+            snap = 1e-9 * seg_len
+            u_max = seg_len + slack
         while hi > t_cur:
-            t_up = _segment_first_hit(seg, lo, hi, end_value, up, t_cur)
-            t_down = _segment_first_hit(seg, lo, hi, end_value, down, t_cur)
-            if t_up is not None and (t_down is None or t_up <= t_down):
-                t_cur, sign = t_up, 1
-            elif t_down is not None:
-                t_cur, sign = t_down, -1
+            if not linear:
+                t_up = _segment_first_hit(seg, lo, hi, end_value, up, t_cur)
+                t_down = _segment_first_hit(seg, lo, hi, end_value, down, t_cur)
             else:
-                break
+                if c0 == up and lo > t_cur:
+                    t_up = lo
+                else:
+                    t_up = hi if end_value == up else inf
+                    if c1 != 0.0:
+                        u = (up - c0) / c1
+                        if -slack <= u <= u_max:
+                            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                            if t > t_cur and t_up - t > snap:
+                                t_up = t
+                if c0 == down and lo > t_cur:
+                    t_down = lo
+                else:
+                    t_down = hi if end_value == down else inf
+                    if c1 != 0.0:
+                        u = (down - c0) / c1
+                        if -slack <= u <= u_max:
+                            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                            if t > t_cur and t_down - t > snap:
+                                t_down = t
+            if t_up <= t_down:
+                if t_up == inf:
+                    break
+                t_cur, sign = t_up, 1
+            else:
+                t_cur, sign = t_down, -1
             amp = sign * theta
             times.append(t_cur)
             values.append(amp)
             ref = up if sign > 0 else down
             k += sign
             up, down = levels(ref, k)
-            if seg.c2 != 0.0 or sign * seg.c1 <= 0.0:
+            if not linear or sign * c1 <= 0.0:
                 continue
-            c0, c1 = seg.c0, seg.c1
-            seg_len = hi - lo
-            slack = 1e-12 * seg_len
-            u_max = seg_len + slack
             while True:
                 level = up if sign > 0 else down
                 if (level >= end_value) if sign > 0 else (level <= end_value):

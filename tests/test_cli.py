@@ -195,7 +195,8 @@ def test_malformed_input_exits_one(runner, tmp_path):
     assert res.exit_code == 1
 
 
-@pytest.mark.parametrize("meta", ['{"X": 1}', "[1]", '{"T": "abc"}', '{"T": -1}'])
+@pytest.mark.parametrize("meta", ['{"X": 1}', "[1]", '{"T": "abc"}', '{"T": -1}',
+                                  '{"T": true}', '{"T": "2"}'])
 def test_malformed_sidecar_exits_one_naming_it(runner, tmp_path, meta):
     path = tmp_path / "alt.csv"
     write_events_csv(path, alternating_train(4))

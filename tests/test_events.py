@@ -160,6 +160,15 @@ def test_csv_horizon_flag_wins(tmp_path):
     assert read_events_csv(path, horizon=20.0).T == 20.0
 
 
+@pytest.mark.parametrize("horizon", [True, "0.5"])
+def test_csv_horizon_argument_must_be_a_number(tmp_path, horizon):
+    # a flag or a string in the horizon slot is refused, not converted
+    path = tmp_path / "one.csv"
+    path.write_text("t,v\n0.25,1.0\n")
+    with pytest.raises(ValueError, match="horizon must be a positive finite number"):
+        read_events_csv(path, horizon)
+
+
 def test_csv_without_horizon_is_an_error(tmp_path):
     # the last event time is not the horizon: no sidecar and no flag raises
     for eta in (seq((1.0, 1.0), T=10.0), empty(2.0)):

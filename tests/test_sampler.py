@@ -258,17 +258,21 @@ def test_sod_against_grid_bisection_oracle_short_horizon(seed):
 @pytest.mark.parametrize("k", [-40, -30, -20, -4, 20])
 def test_exact_time_scale_equivariance(k):
     # random_walk(2^k, ...) is the unit walk with time scaled by 2^k, exactly;
-    # so is its antiderivative divided by 2^k.  Sampling must commute with it.
+    # so is its antiderivative divided by 2^k.  Sampling must commute with it,
+    # at every amplitude, with theta scaled by the amplitude's factor.
     T = 2.0 ** k
-    for seed in range(10):
-        f1, fk = random_walk(1.0, seed, 200, 0.6), random_walk(T, seed, 200, 0.6)
-        pairs = [(f1, fk), (integrate(f1), scale(integrate(fk), 1.0 / T))]
-        for g1, gk in pairs:
-            for theta in (0.05, 0.13):
-                for sample in (sod_sample, lc_sample):
-                    unit, scaled = sample(g1, theta), sample(gk, theta)
-                    assert scaled.times == tuple(T * t for t in unit.times)
-                    assert scaled.values == unit.values
+    for amplitude in (0.6, 1e-9, 1e9):
+        for seed in range(10):
+            f1 = random_walk(1.0, seed, 200, amplitude)
+            fk = random_walk(T, seed, 200, amplitude)
+            pairs = [(f1, fk), (integrate(f1), scale(integrate(fk), 1.0 / T))]
+            for g1, gk in pairs:
+                for theta in (0.05, 0.13):
+                    theta *= amplitude / 0.6
+                    for sample in (sod_sample, lc_sample):
+                        unit, scaled = sample(g1, theta), sample(gk, theta)
+                        assert scaled.times == tuple(T * t for t in unit.times)
+                        assert scaled.values == unit.values
 
 
 class TestHomogeneity:
@@ -384,11 +388,13 @@ def scalar_lc(f, theta):
 @st.composite
 def run_on_inputs(draw):
     """(signal, theta) over horizons 2^-30..2^20 and amplitudes 1e-9..1e9,
-    with theta a power of two or not.  Three signal kinds: random walks,
-    their antiderivatives (quadratic pieces), and lattice walks whose knot
-    values are integer multiples of theta, so that pieces end exactly on a
-    level, repeat a value (constant pieces) or, when two knots are a few
-    ulps apart, are steep enough that several levels round to one time."""
+    with theta a power of two or not.  Four signal kinds: random walks,
+    their antiderivatives (quadratic pieces), the reconstructions of their
+    SOD samples at theta (one event per piece, each on a stored joint: the
+    resample round trip), and lattice walks whose knot values are integer
+    multiples of theta, so that pieces end exactly on a level, repeat a
+    value (constant pieces) or, when two knots are a few ulps apart, are
+    steep enough that several levels round to one time."""
     T = 2.0 ** draw(st.integers(-30, 20))
     amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
     if draw(st.booleans()):
@@ -396,10 +402,14 @@ def run_on_inputs(draw):
     else:
         theta = amplitude * draw(st.floats(1.0 / 64.0, 1.0))
     n = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(("walk", "integral", "lattice")))
+    kind = draw(st.sampled_from(("walk", "integral", "lattice", "roundtrip")))
     if kind != "lattice":
         f = random_walk(T, draw(st.integers(0, 2**32 - 1)), n, amplitude)
-        return (f if kind == "walk" else scale(integrate(f), 1.0 / T)), theta
+        if kind == "integral":
+            f = scale(integrate(f), 1.0 / T)
+        elif kind == "roundtrip":
+            f = reconstruct(sod_sample(f, theta))
+        return f, theta
     fracs = draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True),
                           min_size=n, max_size=n, unique=True))
     times = [0.0] + sorted(T * x for x in fracs)
@@ -436,6 +446,11 @@ def _steep(theta):
           (1e-3 + 5e-14) / 2))
 # a 1e9 fall ending at 0: the joint evaluates to one ulp of 1e9
 @example((pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0]), 1e8))
+# the second piece starts on the up level: the event is the first piece's
+# stored end joint, so no piece is entered on a level it still has to hit
+@example((pwl_from_points(1.0, [0.0, 0.5, 1.0], [0.0, 0.25, 1.0]), 0.25))
+# a constant piece on the level of the last event, between a rise and a fall
+@example((pwl_from_points(1.0, [0.0, 0.25, 0.75, 1.0], [0.0, 0.5, 0.5, -0.25]), 0.25))
 def test_run_on_crossings_match_scalar_oracle(case):
     f, theta = case
     for fast, scalar in ((sod_sample, scalar_sod), (lc_sample, scalar_lc)):
