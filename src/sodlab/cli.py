@@ -18,6 +18,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_ASSERTION = 2
 
+# `sample --scheme` names and their `sampler` functions' names, read per call.
+_SCHEMES = {"sod": "sod_sample", "lc": "lc_sample", "if": "if_sample"}
+
 
 def _write_json(path, payload, omit=()) -> None:
     """Write a dict, or a report dataclass without its `omit` fields."""
@@ -99,14 +102,12 @@ def generate(kind, horizon, resolution, seed, n_breaks, amplitude,
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--theta", required=True, type=float)
-@click.option("--scheme", type=click.Choice(["sod", "lc", "if"]), default="sod",
+@click.option("--scheme", type=click.Choice(list(_SCHEMES)), default="sod",
               show_default=True)
 @click.option("--out", required=True, type=click.Path())
 def sample(input_path, theta, scheme, out):
     """Sample a signal; writes an event CSV plus a horizon sidecar."""
-    fn = {"sod": sampler.sod_sample, "lc": sampler.lc_sample,
-          "if": sampler.if_sample}[scheme]
-    eta = fn(signals.load_signal(input_path), theta)
+    eta = getattr(sampler, _SCHEMES[scheme])(signals.load_signal(input_path), theta)
     events.write_events_csv(out, eta)
     click.echo(f"wrote {out} ({len(eta)} events)")
 
@@ -125,30 +126,24 @@ def norm(events_path, kind, horizon):
 @main.command()
 @click.option("--a", "path_a", required=True, type=click.Path(exists=True))
 @click.option("--b", "path_b", required=True, type=click.Path(exists=True))
-@click.option("--metric", required=True, type=click.Choice(["vr", "schreiber", "vp"]))
+@click.option("--metric", required=True, type=click.Choice(list(analysis.SPIKE_METRICS)))
 @click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--s", "--s-cost", "s_cost", type=float, default=1.0,
-              show_default=True, help="Victor-Purpura shift rate.")
-@click.option("--vp-mode", type=click.Choice(spike_metrics.VP_MODES),
+@click.option("--s", type=float, default=1.0, show_default=True,
+              help="Victor-Purpura shift rate.")
+@click.option("--vp-mode", "mode", type=click.Choice(spike_metrics.VP_MODES),
               default="combined", show_default=True)
 @click.option("--kernel", type=click.Choice(spike_metrics.KERNELS),
               default="causal_exponential", show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
-@click.option("--h", "h_shape", type=click.Choice(spike_metrics.H_SHAPES),
+@click.option("--h", type=click.Choice(spike_metrics.H_SHAPES),
               default="one_minus_s", show_default=True)
 @click.option("--horizon", type=float, default=None)
-def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
-             h_shape, horizon):
+def distance(path_a, path_b, metric, horizon, **options):
     """Print a spike-train distance between two event CSVs."""
     eta1 = events.read_events_csv(path_a, horizon)
     eta2 = events.read_events_csv(path_b, horizon)
-    params = {
-        "vr": {"alpha": alpha},
-        "vp": {"s": s_cost, "mode": vp_mode},
-        "schreiber": {"kernel": kernel, "alpha": alpha, "sigma": sigma,
-                      "h": h_shape},
-    }[metric]
-    if metric == "vp":
+    m = analysis.make_metric(metric, **_metric_params(metric, options))
+    if m.kind == "victor_purpura":
         # the edit distance counts unit spikes: map a theta-pure pair
         # with one shared magnitude onto unit amplitudes
         eta1, m1 = _unit_normalized(eta1)
@@ -156,7 +151,20 @@ def distance(path_a, path_b, metric, alpha, s_cost, vp_mode, kernel, sigma,
         if m1 is not None and m2 is not None and m1 != m2:
             raise ValueError(f"theta-pure trains with different magnitudes "
                              f"({m1!r} vs {m2!r}); normalize them first")
-    click.echo(repr(analysis.make_metric(metric, **params)(eta1, eta2)))
+    click.echo(repr(m(eta1, eta2)))
+
+
+def _metric_params(metric, options) -> dict:
+    """The options that are fields of the metric's Params class (a norm has
+    none); another option given on the command line is an error."""
+    entry = analysis.SPIKE_METRICS.get(metric)
+    fields = [f.name for f in dataclasses.fields(entry[1])] if entry else []
+    ctx, default = click.get_current_context(), click.core.ParameterSource.DEFAULT
+    extra = [p.opts[0] for p in ctx.command.params if p.name in options
+             and p.name not in fields and ctx.get_parameter_source(p.name) is not default]
+    if extra:
+        raise ValueError(f"--metric {metric} takes no {', '.join(extra)}")
+    return {name: options[name] for name in fields}
 
 
 def _unit_normalized(eta):
@@ -220,7 +228,7 @@ def decompose(events_path, what, horizon, out):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
     """Threshold-discontinuity report: characterization plus optional sweep."""
-    m = analysis.make_metric(metric, alpha=alpha)
+    m = analysis.make_metric(metric, **_metric_params(metric, {"alpha": alpha}))
     thetas = tuple(float(x) for x in theta_grid.split(","))
     char = analysis.emdm_characterize(m, n_max=n_max, T=horizon)
     per_signal = []

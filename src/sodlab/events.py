@@ -183,6 +183,8 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     """Read an event CSV; blank lines are skipped, a malformed row raises
     a ValueError that starts with ``path:line:``, and events the horizon
     refuses raise one that starts with ``path:``."""
+    if horizon is not None:
+        horizon = check_positive(horizon, "horizon")
     with open(path) as handle:
         rows = list(filter(None, map(str.strip, handle)))
     if not rows or rows[0] != "t,v":

@@ -44,25 +44,15 @@ def max_max_sum_norm(eta) -> float:
     return max(max(abs(v) for v in values), abs(sum(values)))
 
 
-_ALIASES = {
-    "d": "D", "discrepancy": "D",
-    "a": "A", "alexiewicz": "A",
-    "m": "M", "max_max_sum": "M", "mms": "M",
-}
-
 _FUNCS = {"D": discrepancy_norm, "A": alexiewicz_norm, "M": max_max_sum_norm}
 
-# Canonical norm tags, in the order the CLI lists them.
+# Norm tags, in the order the CLI lists them.
 NORM_KINDS = tuple(_FUNCS)
 
 
-def canonical_kind(kind: str) -> str:
-    key = _ALIASES.get(str(kind).lower(), str(kind).upper())
-    if key not in _FUNCS:
-        raise ValueError(f"unknown norm kind {kind!r} (expected D, A or M)")
-    return key
-
-
 def norm_by_kind(kind: str):
-    """Norm function for a kind tag: D | A | M (long names accepted)."""
-    return _FUNCS[canonical_kind(kind)]
+    """Norm function for a tag in NORM_KINDS."""
+    try:
+        return _FUNCS[kind]
+    except KeyError:
+        raise ValueError(f"unknown norm kind {kind!r} (expected D, A or M)") from None

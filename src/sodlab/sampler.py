@@ -49,12 +49,11 @@ def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
     """Earliest t in (t_from, hi_t] with seg(t) == level, or inf, on a
     quadratic piece (``seg.c2 != 0``; `_sample` searches linear ones inline).
 
-    Exact joint hits (stored start/end values equal to the level bit-for-bit)
-    are reported at the stored joint times; closed-form roots landing within a
-    rounding error of such a joint, or of an earlier root, are folded into it.
+    An exact end-joint hit (stored end value == level, bit for bit) is
+    reported at the joint time; closed-form roots within a rounding error of
+    it, or of an earlier root, fold into it.  No start joint is tested: see
+    `_sample`.
     """
-    if seg.c0 == level and lo_t > t_from:
-        return lo_t
     hits = [hi_t] if end_value == level and hi_t > t_from else []
     seg_len = hi_t - lo_t
     slack = 1e-12 * seg_len
@@ -75,21 +74,22 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
     The pieces are walked once, in time order.  While a piece ends after the
     last event (``hi > t_cur``) it is searched for the earlier of its first
     up and down hits after that event, an exact tie going to up; with
-    neither level hit, the walk moves on with the same levels.  This is the
-    per-event search inlined, which restarts at the piece of the last event
-    and skips every piece that ends at or before it.  The right endpoint's
-    value is the next piece's stored c0 (exact by the continuity
-    invariant), or f(T) for the last piece.
+    neither level hit, the walk moves on with the same levels, and the next
+    piece starts on the end value that hit neither, so no start joint is
+    tested.  This is the per-event search inlined, which restarts at the
+    piece of the last event and skips every piece that ends at or before
+    it.  The right endpoint's value is the next piece's stored c0 (exact by
+    the continuity invariant), or f(T) for the last piece.
 
     A quadratic piece is searched by `_segment_first_hit`.  A linear piece
     is searched for both levels in one pass, without allocations, that
     makes for each level the float operations of `_segment_first_hit` in
-    its order: the start-joint hit; the stored end-joint candidate (after
-    the last event, by the loop's guard); the one root, kept inside the
-    slack band and clamped into the piece; and, in one test that is the
-    snap fold and the ``min``, the root replacing the candidate when it
-    lies more than `snap` before it.  ``inf`` stands for no hit, so the
-    earlier level, an exact tie going to up, is one comparison.
+    its order: the stored end-joint candidate (after the last event, by the
+    loop's guard); the one root, kept inside the slack band and clamped
+    into the piece; and, in one test that is the snap fold and the ``min``,
+    the root replacing the candidate when it lies more than `snap` before
+    it.  ``inf`` stands for no hit, so the earlier level, an exact tie going
+    to up, is one comparison.
 
     After an event on a linear piece rising (falling) with the event's sign,
     the next up (down) levels on that piece are run on in place, each as the
@@ -128,26 +128,19 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
                 t_up = _segment_first_hit(seg, lo, hi, end_value, up, t_cur)
                 t_down = _segment_first_hit(seg, lo, hi, end_value, down, t_cur)
             else:
-                if c0 == up and lo > t_cur:
-                    t_up = lo
-                else:
-                    t_up = hi if end_value == up else inf
-                    if c1 != 0.0:
-                        u = (up - c0) / c1
-                        if -slack <= u <= u_max:
-                            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
-                            if t > t_cur and t_up - t > snap:
-                                t_up = t
-                if c0 == down and lo > t_cur:
-                    t_down = lo
-                else:
-                    t_down = hi if end_value == down else inf
-                    if c1 != 0.0:
-                        u = (down - c0) / c1
-                        if -slack <= u <= u_max:
-                            t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
-                            if t > t_cur and t_down - t > snap:
-                                t_down = t
+                t_up = hi if end_value == up else inf
+                t_down = hi if end_value == down else inf
+                if c1 != 0.0:
+                    u = (up - c0) / c1
+                    if -slack <= u <= u_max:
+                        t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                        if t > t_cur and t_up - t > snap:
+                            t_up = t
+                    u = (down - c0) / c1
+                    if -slack <= u <= u_max:
+                        t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                        if t > t_cur and t_down - t > snap:
+                            t_down = t
             if t_up <= t_down:
                 if t_up == inf:
                     break

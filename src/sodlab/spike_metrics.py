@@ -23,7 +23,7 @@ class VanRossumParams:
     """Causal-exponential decay rate alpha >= 0; alpha = 0 selects the unit
     step kernel limit."""
 
-    alpha: float
+    alpha: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
@@ -40,7 +40,7 @@ class VictorPurpuraParams:
     which s = 0 reduces to the counting formula on signed trains as well).
     """
 
-    s: float
+    s: float = 1.0
     mode: str = "combined"
 
     def __post_init__(self):

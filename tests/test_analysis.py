@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sodlab.analysis import (
+    SPIKE_METRICS,
     certify_norm,
     emdm_characterize,
     emdm_sweep,
@@ -13,7 +14,8 @@ from sodlab.analysis import (
     schreiber_conflation_witness,
 )
 from sodlab.events import difference, from_pairs
-from sodlab.norms import _ALIASES, NORM_KINDS, canonical_kind, norm_by_kind
+from sodlab.cli import distance, emdm
+from sodlab.norms import NORM_KINDS, norm_by_kind
 from sodlab.signals import (
     Segment,
     Signal,
@@ -36,6 +38,15 @@ def unit_ramp(T=1.0):
 SHORT_T = 2.0 ** -30
 
 
+# Every spelling norms.canonical_kind used to fold onto a norm tag.
+FORMER_NORM_ALIASES = ("d", "discrepancy", "a", "alexiewicz", "m", "max_max_sum", "mms")
+
+
+def _choices(command, name):
+    (option,) = [p for p in command.params if p.name == name]
+    return option.type.choices
+
+
 class TestMetricFactory:
     def test_norm_metrics(self):
         m = make_metric("D")
@@ -46,17 +57,46 @@ class TestMetricFactory:
         assert m(a, b) == 2.0
 
     @pytest.mark.parametrize("alias", sorted(
-        {*_ALIASES, *map(str.upper, _ALIASES), *NORM_KINDS, "Discrepancy"}))
+        {*FORMER_NORM_ALIASES, *map(str.upper, FORMER_NORM_ALIASES), *NORM_KINDS,
+         "Discrepancy"}))
     def test_every_norm_alias(self, alias):
+        # of the spellings once folded onto a norm tag, only the tags resolve
+        if alias not in NORM_KINDS:
+            with pytest.raises(ValueError, match="unknown metric kind"):
+                make_metric(alias)
+            return
         m = make_metric(alias)
         a = alternating_train(4)
         b = from_pairs(1.0, [(0.5, 1.0)])
-        assert m.is_norm and m.kind == canonical_kind(alias) in NORM_KINDS
+        assert m.is_norm and m.kind == alias
         assert m(a, b) == norm_by_kind(alias)(difference(a, b))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_metric("hausdorff")
+
+    @pytest.mark.parametrize("name", sorted(
+        {*_choices(distance, "metric"), *_choices(emdm, "metric")}))
+    def test_every_cli_metric_choice_resolves(self, name):
+        m = make_metric(name)
+        assert m.is_norm == (name in NORM_KINDS)
+        assert m.kind == (name if m.is_norm else SPIKE_METRICS[name][0])
+
+    @pytest.mark.parametrize("name", ["d", "discrepancy", "Max_Max_Sum",
+                                      "van_rossum", "VR"])
+    def test_former_spellings_are_refused(self, name):
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            make_metric(name)
+
+    def test_norm_kind_takes_no_parameters(self):
+        with pytest.raises(ValueError, match="takes no parameters"):
+            make_metric("D", alpha=1.0)
+
+    def test_spike_metric_parameters_reach_the_params_class(self):
+        with pytest.raises(TypeError):
+            make_metric("vr", s=2.0)
+        assert make_metric("vr").params == {"alpha": 1.0}
+        assert make_metric("vp", s=2.0).params == {"s": 2.0, "mode": "combined"}
 
 
 class TestEmdmSweep:

@@ -145,6 +145,34 @@ def test_emdm_command(runner, tmp_path):
     assert report["per_signal"][0]["lambda"] == 1.0
 
 
+def test_emdm_vr_records_alpha(runner, tmp_path):
+    out = tmp_path / "emdm_vr.json"
+    res = invoke(runner, "emdm", "--metric", "vr", "--alpha", "2", "--out", str(out))
+    assert res.exit_code == 0
+    report = json.loads(out.read_text())
+    assert report["metric"] == "van_rossum"
+    assert report["growth_table"]
+    assert all(row["alpha"] == 2.0 for row in report["growth_table"])
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["emdm", "--metric", "D", "--alpha", "5", "--out", "e.json"], "--alpha"),
+    (["distance", "--a", "a.csv", "--b", "a.csv", "--metric", "vr", "--s", "5"], "--s"),
+    (["distance", "--a", "a.csv", "--b", "a.csv", "--metric", "vp", "--alpha", "2",
+      "--h", "arccos"], "--alpha, --h"),
+])
+def test_options_a_metric_does_not_take_are_refused(runner, tmp_path, monkeypatch,
+                                                     args, flags):
+    # an option given with a metric that has no such parameter is an error,
+    # not silently dropped
+    monkeypatch.chdir(tmp_path)
+    write_events_csv("a.csv", alternating_train(4, T=1.0))
+    res = invoke(runner, *args)
+    assert res.exit_code == 1
+    assert res.output == f"error: --metric {args[args.index('--metric') + 1]} takes no {flags}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_certify_command(runner, tmp_path):
     out = tmp_path / "certify.json"
     res = invoke(runner, "certify", "--norm", "M", "--out", str(out))
@@ -293,6 +321,8 @@ def test_help_and_version_exit_zero(runner, args):
     ["qi-check", "--theta", "0.1", "--norm", "M", "--out", "x.json"],
     ["norm", "--kind", "Q", "--events", "x.csv"],
     ["sample", "--input", "missing.json", "--theta", "0.1", "--out", "x.csv"],
+    ["distance", "--a", "x.csv", "--b", "x.csv", "--metric", "vp", "--s-cost", "1"],
+    ["distance", "--a", "x.csv", "--b", "x.csv", "--metric", "van_rossum"],
 ])
 def test_usage_errors_exit_one(runner, tmp_path, monkeypatch, args):
     # click's own usage-error code 2 is reserved for a sandwich violation

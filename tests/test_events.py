@@ -160,13 +160,27 @@ def test_csv_horizon_flag_wins(tmp_path):
     assert read_events_csv(path, horizon=20.0).T == 20.0
 
 
-@pytest.mark.parametrize("horizon", [True, "0.5"])
+@pytest.mark.parametrize("horizon", [True, "0.5", -1.0])
 def test_csv_horizon_argument_must_be_a_number(tmp_path, horizon):
-    # a flag or a string in the horizon slot is refused, not converted
+    # a flag, a string or a negative number in the horizon slot is refused,
+    # and the message blames the argument, not the file
     path = tmp_path / "one.csv"
     path.write_text("t,v\n0.25,1.0\n")
-    with pytest.raises(ValueError, match="horizon must be a positive finite number"):
+    with pytest.raises(ValueError, match="horizon must be a positive finite number") as info:
         read_events_csv(path, horizon)
+    assert not str(info.value).startswith(str(path))
+
+
+def test_events_past_the_horizon_name_the_csv(tmp_path):
+    # a valid horizon, from the sidecar or the argument, that the events
+    # exceed is the file's fault
+    path = tmp_path / "late.csv"
+    write_events_csv(path, seq((0.5, 1.0), T=1.0))
+    (tmp_path / "late.csv.meta.json").write_text('{"T": 0.25}')
+    for horizon in (None, 0.25):
+        with pytest.raises(ValueError) as info:
+            read_events_csv(path, horizon)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_csv_without_horizon_is_an_error(tmp_path):

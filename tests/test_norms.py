@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from sodlab.events import from_pairs, scale_events
 from sodlab.norms import (
+    NORM_KINDS,
     alexiewicz_norm,
-    canonical_kind,
     discrepancy_norm,
     max_max_sum_norm,
     norm_by_kind,
@@ -129,9 +129,12 @@ def test_order_sensitivity_witness():
 
 
 def test_norm_by_kind_aliases():
+    # only the tags resolve; the long names and lower-case tags are refused
     eta = mmsn_train(10)
-    assert norm_by_kind("discrepancy")(eta) == discrepancy_norm(eta)
-    assert norm_by_kind("a")(eta) == alexiewicz_norm(eta)
-    assert canonical_kind("max_max_sum") == "M"
-    with pytest.raises(ValueError):
-        norm_by_kind("euclid")
+    assert NORM_KINDS == ("D", "A", "M")
+    assert norm_by_kind("D")(eta) == discrepancy_norm(eta)
+    assert norm_by_kind("A")(eta) == alexiewicz_norm(eta)
+    assert norm_by_kind("M")(eta) == max_max_sum_norm(eta)
+    for name in ("euclid", "discrepancy", "a", "max_max_sum", "mms", "Max_Max_Sum"):
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            norm_by_kind(name)
