@@ -19,7 +19,6 @@ from .signals import (
 from .events import (
     EventSequence,
     difference,
-    is_alternating,
     scale_events,
     split_signs,
 )

@@ -1,5 +1,7 @@
-"""Small shared helpers (positive-number check, atomic file output)."""
+"""Small shared helpers (positive-number check, report JSON, atomic file
+output)."""
 
+import json
 import math
 import numbers
 import os
@@ -37,3 +39,53 @@ def write_text_atomic(path, text):
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+# Types whose C-encoded JSON holds no ", " of its own.
+_FLAT_SCALARS = (float, int, bool, type(None))
+
+
+def json_report(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, for
+    payloads built of dicts with string keys, lists, tuples and JSON scalars.
+
+    json.dumps with an indent runs the pure-Python encoder.  Here a flat
+    list of numbers goes through the C encoder in one call and only its
+    separators are laid out again; dicts and other lists recurse.
+    """
+    parts = []
+    _encode(payload, "\n", parts)
+    return "".join(parts)
+
+
+def _encode(obj, newline, parts) -> None:
+    """Append the indented JSON of `obj`, whose lines start with `newline`."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, got {key!r}")
+            parts.append(f"{sep}{json.dumps(key)}: ")
+            _encode(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+        elif all(type(x) in _FLAT_SCALARS for x in obj):
+            # appended apart: joining them here would copy the body once more
+            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
+            parts.extend(("[", inner, body, newline, "]"))
+        else:
+            sep = "[" + inner
+            for item in obj:
+                parts.append(sep)
+                _encode(item, inner, parts)
+                sep = "," + inner
+            parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))

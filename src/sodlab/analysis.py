@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spike_metrics
-from .events import EventSequence, difference, empty, from_pairs, scale_events
+from .events import EventSequence, difference, empty, scale_events
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
 from .sampler import reconstruct, sod_sample
 from .signals import Signal, diameter_norm, random_walk, subtract
@@ -21,6 +21,7 @@ from .trains import (
     alternating_train,
     equidistant_alternating,
     mmsn_train,
+    positive_train,
     random_unit_train,
 )
 
@@ -480,10 +481,6 @@ class CertificationReport:
 
 def _eta_payload(eta: EventSequence) -> dict:
     return {"T": eta.T, "events": [[t, v] for t, v in zip(eta.times, eta.values)]}
-
-
-def positive_train(n: int, T: float = 1.0) -> EventSequence:
-    return from_pairs(T, [((k + 1) * T / (n + 1), 1.0) for k in range(n)])
 
 
 # Empirical pass bounds: the conditions demand finiteness (resp. a positive

@@ -5,14 +5,13 @@ byte-identical for identical configurations and seeds."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 
 import click
 
 from . import (__version__, analysis, events, norms, sampler, signals,
                spike_metrics, structure)
-from ._util import write_text_atomic
+from ._util import json_report, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -26,7 +25,7 @@ def _write_json(path, payload, omit=()) -> None:
     """Write a dict, or a report dataclass without its `omit` fields."""
     if dataclasses.is_dataclass(payload):
         payload = {k: v for k, v in vars(payload).items() if k not in omit}
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json_report(payload) + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -132,7 +131,7 @@ def norm(events_path, kind, horizon):
               help="Victor-Purpura shift rate.")
 @click.option("--vp-mode", "mode", type=click.Choice(spike_metrics.VP_MODES),
               default="combined", show_default=True)
-@click.option("--kernel", type=click.Choice(spike_metrics.KERNELS),
+@click.option("--kernel", type=click.Choice(list(spike_metrics.KERNELS)),
               default="causal_exponential", show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @click.option("--h", type=click.Choice(spike_metrics.H_SHAPES),
@@ -156,14 +155,21 @@ def distance(path_a, path_b, metric, horizon, **options):
 
 def _metric_params(metric, options) -> dict:
     """The options that are fields of the metric's Params class (a norm has
-    none); another option given on the command line is an error."""
+    none) and, for a Schreiber kernel, the kernel's own width only; another
+    option given on the command line is an error."""
     entry = analysis.SPIKE_METRICS.get(metric)
     fields = [f.name for f in dataclasses.fields(entry[1])] if entry else []
+    chosen = f"--metric {metric}"
+    if "kernel" in fields:
+        kernel = options["kernel"]
+        chosen += f" --kernel {kernel}"
+        fields = [name for name in fields if name not in spike_metrics.KERNELS.values()
+                  or name == spike_metrics.KERNELS[kernel]]
     ctx, default = click.get_current_context(), click.core.ParameterSource.DEFAULT
     extra = [p.opts[0] for p in ctx.command.params if p.name in options
              and p.name not in fields and ctx.get_parameter_source(p.name) is not default]
     if extra:
-        raise ValueError(f"--metric {metric} takes no {', '.join(extra)}")
+        raise ValueError(f"{chosen} takes no {', '.join(extra)}")
     return {name: options[name] for name in fields}
 
 
@@ -175,6 +181,30 @@ def _unit_normalized(eta):
     if mag != 1.0 and eta.is_pure():
         return events.scale_events(eta, 1.0 / mag), mag
     return eta, None
+
+
+# Largest dense chain payload `decompose --what chain` writes, in cells
+# (r + 1) * n: the stage lists and their JSON text take about 35 bytes a
+# cell, so a run peaks near 100 MB RSS at this size (98 MB measured at
+# 1.9 million cells).
+_CHAIN_MAX_CELLS = 2_000_000
+
+
+def _chain_payload(eta) -> dict:
+    """The r + 1 dense chain stages on the event grid; refuses a payload
+    above `_CHAIN_MAX_CELLS` cells before building anything."""
+    n, r = len(eta), int(norms.discrepancy_norm(eta))
+    if (r + 1) * n > _CHAIN_MAX_CELLS:
+        raise ValueError(f"decompose --what chain refuses n={n} events with r={r}: "
+                         f"(r+1)*n = {(r + 1) * n} cells > {_CHAIN_MAX_CELLS}")
+    chain = structure.chain_decompose(eta)
+    cells = list(zip(eta.values, chain.first_stage))
+    return {
+        "r": chain.r,
+        "grid": list(eta.times),
+        "stages": [[v if first <= k else 0.0 for v, first in cells]
+                   for k in range(chain.r + 1)],
+    }
 
 
 @main.command()
@@ -200,12 +230,7 @@ def decompose(events_path, what, horizon, out):
             "partial_sums": list(dec.partial_sums),
         }
     elif what == "chain":
-        chain = structure.chain_decompose(eta)
-        payload = {
-            "r": chain.r,
-            "grid": list(chain.stages[0].grid),
-            "stages": [list(stage.values) for stage in chain.stages],
-        }
+        payload = _chain_payload(eta)
     else:
         dense = structure.pi_map(eta)
         payload = {"grid": list(dense.grid), "values": list(dense.values)}

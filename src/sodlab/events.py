@@ -125,12 +125,6 @@ def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
     return from_pairs(eta.T, plus), from_pairs(eta.T, minus)
 
 
-def is_alternating(eta: EventSequence) -> bool:
-    """True iff consecutive amplitudes strictly alternate in sign."""
-    vals = eta.values
-    return all(vals[i] * vals[i + 1] < 0.0 for i in range(len(vals) - 1))
-
-
 # --- CSV interface ---------------------------------------------------------
 # Header `t,v`, one event per row, times ascending, full decimal precision.
 # The horizon travels in a sidecar JSON (or a CLI flag).

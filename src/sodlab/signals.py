@@ -250,6 +250,14 @@ def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
         raise ValueError("n_breaks must be >= 1")
     if not amplitude > 0.0:
         raise ValueError("amplitude must be positive")
+    T = check_positive(T, "horizon")
+    # steps reach `amplitude` over pieces of length T / n_breaks, and the
+    # walk reaches n_breaks * amplitude; both, with a factor 2 of slack for
+    # rounding, must stay finite
+    if not math.isfinite(2.0 * amplitude * n_breaks * max(1.0, 1.0 / T)):
+        raise ValueError(f"random_walk: amplitude {amplitude!r} over n_breaks={n_breaks} "
+                         f"pieces of horizon T={T!r} gives slopes or values past the "
+                         "float range")
     rng = np.random.default_rng(seed)
     steps = rng.uniform(-amplitude, amplitude, n_breaks)
     values = [0.0]

@@ -14,7 +14,8 @@ from .events import EventSequence, add_events, difference, split_signs
 
 # Valid Params names, in the order the CLI lists them.
 VP_MODES = ("combined", "separate")
-KERNELS = ("causal_exponential", "gaussian")
+# Schreiber kernels, each with the one width parameter it reads.
+KERNELS = {"causal_exponential": "alpha", "gaussian": "sigma"}
 H_SHAPES = ("one_minus_s", "arccos")
 
 
@@ -55,13 +56,15 @@ class SchreiberParams:
     """Smoothing kernel and distance shape for the Schreiber similarity.
 
     kernel: "causal_exponential" (rate alpha, integrated over [0, T]) or
-    "gaussian" (width sigma, integrated over the whole line).  h maps the
-    similarity in [-1, 1] to a distance: "one_minus_s" or "arccos".
+    "gaussian" (width sigma, integrated over the whole line).  Each kernel
+    takes only its own width (`KERNELS`), 1.0 when not given; the other
+    stays None.  h maps the similarity in [-1, 1] to a distance:
+    "one_minus_s" or "arccos".
     """
 
     kernel: str = "causal_exponential"
-    alpha: float = 1.0
-    sigma: float = 1.0
+    alpha: float | None = None
+    sigma: float | None = None
     h: str = "one_minus_s"
 
     def __post_init__(self):
@@ -69,10 +72,15 @@ class SchreiberParams:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.h not in H_SHAPES:
             raise ValueError(f"unknown distance shape {self.h!r}")
-        if self.kernel == "causal_exponential" and not self.alpha > 0.0:
-            raise ValueError("causal_exponential needs alpha > 0")
-        if self.kernel == "gaussian" and not self.sigma > 0.0:
-            raise ValueError("gaussian needs sigma > 0")
+        width = KERNELS[self.kernel]
+        for name in KERNELS.values():
+            if name != width and getattr(self, name) is not None:
+                raise ValueError(f"the {self.kernel} kernel takes no {name}")
+        value = getattr(self, width)
+        if value is None:
+            object.__setattr__(self, width, 1.0)
+        elif not value > 0.0:
+            raise ValueError(f"{self.kernel} needs {width} > 0")
 
 
 def _exp_gram(eta1: EventSequence, eta2: EventSequence, alpha: float) -> float:
@@ -177,17 +185,43 @@ def _spike_times(eta: EventSequence) -> list[float]:
 
 
 def _vp_dp(ta: list[float], tb: list[float], s: float) -> float:
-    """Classic O(nm) edit distance: insert/delete cost 1, shift cost s*|dt|."""
+    """Edit distance with insert/delete cost 1 and shift cost s*|dt|.
+
+    Cell (i, j) is min(D[i-1, j] + 1, D[i, j-1] + 1, D[i-1, j-1] +
+    s*|ta[i-1] - tb[j-1]|), swept one anti-diagonal i + j = d at a time:
+    a cell needs only the two previous anti-diagonals, so each sweep is a
+    few numpy operations over at most min(n, m) cells.  O(nm) time and
+    O(n + m) memory.  Every cell takes the min of the same float sums as the
+    row-by-row recurrence (min(a, b) + 1 == min(a + 1, b + 1), since
+    rounding is monotone), so the result is bit-identical to it.
+    """
     n, m = len(ta), len(tb)
-    prev = [float(j) for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [float(i)] + [0.0] * m
-        ti = ta[i - 1]
-        for j in range(1, m + 1):
-            shift = prev[j - 1] + s * abs(ti - tb[j - 1])
-            cur[j] = min(prev[j] + 1.0, cur[j - 1] + 1.0, shift)
-        prev = cur
-    return prev[m]
+    if n == 0 or m == 0:
+        return float(n + m)
+    ta = np.asarray(ta, dtype=float)
+    tb_rev = np.asarray(tb, dtype=float)[::-1].copy()
+    # anti-diagonals d-2, d-1 and d, indexed by i
+    older, prev, cur = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    prev[:2] = 1.0
+    shift = np.empty(min(n, m))
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        k = hi - lo + 1
+        # shift[i - lo] = D[i-1, j-1] + s*|ta[i-1] - tb[j-1]| with j = d - i
+        sh = np.subtract(ta[lo - 1:hi], tb_rev[m - d + lo:m - d + hi + 1], out=shift[:k])
+        np.abs(sh, out=sh)
+        np.multiply(sh, s, out=sh)
+        np.add(sh, older[lo - 1:hi], out=sh)
+        row = cur[lo:hi + 1]
+        np.minimum(prev[lo - 1:hi], prev[lo:hi + 1], out=row)
+        np.add(row, 1.0, out=row)
+        np.minimum(row, sh, out=row)
+        if d <= m:
+            cur[0] = d
+        if d <= n:
+            cur[d] = d
+        older, prev, cur = prev, cur, older
+    return float(prev[n])
 
 
 def victor_purpura(eta1: EventSequence, eta2: EventSequence,

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import EventSequence, _check_grid, difference
+import numpy as np
+
+from .events import EventSequence, _check_grid
 from .norms import discrepancy_norm, norm_by_kind
 
 
@@ -56,18 +58,38 @@ class MmdDecomposition:
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    """Stages eta_0 = 0, ..., eta_r = eta on a shared dense grid with unit
-    discrepancy increments: ||eta_k - eta_{k-1}||_D = 1 for every k."""
+    """Stages eta_0 = 0, ..., eta_r = eta on the grid of eta with unit
+    discrepancy increments: ||eta_k - eta_{k-1}||_D = 1 for every k.
 
-    stages: tuple[DenseEvents, ...]
+    Stored as one integer per event: `first_stage[i]` is the stage at which
+    event i first appears, so stage k keeps the events with
+    first_stage <= k and increment k holds those with first_stage == k.
+    """
+
+    eta: EventSequence
+    r: int
+    first_stage: tuple[int, ...]
 
     @property
-    def r(self) -> int:
-        return len(self.stages) - 1
+    def stages(self) -> tuple[DenseEvents, ...]:
+        """All r + 1 dense stages, built on each access: O(r n)."""
+        eta, first = self.eta, self.first_stage
+        return tuple(
+            DenseEvents(eta.T, eta.times,
+                        tuple(v if s <= k else 0.0 for v, s in zip(eta.values, first)))
+            for k in range(self.r + 1)
+        )
 
     def increments(self) -> list[EventSequence]:
-        return [difference(to_sparse(cur), to_sparse(prev))
-                for prev, cur in zip(self.stages, self.stages[1:])]
+        """eta_k - eta_{k-1} for k = 1..r, each the events first appearing
+        at stage k."""
+        times = [[] for _ in range(self.r)]
+        values = [[] for _ in range(self.r)]
+        for t, v, s in zip(self.eta.times, self.eta.values, self.first_stage):
+            times[s - 1].append(t)
+            values[s - 1].append(v)
+        return [EventSequence(self.eta.T, tuple(ts), tuple(vs))
+                for ts, vs in zip(times, values)]
 
 
 def _require_unit(values, zeros_ok: bool) -> None:
@@ -79,62 +101,51 @@ def _require_unit(values, zeros_ok: bool) -> None:
             )
 
 
-def _mmd_index_intervals(values):
-    """(r, [(i, j)], [D_m]) over event indices; zeros may appear in `values`
-    but interval endpoints are nonzero positions.
+def _turns(walk, hi, lo):
+    """(starts, stops): the walk positions where a run of extreme positions
+    turns from one extreme to the other, in position order.
 
-    Recursion: after interval m the next right end is the earliest nonzero
-    index strictly beyond it whose fresh restriction attains discrepancy r,
-    and the left end is the latest start preserving r.  Searching strictly to
-    the right of the previous interval is the reading that keeps successive
-    intervals disjoint.
+    A window of the walk has range hi - lo exactly when it holds a position
+    of the maximum hi and a position of the minimum lo.  So from a base
+    position, the earliest window of full range ends at q, the later of the
+    next max position and the next min position, and the shortest such
+    window ending at q starts at the last position before q of the other
+    extreme.  With q as the next base this pairs the last position of each
+    run of equal extremes with the first position of the next run.  The
+    event leaving position p is event p, so the window covers events
+    start..stop-1, whose first and last events are nonzero.
     """
-    n = len(values)
-    prefix = [0.0] * (n + 1)
-    for k, v in enumerate(values):
-        prefix[k + 1] = prefix[k] + v
-    r = max(prefix) - min(prefix)
+    ext = np.flatnonzero((walk == hi) | (walk == lo))
+    at_max = walk[ext] == hi
+    turn = np.flatnonzero(at_max[1:] != at_max[:-1])
+    return ext[turn], ext[turn + 1]
+
+
+def _mmd_index_intervals(values):
+    """(r, [(i, j)], [D_m]) over event indices.
+
+    After interval m the next right end is the earliest index beyond it
+    whose fresh restriction attains discrepancy r, and the left end is the
+    latest start preserving r (see `_turns`).  Searching strictly to the
+    right of the previous interval is the reading that keeps successive
+    intervals disjoint.  `np.cumsum` adds in order, so the prefix sums are
+    those of a running sum.  O(n) numpy work.
+    """
+    prefix = np.concatenate(([0.0], np.cumsum(values)))
+    hi, lo = prefix.max(), prefix.min()
+    r = float(hi - lo)
     if r == 0.0:
         return 0.0, [], []
-    intervals = []
-    sums = []
-    base = 0
-    while base < n:
-        hi = lo = prefix[base]
-        end = None
-        for j in range(base, n):
-            p = prefix[j + 1]
-            if p > hi:
-                hi = p
-            elif p < lo:
-                lo = p
-            if values[j] != 0.0 and hi - lo == r:
-                end = j
-                break
-        if end is None:
-            break
-        hi = lo = prefix[end + 1]
-        start = None
-        for i in range(end, base - 1, -1):
-            p = prefix[i]
-            if p > hi:
-                hi = p
-            elif p < lo:
-                lo = p
-            if values[i] != 0.0 and hi - lo == r:
-                start = i
-                break
-        intervals.append((start, end))
-        sums.append(prefix[end + 1] - prefix[start])
-        base = end + 1
-    return r, intervals, sums
+    starts, stops = _turns(prefix, hi, lo)
+    intervals = list(zip(starts.tolist(), (stops - 1).tolist()))
+    return r, intervals, (prefix[stops] - prefix[starts]).tolist()
 
 
 def mmd_intervals(eta: EventSequence) -> MmdDecomposition:
     """Minimal-length intervals of maximal discrepancy of a nonempty sequence."""
     if not eta.times:
         raise ValueError("mmd_intervals needs a nonempty sequence")
-    r, idx, sums = _mmd_index_intervals(list(eta.values))
+    r, idx, sums = _mmd_index_intervals(eta.values)
     spans = tuple((eta.times[i], eta.times[j]) for i, j in idx)
     return MmdDecomposition(r, spans, tuple(sums))
 
@@ -145,24 +156,27 @@ def chain_decompose(eta: EventSequence) -> ChainDecomposition:
     Stage k-1 zeroes the first event of each MMD interval of stage k, which
     lowers the walk range by exactly one; the zeroed events alternate in sign,
     so every increment has discrepancy one and the stage norms telescope.
+
+    Each of the r passes runs on the events still live, with the +-1 prefix
+    walk from `np.cumsum` (exact in integers): O(n) work per pass and O(n)
+    memory in all.
     """
     if not eta.times:
         raise ValueError("chain_decompose needs a nonempty sequence")
     _require_unit(eta.values, zeros_ok=False)
-    vals = list(eta.values)
-    r = int(discrepancy_norm(vals))
-    stages = [tuple(vals)]
-    for _ in range(r):
-        _, idx, _ = _mmd_index_intervals(vals)
-        for i, _j in idx:
-            vals[i] = 0.0
-        stages.append(tuple(vals))
-    if any(v != 0.0 for v in stages[-1]):  # pragma: no cover - theorem guard
+    steps = np.where(np.asarray(eta.values) > 0.0, 1, -1)
+    live = np.arange(len(steps))
+    first = np.zeros(len(steps), dtype=np.int64)
+    r = int(discrepancy_norm(eta.values))
+    for stage in range(r, 0, -1):
+        walk = np.concatenate(([0], np.cumsum(steps)))
+        starts, _ = _turns(walk, walk.max(), walk.min())
+        first[live[starts]] = stage
+        live = np.delete(live, starts)
+        steps = np.delete(steps, starts)
+    if len(live):  # pragma: no cover - theorem guard
         raise RuntimeError("chain recursion did not terminate at the zero sequence")
-    dense = tuple(
-        DenseEvents(eta.T, eta.times, stage) for stage in reversed(stages)
-    )
-    return ChainDecomposition(dense)
+    return ChainDecomposition(eta, r, tuple(first.tolist()))
 
 
 _PATTERNS = {"plus_minus": (1.0, -1.0), "minus_plus": (-1.0, 1.0)}
@@ -266,7 +280,7 @@ def pi_map(eta: EventSequence) -> DenseEvents:
     if not eta.times:
         raise ValueError("pi_map needs a nonempty sequence")
     _require_unit(eta.values, zeros_ok=False)
-    r_val, idx, _ = _mmd_index_intervals(list(eta.values))
+    r_val, idx, _ = _mmd_index_intervals(eta.values)
     r = int(r_val)
     i, j = idx[0]
     dense = DenseEvents(eta.T, eta.times[i:j + 1], eta.values[i:j + 1])

@@ -18,6 +18,11 @@ def alternating_train(n: int, T: float = 1.0, start: int = 1) -> EventSequence:
     return from_pairs(T, pairs)
 
 
+def positive_train(n: int, T: float = 1.0) -> EventSequence:
+    """n unit up events at k*T/(n+1)."""
+    return from_pairs(T, [((k + 1) * T / (n + 1), 1.0) for k in range(n)])
+
+
 def mmsn_train(n: int, T: float = 1.0) -> EventSequence:
     """ceil(n/2) up events then n - ceil(n/2) down events at k*T/n.
 

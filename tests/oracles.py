@@ -2,7 +2,8 @@
 
 Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
-O(n*|t|) smoothed train, the sorted-key signal JSON), seeded train
+O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
+search and chain, the row-by-row Victor-Purpura program), seeded train
 generators, and curated adversarial signals.
 """
 
@@ -33,6 +34,86 @@ def discrepancy_bruteforce(eta, max_events: int = 10_000) -> float:
             if abs(acc) > best:
                 best = abs(acc)
     return best
+
+
+def is_alternating(eta: EventSequence) -> bool:
+    """True iff consecutive amplitudes strictly alternate in sign."""
+    vals = eta.values
+    return all(vals[i] * vals[i + 1] < 0.0 for i in range(len(vals) - 1))
+
+
+def mmd_index_intervals_scan(values):
+    """(r, [(i, j)], [D_m]) by direct scans of the prefix walk: from each
+    base, scan right to the first nonzero index whose window reaches range
+    r, then left from it to the latest nonzero start keeping r."""
+    n = len(values)
+    prefix = [0.0] * (n + 1)
+    for k, v in enumerate(values):
+        prefix[k + 1] = prefix[k] + v
+    r = max(prefix) - min(prefix)
+    if r == 0.0:
+        return 0.0, [], []
+    intervals = []
+    sums = []
+    base = 0
+    while base < n:
+        hi = lo = prefix[base]
+        end = None
+        for j in range(base, n):
+            p = prefix[j + 1]
+            if p > hi:
+                hi = p
+            elif p < lo:
+                lo = p
+            if values[j] != 0.0 and hi - lo == r:
+                end = j
+                break
+        if end is None:
+            break
+        hi = lo = prefix[end + 1]
+        start = None
+        for i in range(end, base - 1, -1):
+            p = prefix[i]
+            if p > hi:
+                hi = p
+            elif p < lo:
+                lo = p
+            if values[i] != 0.0 and hi - lo == r:
+                start = i
+                break
+        intervals.append((start, end))
+        sums.append(prefix[end + 1] - prefix[start])
+        base = end + 1
+    return r, intervals, sums
+
+
+def chain_stages_scan(values) -> list[tuple[float, ...]]:
+    """Dense chain stages eta_0 = 0, ..., eta_r = eta of a unit sequence:
+    each pass zeroes the first event of every scanned MMD interval."""
+    vals = list(values)
+    r, _, _ = mmd_index_intervals_scan(vals)
+    stages = [tuple(vals)]
+    for _ in range(int(r)):
+        _, idx, _ = mmd_index_intervals_scan(vals)
+        for i, _j in idx:
+            vals[i] = 0.0
+        stages.append(tuple(vals))
+    return stages[::-1]
+
+
+def vp_dp_rowwise(ta, tb, s: float) -> float:
+    """Victor-Purpura edit distance by the classic row-by-row O(nm)
+    program: insert/delete cost 1, shift cost s*|dt|."""
+    n, m = len(ta), len(tb)
+    prev = [float(j) for j in range(m + 1)]
+    for i in range(1, n + 1):
+        cur = [float(i)] + [0.0] * m
+        ti = ta[i - 1]
+        for j in range(1, m + 1):
+            shift = prev[j - 1] + s * abs(ti - tb[j - 1])
+            cur[j] = min(prev[j] + 1.0, cur[j - 1] + 1.0, shift)
+        prev = cur
+    return prev[m]
 
 
 def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:

@@ -138,7 +138,7 @@ def test_c05_max_max_sum_counterexample():
 
 
 def test_c06_chain_decomposition():
-    from sodlab.events import is_alternating
+    from oracles import is_alternating
     from sodlab.structure import chain_decompose
 
     for seed in range(500):

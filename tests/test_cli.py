@@ -1,8 +1,13 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sodlab import cli
+from sodlab._util import json_report
 from sodlab.cli import main
 from sodlab.events import from_pairs, read_events_csv, scale_events, write_events_csv
 from sodlab.trains import alternating_train
@@ -171,6 +176,72 @@ def test_options_a_metric_does_not_take_are_refused(runner, tmp_path, monkeypatc
     assert res.exit_code == 1
     assert res.output == f"error: --metric {args[args.index('--metric') + 1]} takes no {flags}\n"
     assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("kernel_args, flag, kernel", [
+    ([], "--sigma", "causal_exponential"),
+    (["--kernel", "gaussian"], "--alpha", "gaussian"),
+])
+def test_schreiber_kernel_refuses_the_other_kernels_width(runner, tmp_path, monkeypatch,
+                                                          kernel_args, flag, kernel):
+    monkeypatch.chdir(tmp_path)
+    write_events_csv("a.csv", alternating_train(4, T=1.0))
+    write_events_csv("b.csv", alternating_train(5, T=1.0))
+    pair = ["distance", "--a", "a.csv", "--b", "b.csv", "--metric", "schreiber", *kernel_args]
+    res = invoke(runner, *pair, flag, "50")
+    assert res.exit_code == 1
+    assert res.output == f"error: --metric schreiber --kernel {kernel} takes no {flag}\n"
+    # the kernel's own width is taken, and changes the distance
+    own = "--sigma" if flag == "--alpha" else "--alpha"
+    default = invoke(runner, *pair)
+    wide = invoke(runner, *pair, own, "50")
+    assert default.exit_code == wide.exit_code == 0
+    assert float(default.output) != float(wide.output)
+
+
+def test_chain_payload_over_the_cell_limit_is_refused(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_CHAIN_MAX_CELLS", 60)
+    write_events_csv("eta.csv", from_pairs(1.0, [(k / 32, 1.0) for k in range(1, 21)]))
+    res = invoke(runner, "decompose", "--events", "eta.csv", "--what", "chain",
+                 "--out", "c.json")
+    assert res.exit_code == 1
+    assert "n=20 events with r=20" in res.output and "420 cells > 60" in res.output
+    assert not (tmp_path / "c.json").exists()
+    write_events_csv("alt.csv", alternating_train(20))  # r = 1: 40 cells
+    assert invoke(runner, "decompose", "--events", "alt.csv", "--what", "chain",
+                  "--out", "c.json").exit_code == 0
+
+
+_json_scalars = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)),
+    st.integers(-(10 ** 40), 10 ** 40),
+    st.booleans(),
+    st.none(),
+)
+_json_payloads = st.recursive(
+    st.one_of(_json_scalars, st.text(), st.lists(_json_scalars, max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_payloads)
+@example({"é\n\"\\": ["a, b", "\u2028\x00", {}], "": [[], (), -0.0, 10 ** 40, None, True],
+          "z": {"nan": [math.nan, math.inf, -math.inf]}})
+@settings(max_examples=150, deadline=None)
+def test_json_report_equals_sorted_indented_json_dumps(payload):
+    assert json_report(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_report_refuses_keys_that_are_not_strings():
+    with pytest.raises(TypeError):
+        json_report({1: 2.0})
 
 
 def test_certify_command(runner, tmp_path):

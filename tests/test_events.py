@@ -11,7 +11,6 @@ from sodlab.events import (
     difference,
     empty,
     from_pairs,
-    is_alternating,
     read_events_csv,
     scale_events,
     split_signs,
@@ -21,7 +20,7 @@ from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points
 from sodlab.structure import DenseEvents
 
-from oracles import random_signed_train
+from oracles import is_alternating, random_signed_train
 
 
 def seq(*pairs, T=10.0):

@@ -308,10 +308,28 @@ def signals_to_save(draw):
     except ValueError as exc:
         # a huge amplitude over a tiny horizon overflows a slope, and the
         # walk is refused: that draw is no signal to save
-        if "non-finite coefficient" not in str(exc):
+        if "past the float range" not in str(exc):
             raise
         reject()
     return integrate(f) if draw(st.booleans()) and diameter_norm(f) < 1e300 else f
+
+
+@pytest.mark.parametrize("T, n_breaks, amplitude", [
+    (1.5e-8, 3, 1e300),      # the slopes overflow
+    (1e10, 100, 1e307),      # the walk's values overflow
+])
+def test_random_walk_refuses_an_amplitude_past_the_float_range(T, n_breaks, amplitude):
+    with pytest.raises(ValueError) as err:
+        random_walk(T, 0, n_breaks, amplitude)
+    msg = str(err.value)
+    assert f"amplitude {amplitude!r}" in msg
+    assert f"n_breaks={n_breaks}" in msg
+    assert f"horizon T={T!r}" in msg
+
+
+def test_random_walk_keeps_a_large_amplitude_inside_the_float_range():
+    f = random_walk(1.5e-8, 0, 3, 1e290)
+    assert all(math.isfinite(s.c1) for s in f.segments)
 
 
 @given(signals_to_save())

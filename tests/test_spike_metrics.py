@@ -1,18 +1,22 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sodlab import spike_metrics
 from sodlab.events import difference, empty, from_pairs, scale_events, split_signs
 from sodlab.spike_metrics import (
+    VP_MODES,
     SchreiberParams,
     VanRossumParams,
     VictorPurpuraParams,
     _exp_gram,
     _gauss_gram,
+    _vp_dp,
     schreiber_distance,
     schreiber_similarity,
     van_rossum,
@@ -25,7 +29,12 @@ from sodlab.trains import (
     random_unit_train,
 )
 
-from oracles import exp_response, random_nonnegative_train, random_signed_train
+from oracles import (
+    exp_response,
+    random_nonnegative_train,
+    random_signed_train,
+    vp_dp_rowwise,
+)
 
 
 def vr_quadrature(eta1, eta2, alpha, n_sub=2000):
@@ -143,11 +152,11 @@ def test_grams_match_matrix_oracles(pair, log_alpha, log_sigma):
     got = van_rossum(a, b, VanRossumParams(alpha))
     assert abs(got * got - max(oracle, 0.0)) <= exp_tol(diff, diff, alpha) + 2.0 * EPS * got * got
     pairs = ((a, b), (a, a), (b, b))
-    for kernel, gram, oracle_of, tol_of in (
-        ("causal_exponential", lambda x, y: _exp_gram(x, y, alpha),
+    for kernel, width, gram, oracle_of, tol_of in (
+        ("causal_exponential", {"alpha": alpha}, lambda x, y: _exp_gram(x, y, alpha),
          lambda x, y: exp_gram_matrix(x.times, x.values, y.times, y.values, alpha, a.T),
          lambda x, y: exp_tol(x, y, alpha)),
-        ("gaussian", lambda x, y: _gauss_gram(x, y, sigma),
+        ("gaussian", {"sigma": sigma}, lambda x, y: _gauss_gram(x, y, sigma),
          lambda x, y: gauss_gram_matrix(x.times, x.values, y.times, y.values, sigma),
          gauss_tol),
     ):
@@ -155,7 +164,7 @@ def test_grams_match_matrix_oracles(pair, log_alpha, log_sigma):
         tols = [tol_of(x, y) for x, y in pairs]
         for (x, y), o, e in zip(pairs, oracles, tols):
             assert abs(gram(x, y) - o) <= e
-        params = SchreiberParams(kernel=kernel, alpha=alpha, sigma=sigma)
+        params = SchreiberParams(kernel=kernel, **width)
         check_similarity(lambda: schreiber_similarity(a, b, params), oracles, tols)
 
 
@@ -256,6 +265,20 @@ class TestVanRossum:
 
 
 class TestSchreiber:
+    def test_each_kernel_takes_only_its_own_width(self):
+        assert (SchreiberParams().alpha, SchreiberParams().sigma) == (1.0, None)
+        gauss = SchreiberParams(kernel="gaussian")
+        assert (gauss.alpha, gauss.sigma) == (None, 1.0)
+        with pytest.raises(ValueError, match="causal_exponential kernel takes no sigma"):
+            SchreiberParams(sigma=2.0)
+        with pytest.raises(ValueError, match="gaussian kernel takes no alpha"):
+            SchreiberParams(kernel="gaussian", alpha=2.0)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="needs alpha > 0"):
+                SchreiberParams(alpha=bad)
+            with pytest.raises(ValueError, match="needs sigma > 0"):
+                SchreiberParams(kernel="gaussian", sigma=bad)
+
     def test_self_similarity_is_one(self):
         eta = random_unit_train(8, 11)
         s = schreiber_similarity(eta, eta, SchreiberParams(alpha=2.0))
@@ -380,3 +403,72 @@ def test_alternating_train_response_bounded():
     ts = np.linspace(0.0, 6.0, 4001)
     vals = exp_response(eta, 1.0, ts)
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+
+
+# --- the anti-diagonal Victor-Purpura program against the row-by-row one -----
+
+VP_COSTS = (0.0, 1e-3, 1.0, 10.0, 1000.0)
+
+
+@st.composite
+def spike_lists(draw):
+    """Two sorted spike-time lists, either possibly empty, drawn from one
+    small pool so that times repeat within and across the lists."""
+    pool = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12))
+    return tuple(sorted(draw(st.lists(st.sampled_from(pool), max_size=40)))
+                 for _ in range(2))
+
+
+@given(spike_lists(), st.sampled_from(VP_COSTS))
+@settings(max_examples=300, deadline=None)
+def test_vp_program_equals_the_rowwise_oracle(lists, s):
+    ta, tb = lists
+    assert _vp_dp(ta, tb, s) == vp_dp_rowwise(ta, tb, s)
+
+
+@st.composite
+def integer_train_pairs(draw):
+    """Two trains with amplitudes in {-2, -1, 1, 2}, either possibly empty,
+    on one horizon with times from one pool."""
+    pool = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))))
+
+    def train():
+        times = sorted(draw(st.sets(st.sampled_from(pool), max_size=len(pool))))
+        return from_pairs(1.0, [(t, draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0))))
+                                for t in times])
+
+    return train(), train()
+
+
+@given(integer_train_pairs(), st.sampled_from(VP_COSTS), st.sampled_from(VP_MODES))
+@settings(max_examples=200, deadline=None)
+def test_victor_purpura_equals_the_rowwise_oracle_in_both_modes(pair, s, mode):
+    a, b = pair
+    params = VictorPurpuraParams(s, mode)
+    got = victor_purpura(a, b, params)
+    with patch.object(spike_metrics, "_vp_dp", vp_dp_rowwise):
+        expected = victor_purpura(a, b, params)
+    assert got == expected
+
+
+def test_victor_purpura_at_2000_events_equals_the_oracle():
+    a = random_unit_train(31, 2000)
+    b = random_unit_train(32, 2000)
+    params = VictorPurpuraParams(1.0)
+    got = victor_purpura(a, b, params)
+    with patch.object(spike_metrics, "_vp_dp", vp_dp_rowwise):
+        assert got == victor_purpura(a, b, params)
+
+
+def test_victor_purpura_memory_is_linear_at_10k_events():
+    # an n x m float table would take 800 MB here
+    n = 10_000
+    a = random_unit_train(33, n)
+    b = random_unit_train(34, n)
+    tracemalloc.start()
+    try:
+        victor_purpura(a, b, VictorPurpuraParams(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * n

@@ -1,8 +1,12 @@
 import math
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sodlab.events import from_pairs, is_alternating
+from sodlab.events import from_pairs
 from sodlab.norms import discrepancy_norm
 from sodlab.structure import (
     DenseEvents,
@@ -16,7 +20,12 @@ from sodlab.structure import (
 )
 from sodlab.trains import alternating_train, mmsn_train, random_unit_train
 
-from oracles import discrepancy_bruteforce
+from oracles import (
+    chain_stages_scan,
+    discrepancy_bruteforce,
+    is_alternating,
+    mmd_index_intervals_scan,
+)
 
 
 def mmd_oracle(eta):
@@ -243,3 +252,68 @@ class TestPi:
             assert len(nz) == int(r)
             assert all(v > 0 for v in nz) or all(v < 0 for v in nz)
             assert discrepancy_norm(out) == r
+
+
+# --- the extreme-position search against the scanning oracle ----------------
+
+def _train_from_signs(signs):
+    return from_pairs(1.0, [((k + 1) / (len(signs) + 1), v) for k, v in enumerate(signs)])
+
+
+# Short sign lists shrink well; seeded random trains reach n = 2000.
+unit_trains = st.one_of(
+    st.lists(st.sampled_from((-1.0, 1.0)), min_size=1, max_size=60).map(_train_from_signs),
+    st.builds(random_unit_train, st.integers(0, 2**32 - 1), st.integers(1, 2000)),
+)
+
+
+@given(unit_trains)
+@example(random_unit_train(7, 2000))
+@settings(max_examples=60, deadline=None)
+def test_chain_and_mmd_equal_the_scanning_oracle(eta):
+    chain = chain_decompose(eta)
+    stages = chain_stages_scan(eta.values)
+    assert chain.r == len(stages) - 1
+    assert tuple(s.values for s in chain.stages) == tuple(stages)
+    for inc, prev, cur in zip(chain.increments(), stages, stages[1:]):
+        kept = [(t, b) for t, a, b in zip(eta.times, prev, cur) if a != b]
+        assert inc.pairs() == kept
+    r, idx, sums = mmd_index_intervals_scan(eta.values)
+    dec = mmd_intervals(eta)
+    assert dec.r == r
+    assert dec.intervals == tuple((eta.times[i], eta.times[j]) for i, j in idx)
+    assert dec.partial_sums == tuple(sums)
+
+
+@given(st.lists(st.sampled_from((-2.0, -1.0, 1.0, 2.0)), min_size=1, max_size=80))
+@settings(max_examples=200, deadline=None)
+def test_mmd_on_integer_amplitudes_equals_the_scanning_oracle(values):
+    eta = _train_from_signs(values)
+    r, idx, sums = mmd_index_intervals_scan(eta.values)
+    dec = mmd_intervals(eta)
+    assert (dec.r, dec.partial_sums) == (r, tuple(sums))
+    assert dec.intervals == tuple((eta.times[i], eta.times[j]) for i, j in idx)
+
+
+def test_chain_memory_is_linear_at_10k_events():
+    # the r + 1 dense stages would take r * n * 8 bytes (13 MB here)
+    n = 10_000
+    eta = random_unit_train(35, n)
+    tracemalloc.start()
+    try:
+        chain = chain_decompose(eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.r > 100
+    assert peak < 200 * n
+
+
+def test_chain_at_128k_events_runs_in_linear_passes():
+    eta = random_unit_train(36, 128_000)
+    start = time.perf_counter()
+    chain = chain_decompose(eta)
+    elapsed = time.perf_counter() - start
+    assert chain.r == int(discrepancy_norm(eta))
+    assert sorted(set(chain.first_stage)) == list(range(1, chain.r + 1))
+    assert elapsed < 2.0
