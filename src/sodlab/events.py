@@ -134,9 +134,13 @@ def _sidecar_path(path) -> str:
 
 
 def write_events_csv(path, eta: EventSequence) -> None:
-    lines = ["t,v"]
-    lines.extend(f"{t!r},{v!r}" for t, v in zip(eta.times, eta.values))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    # every number as its float.__repr__: the times through one C-encoded
+    # json.dumps, which writes a finite float so, and each distinct
+    # amplitude (two, in a theta-pure sequence) once
+    times = json.dumps(eta.times)[1:-1].split(", ") if eta.times else []
+    amps = {v: repr(v) for v in set(eta.values)}
+    rows = map(",".join, zip(times, map(amps.__getitem__, eta.values)))
+    write_text_atomic(path, "\n".join(["t,v", *rows]) + "\n")
     write_text_atomic(_sidecar_path(path), json.dumps({"T": eta.T}) + "\n")
 
 

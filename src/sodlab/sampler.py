@@ -15,10 +15,11 @@ the sampler uses for its reference levels.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from ._util import check_positive
 from .events import EventSequence
-from .signals import Segment, Signal, integrate, pwl_from_points, scale, zero
+from .signals import Signal, integrate, pwl_from_points, scale, zero
 
 
 def _check_theta(theta: float) -> float:
@@ -26,7 +27,7 @@ def _check_theta(theta: float) -> float:
 
 
 def _check_anchored(f: Signal) -> None:
-    if f.segments[0].c0 != 0.0:
+    if f.c0[0] != 0.0:
         raise ValueError("sampling requires f(0) = 0")
 
 
@@ -44,10 +45,11 @@ def _quadratic_roots(a: float, b: float, c: float):
     return (r1, r2)
 
 
-def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
-                       level: float, t_from: float) -> float:
-    """Earliest t in (t_from, hi_t] with seg(t) == level, or inf, on a
-    quadratic piece (``seg.c2 != 0``; `_sample` searches linear ones inline).
+def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float,
+                       end_value: float, level: float, t_from: float) -> float:
+    """Earliest t in (t_from, hi_t] with c0 + c1*u + c2*u^2 == level, where
+    u = t - lo_t, or inf, on a quadratic piece (``c2 != 0``; `_sample`
+    searches linear ones inline).
 
     An exact end-joint hit (stored end value == level, bit for bit) is
     reported at the joint time; closed-form roots within a rounding error of
@@ -58,7 +60,7 @@ def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
     seg_len = hi_t - lo_t
     slack = 1e-12 * seg_len
     snap = 1e-9 * seg_len
-    for u in _quadratic_roots(seg.c2, seg.c1, seg.c0 - level):
+    for u in _quadratic_roots(c2, c1, c0 - level):
         if -slack <= u <= seg_len + slack:
             t = lo_t + min(max(u, 0.0), seg_len)
             if t > t_from and all(abs(t - h) > snap for h in hits):
@@ -104,29 +106,26 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
     it.
     """
     _check_anchored(f)
-    segs = f.segments
+    T, t0, c0s, c1s, c2s = f.T, f.t0, f.c0, f.c1, f.c2
+    u = T - t0[-1]
+    his = t0[1:] + (T,)
+    ends = c0s[1:] + (c0s[-1] + u * (c1s[-1] + u * c2s[-1]),)
     inf = math.inf
     ref, k = 0.0, 0
     t_cur = 0.0
     times, values = [], []
     up, down = levels(ref, k)
-    for i, seg in enumerate(segs):
-        if i + 1 < len(segs):
-            hi, end_value = segs[i + 1].t0, segs[i + 1].c0
-        else:
-            hi, end_value = f.T, seg.value(f.T)
-        lo = seg.t0
-        linear = seg.c2 == 0.0
+    for lo, c0, c1, c2, hi, end_value in zip(t0, c0s, c1s, c2s, his, ends):
+        linear = c2 == 0.0
         if linear:  # the terms of the linear search and the run-on
-            c0, c1 = seg.c0, seg.c1
             seg_len = hi - lo
             slack = 1e-12 * seg_len
             snap = 1e-9 * seg_len
             u_max = seg_len + slack
         while hi > t_cur:
             if not linear:
-                t_up = _segment_first_hit(seg, lo, hi, end_value, up, t_cur)
-                t_down = _segment_first_hit(seg, lo, hi, end_value, down, t_cur)
+                t_up = _segment_first_hit(c0, c1, c2, lo, hi, end_value, up, t_cur)
+                t_down = _segment_first_hit(c0, c1, c2, lo, hi, end_value, down, t_cur)
             else:
                 t_up = hi if end_value == up else inf
                 t_down = hi if end_value == down else inf
@@ -217,14 +216,7 @@ def reconstruct(eta: EventSequence) -> Signal:
         return zero(eta.T)
     if eta.times[0] == 0.0:
         raise ValueError("cannot interpolate through an event at t = 0")
-    times = [0.0]
-    levels = [0.0]
-    acc = 0.0
-    for t, v in zip(eta.times, eta.values):
-        acc += v
-        times.append(t)
-        levels.append(acc)
-    return pwl_from_points(eta.T, times, levels)
+    return pwl_from_points(eta.T, (0.0, *eta.times), accumulate(eta.values, initial=0.0))
 
 
 def homogeneity_check(f: Signal, theta: float, theta_tilde: float) -> bool:

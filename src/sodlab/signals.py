@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -26,7 +28,8 @@ STRUCT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Segment:
-    """One polynomial piece c0 + c1*(t - t0) + c2*(t - t0)^2, valid from t0."""
+    """One polynomial piece c0 + c1*(t - t0) + c2*(t - t0)^2, valid from t0:
+    the element type of `Signal.segments`."""
 
     t0: float
     c0: float
@@ -38,139 +41,159 @@ class Segment:
         return self.c0 + u * (self.c1 + u * self.c2)
 
 
+class _SegmentView(Sequence):
+    """A signal's pieces as `Segment`s, each built when indexed or iterated;
+    ``len()`` builds none.  A slice is a tuple of `Segment`s."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: Signal):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f.t0)
+
+    def __getitem__(self, i):
+        f = self._f
+        cols = (f.t0[i], f.c0[i], f.c1[i], f.c2[i])
+        return tuple(map(Segment, *cols)) if isinstance(i, slice) else Segment(*cols)
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _SegmentView) else other)
+
+
 @dataclass(frozen=True)
 class Signal:
     """A continuous piecewise-polynomial function on [0, T].
 
-    Segments are ordered by strictly increasing start time, the first
-    starts at 0, every coefficient is finite, and consecutive pieces agree
-    at the joints (within ``STRUCT_TOL`` times the largest of 1, the joint
+    Piece i is c0[i] + c1[i]*(t - t0[i]) + c2[i]*(t - t0[i])^2 from t0[i]
+    up to the next start (or T).  The four columns are float tuples of one
+    length, at least 1.  Starts increase strictly from t0[0] = 0 and stay
+    below T, every coefficient is finite, and consecutive pieces agree at
+    the joints (within ``STRUCT_TOL`` times the largest of 1, the joint
     values and the terms c0, c1*u, c2*u^2 that evaluate the left piece
-    there).  The horizon is stored as a float.  Signals are
-    immutable and safe to share.
+    there).  The horizon is stored as a float.  Signals are immutable and
+    safe to share.
     """
 
     T: float
-    segments: tuple[Segment, ...]
+    t0: tuple[float, ...]
+    c0: tuple[float, ...]
+    c1: tuple[float, ...]
+    c2: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "T", check_positive(self.T, "horizon"))
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        if not segs:
+        # The checks run column by column, each naming the first piece that
+        # fails it.  They read the entries as given, so one that is not a
+        # real number (a string, None) is refused there, not parsed by the
+        # float() that stores it.
+        T = check_positive(self.T, "horizon")
+        t0, c0, c1, c2 = self.t0, self.c0, self.c1, self.c2
+        n = len(t0)
+        if not n:
             raise ValueError("signal needs at least one segment")
-        if segs[0].t0 != 0.0:
-            raise ValueError(f"first segment must start at 0, got {segs[0].t0!r}")
+        if not len(c0) == len(c1) == len(c2) == n:
+            raise ValueError("signal columns must have equal lengths")
+        if t0[0] != 0.0:
+            raise ValueError(f"first segment must start at 0, got {t0[0]!r}")
         isfinite = math.isfinite
-        prev = None
-        for seg in segs:
-            if not (isfinite(seg.c0) and isfinite(seg.c1) and isfinite(seg.c2)):
-                raise ValueError(f"non-finite coefficient in the segment at t={seg.t0!r}")
-            if prev is None:
-                prev = seg
-                continue
-            if not seg.t0 > prev.t0:
-                raise ValueError("segment start times must be strictly increasing")
-            if not seg.t0 < self.T:
-                raise ValueError("segment start times must lie in [0, T)")
-            if abs(prev.value(seg.t0) - seg.c0) > STRUCT_TOL:
+        if not all(map(isfinite, chain(c0, c1, c2))):
+            t = next(t for t, *abc in zip(t0, c0, c1, c2) if not all(map(isfinite, abc)))
+            raise ValueError(f"non-finite coefficient in the segment at t={t!r}")
+        if not (all(map(operator.lt, t0, t0[1:])) and t0[-1] < T):
+            for prev, t in zip(t0, t0[1:]):  # the first piece at fault
+                if not t > prev:
+                    raise ValueError("segment start times must be strictly increasing")
+                if not t < T:
+                    raise ValueError("segment start times must lie in [0, T)")
+        # the float operations of Segment.value at each joint
+        for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
+            u = t - lo
+            left = a + u * (b + u * c)
+            if abs(left - v) > STRUCT_TOL:
                 # above magnitude 1 the bound is relative to the largest
                 # term of the sum that evaluates the joint
-                u = seg.t0 - prev.t0
-                left = prev.value(seg.t0)
-                size = max(abs(left), abs(seg.c0), abs(prev.c0),
-                           abs(prev.c1 * u), abs(prev.c2 * u * u))
-                if abs(left - seg.c0) > STRUCT_TOL * size:
-                    raise ValueError(
-                        f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}"
-                    )
-            prev = seg
+                size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
+                if abs(left - v) > STRUCT_TOL * size:
+                    raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
+        object.__setattr__(self, "T", T)
+        for name, col in (("t0", t0), ("c0", c0), ("c1", c1), ("c2", c2)):
+            object.__setattr__(self, name, tuple(map(float, col)))
+
+    @property
+    def segments(self) -> _SegmentView:
+        """The pieces as a read-only sequence of `Segment`s."""
+        return _SegmentView(self)
 
     def __call__(self, t: float) -> float:
         return evaluate(self, t)
 
     def is_linear(self) -> bool:
-        return all(seg.c2 == 0.0 for seg in self.segments)
+        return not any(self.c2)
 
 
 def zero(T: float) -> Signal:
-    return Signal(T, (Segment(0.0, 0.0),))
+    return Signal(T, (0.0,), (0.0,), (0.0,), (0.0,))
 
 
 def evaluate(f: Signal, t: float) -> float:
     """Value of f at t; raises for t outside [0, T]."""
     if not 0.0 <= t <= f.T:
         raise ValueError(f"t={t!r} outside [0, {f.T!r}]")
-    # the last segment starting at or before t (t = T falls in the last one)
-    idx = bisect_right(f.segments, t, key=attrgetter("t0")) - 1
-    return f.segments[idx].value(t)
+    # the last piece starting at or before t (t = T falls in the last one)
+    i = bisect_right(f.t0, t) - 1
+    u = t - f.t0[i]
+    return f.c0[i] + u * (f.c1[i] + u * f.c2[i])
 
 
 def scale(f: Signal, lam: float) -> Signal:
     """Pointwise lam * f."""
-    return Signal(
-        f.T,
-        tuple(Segment(s.t0, lam * s.c0, lam * s.c1, lam * s.c2) for s in f.segments),
-    )
-
-
-def _rebased(seg: Segment, t0: float) -> tuple[float, float, float]:
-    """Coefficients of `seg` rewritten relative to a new origin t0 >= seg.t0."""
-    d = t0 - seg.t0
-    return (
-        seg.c0 + d * (seg.c1 + d * seg.c2),
-        seg.c1 + 2.0 * seg.c2 * d,
-        seg.c2,
-    )
+    return Signal(f.T, f.t0, [lam * c for c in f.c0], [lam * c for c in f.c1],
+                  [lam * c for c in f.c2])
 
 
 def add(f: Signal, g: Signal) -> Signal:
-    """Pointwise f + g on the merged segment grid (equal horizons required)."""
+    """Pointwise f + g on the merged grid of starts (equal horizons required):
+    per merged piece, the sum of the coefficients of the pieces of f and g
+    it lies in, each rewritten relative to its start."""
     if f.T != g.T:
         raise ValueError(f"horizon mismatch: {f.T!r} vs {g.T!r}")
-    starts = sorted({s.t0 for s in f.segments} | {s.t0 for s in g.segments})
-    fi = gi = 0
-    fsegs, gsegs = f.segments, g.segments
-    out = []
+    starts = sorted(set(f.t0) | set(g.t0))
+    ft, fc0, fc1, fc2 = f.t0, f.c0, f.c1, f.c2
+    gt, gc0, gc1, gc2 = g.t0, g.c0, g.c1, g.c2
+    c0, c1, c2 = [], [], []
     for s in starts:
-        while fi + 1 < len(fsegs) and fsegs[fi + 1].t0 <= s:
-            fi += 1
-        while gi + 1 < len(gsegs) and gsegs[gi + 1].t0 <= s:
-            gi += 1
-        a0, a1, a2 = _rebased(fsegs[fi], s)
-        b0, b1, b2 = _rebased(gsegs[gi], s)
-        out.append(Segment(s, a0 + b0, a1 + b1, a2 + b2))
-    return Signal(f.T, tuple(out))
+        i = bisect_right(ft, s) - 1
+        j = bisect_right(gt, s) - 1
+        d, e = s - ft[i], s - gt[j]
+        a2, b2 = fc2[i], gc2[j]
+        c0.append(fc0[i] + d * (fc1[i] + d * a2) + (gc0[j] + e * (gc1[j] + e * b2)))
+        c1.append(fc1[i] + 2.0 * a2 * d + (gc1[j] + 2.0 * b2 * e))
+        c2.append(a2 + b2)
+    return Signal(f.T, starts, c0, c1, c2)
 
 
 def subtract(f: Signal, g: Signal) -> Signal:
     return add(f, scale(g, -1.0))
 
 
-def _segment_extrema(seg: Segment, hi: float) -> tuple[float, float]:
-    """(min, max) of the piece over [seg.t0, hi], via endpoints and vertex."""
-    lo_v = seg.c0
-    hi_v = seg.value(hi)
-    mn, mx = (lo_v, hi_v) if lo_v <= hi_v else (hi_v, lo_v)
-    if seg.c2 != 0.0:
-        u = -seg.c1 / (2.0 * seg.c2)
-        if 0.0 < u < hi - seg.t0:
-            v = seg.c0 + u * (seg.c1 + u * seg.c2)
-            mn = min(mn, v)
-            mx = max(mx, v)
-    return mn, mx
-
-
 def diameter_norm(f: Signal) -> float:
-    """sup f - inf f over [0, T], from exact per-segment extrema."""
+    """sup f - inf f over [0, T], from exact per-piece extrema: the two
+    ends and, on a quadratic piece, an interior vertex."""
     mn = math.inf
     mx = -math.inf
-    segs = f.segments
-    for i, seg in enumerate(segs):
-        hi = segs[i + 1].t0 if i + 1 < len(segs) else f.T
-        a, b = _segment_extrema(seg, hi)
-        mn = min(mn, a)
-        mx = max(mx, b)
+    for lo, hi, a, b, c in zip(f.t0, f.t0[1:] + (f.T,), f.c0, f.c1, f.c2):
+        w = hi - lo
+        end = a + w * (b + w * c)
+        lo_v, hi_v = (a, end) if a <= end else (end, a)
+        if c != 0.0:
+            u = -b / (2.0 * c)
+            if 0.0 < u < w:
+                v = a + u * (b + u * c)
+                lo_v = min(lo_v, v)
+                hi_v = max(hi_v, v)
+        mn = min(mn, lo_v)
+        mx = max(mx, hi_v)
     return mx - mn
 
 
@@ -180,14 +203,12 @@ def integrate(f: Signal) -> Signal:
         raise ValueError("integrate supports degree <= 1 signals only "
                          "(the antiderivative would exceed degree 2)")
     acc = 0.0
-    out = []
-    segs = f.segments
-    for i, seg in enumerate(segs):
-        out.append(Segment(seg.t0, acc, seg.c0, 0.5 * seg.c1))
-        hi = segs[i + 1].t0 if i + 1 < len(segs) else f.T
-        d = hi - seg.t0
-        acc += d * (seg.c0 + 0.5 * seg.c1 * d)
-    return Signal(f.T, tuple(out))
+    c0 = []
+    for lo, hi, a, b in zip(f.t0, f.t0[1:] + (f.T,), f.c0, f.c1):
+        c0.append(acc)
+        d = hi - lo
+        acc += d * (a + 0.5 * b * d)
+    return Signal(f.T, f.t0, c0, f.c0, [0.5 * b for b in f.c1])
 
 
 def pwl_from_points(T: float, times, values) -> Signal:
@@ -196,32 +217,30 @@ def pwl_from_points(T: float, times, values) -> Signal:
     times must be strictly increasing, start at 0, and end at or before T;
     the signal continues at the last value up to T.
     """
-    times = [float(t) for t in times]
-    values = [float(v) for v in values]
+    times = list(map(float, times))
+    values = list(map(float, values))
     if len(times) != len(values) or len(times) < 1:
         raise ValueError("need equally many times and values (at least one)")
     if times[0] != 0.0:
         raise ValueError("first knot must be at t=0")
-    segs = []
-    for i in range(len(times) - 1):
-        dt = times[i + 1] - times[i]
-        if dt <= 0.0:
-            raise ValueError("knot times must be strictly increasing")
-        segs.append(Segment(times[i], values[i], (values[i + 1] - values[i]) / dt))
+    if not all(map(operator.lt, times, times[1:])):
+        raise ValueError("knot times must be strictly increasing")
+    slopes = [(v1 - v0) / (t1 - t0)
+              for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:])]
     if times[-1] < T:
-        segs.append(Segment(times[-1], values[-1]))
+        slopes.append(0.0)  # the last value, held up to T
     elif times[-1] > T:
         raise ValueError("knots exceed the horizon")
-    if not segs:  # single knot at t=0
-        segs.append(Segment(0.0, values[0]))
-    return Signal(T, tuple(segs))
+    else:
+        del times[-1], values[-1]
+    return Signal(T, times, values, slopes, (0.0,) * len(slopes))
 
 
 def ramp_plateau(T: float) -> Signal:
     """min{1/2, t} on [0, T]."""
     if T <= 0.5:
-        return Signal(T, (Segment(0.0, 0.0, 1.0),))
-    return Signal(T, (Segment(0.0, 0.0, 1.0), Segment(0.5, 0.5)))
+        return Signal(T, (0.0,), (0.0,), (1.0,), (0.0,))
+    return Signal(T, (0.0, 0.5), (0.0, 0.5), (1.0, 0.0), (0.0, 0.0))
 
 
 def sine_pwl(T: float, resolution: int) -> Signal:
@@ -258,14 +277,10 @@ def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
         raise ValueError(f"random_walk: amplitude {amplitude!r} over n_breaks={n_breaks} "
                          f"pieces of horizon T={T!r} gives slopes or values past the "
                          "float range")
-    rng = np.random.default_rng(seed)
-    steps = rng.uniform(-amplitude, amplitude, n_breaks)
-    values = [0.0]
-    for s in steps:
-        values.append(values[-1] + float(s))
+    steps = np.random.default_rng(seed).uniform(-amplitude, amplitude, n_breaks)
     times = [i * T / n_breaks for i in range(n_breaks + 1)]
     times[-1] = T
-    return pwl_from_points(T, times, values)
+    return pwl_from_points(T, times, accumulate(map(float, steps), initial=0.0))
 
 
 def generate(kind: str, T: float, **params) -> Signal:
@@ -291,35 +306,24 @@ def generate(kind: str, T: float, **params) -> Signal:
 
 def signal_from_dict(d: dict) -> Signal:
     try:
-        segs = tuple(
-            Segment(float(s["t"]), float(s["c0"]), float(s["c1"]), float(s["c2"]))
-            for s in d["segments"]
-        )
-        return Signal(float(d["T"]), segs)
+        segs = d["segments"]
+        return Signal(float(d["T"]), *([float(s[key]) for s in segs]
+                                       for key in ("t", "c0", "c1", "c2")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
-
-
-def _signal_layout(f: Signal, num) -> str:
-    body = ",\n".join(
-        f'    {{\n      "c0": {num(s.c0)},\n      "c1": {num(s.c1)},\n'
-        f'      "c2": {num(s.c2)},\n      "t": {num(s.t0)}\n    }}'
-        for s in f.segments
-    )
-    return f'{{\n  "T": {num(f.T)},\n  "segments": [\n{body}\n  ]\n}}\n'
 
 
 def _signal_json(f: Signal) -> str:
     """The JSON layout above, byte for byte as ``json.dumps(...,
     indent=2, sort_keys=True) + "\\n"`` writes it, but built directly,
-    since with an indent json falls back to its pure-Python encoder.
-    Numbers are written as json writes them: floats (numpy's included) by
-    float.__repr__, anything else by json itself.  A Signal's coefficients
-    are finite, so no non-standard token can arise."""
-    try:
-        return _signal_layout(f, float.__repr__)
-    except TypeError:  # a coefficient that is not a float, such as an int
-        return _signal_layout(f, json.dumps)
+    since with an indent json falls back to its pure-Python encoder.  The
+    columns are finite floats, which json writes by float.__repr__."""
+    body = ",\n".join(
+        f'    {{\n      "c0": {c0!r},\n      "c1": {c1!r},\n'
+        f'      "c2": {c2!r},\n      "t": {t!r}\n    }}'
+        for t, c0, c1, c2 in zip(f.t0, f.c0, f.c1, f.c2)
+    )
+    return f'{{\n  "T": {f.T!r},\n  "segments": [\n{body}\n  ]\n}}\n'
 
 
 def save_signal(path, f: Signal) -> None:

@@ -3,17 +3,22 @@
 Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
 O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
-search and chain, the row-by-row Victor-Purpura program), seeded train
-generators, and curated adversarial signals.
+search and chain, the row-by-row Victor-Purpura program, the signal
+operations piece by piece on `Segment`s, the f-string event CSV), seeded
+train generators, and curated adversarial signals.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_right
+from operator import attrgetter
 
 import numpy as np
 
 from sodlab.events import EventSequence, from_pairs
 from sodlab.norms import _amplitudes
-from sodlab.signals import Segment, Signal, _segment_extrema
+from sodlab.signals import STRUCT_TOL, Segment, Signal
 from sodlab.trains import _random_times
 
 # --- oracles --------------------------------------------------------------
@@ -130,6 +135,158 @@ def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:
     return out
 
 
+def signal_of(T: float, *segments: Segment) -> Signal:
+    """The signal whose pieces are `segments`, in order."""
+    return Signal(T, *(tuple(map(attrgetter(name), segments))
+                       for name in ("t0", "c0", "c1", "c2")))
+
+
+# --- the signal operations piece by piece ----------------------------------
+# The forms that built one `Segment` per piece, kept as the reference the
+# columnar operations of sodlab.signals must match bit for bit.
+
+def validate_segmentwise(T: float, segs) -> None:
+    """Raise the ValueError the piece-by-piece validator raises for pieces
+    `segs` on [0, T] (T already a positive float), or return None."""
+    if not segs:
+        raise ValueError("signal needs at least one segment")
+    if segs[0].t0 != 0.0:
+        raise ValueError(f"first segment must start at 0, got {segs[0].t0!r}")
+    isfinite = math.isfinite
+    prev = None
+    for seg in segs:
+        if not (isfinite(seg.c0) and isfinite(seg.c1) and isfinite(seg.c2)):
+            raise ValueError(f"non-finite coefficient in the segment at t={seg.t0!r}")
+        if prev is None:
+            prev = seg
+            continue
+        if not seg.t0 > prev.t0:
+            raise ValueError("segment start times must be strictly increasing")
+        if not seg.t0 < T:
+            raise ValueError("segment start times must lie in [0, T)")
+        if abs(prev.value(seg.t0) - seg.c0) > STRUCT_TOL:
+            u = seg.t0 - prev.t0
+            left = prev.value(seg.t0)
+            size = max(abs(left), abs(seg.c0), abs(prev.c0),
+                       abs(prev.c1 * u), abs(prev.c2 * u * u))
+            if abs(left - seg.c0) > STRUCT_TOL * size:
+                raise ValueError(
+                    f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}"
+                )
+        prev = seg
+
+
+def evaluate_segmentwise(f: Signal, t: float) -> float:
+    if not 0.0 <= t <= f.T:
+        raise ValueError(f"t={t!r} outside [0, {f.T!r}]")
+    segs = tuple(f.segments)
+    idx = bisect_right(segs, t, key=attrgetter("t0")) - 1
+    return segs[idx].value(t)
+
+
+def scale_segmentwise(f: Signal, lam: float) -> Signal:
+    return signal_of(f.T, *(Segment(s.t0, lam * s.c0, lam * s.c1, lam * s.c2)
+                            for s in f.segments))
+
+
+def _rebased(seg: Segment, t0: float) -> tuple[float, float, float]:
+    """Coefficients of `seg` rewritten relative to a new origin t0 >= seg.t0."""
+    d = t0 - seg.t0
+    return (
+        seg.c0 + d * (seg.c1 + d * seg.c2),
+        seg.c1 + 2.0 * seg.c2 * d,
+        seg.c2,
+    )
+
+
+def add_segmentwise(f: Signal, g: Signal) -> Signal:
+    if f.T != g.T:
+        raise ValueError(f"horizon mismatch: {f.T!r} vs {g.T!r}")
+    fsegs, gsegs = tuple(f.segments), tuple(g.segments)
+    starts = sorted({s.t0 for s in fsegs} | {s.t0 for s in gsegs})
+    fi = gi = 0
+    out = []
+    for s in starts:
+        while fi + 1 < len(fsegs) and fsegs[fi + 1].t0 <= s:
+            fi += 1
+        while gi + 1 < len(gsegs) and gsegs[gi + 1].t0 <= s:
+            gi += 1
+        a0, a1, a2 = _rebased(fsegs[fi], s)
+        b0, b1, b2 = _rebased(gsegs[gi], s)
+        out.append(Segment(s, a0 + b0, a1 + b1, a2 + b2))
+    return signal_of(f.T, *out)
+
+
+def segment_extrema(seg: Segment, hi: float) -> tuple[float, float]:
+    """(min, max) of the piece over [seg.t0, hi], via endpoints and vertex."""
+    lo_v = seg.c0
+    hi_v = seg.value(hi)
+    mn, mx = (lo_v, hi_v) if lo_v <= hi_v else (hi_v, lo_v)
+    if seg.c2 != 0.0:
+        u = -seg.c1 / (2.0 * seg.c2)
+        if 0.0 < u < hi - seg.t0:
+            v = seg.c0 + u * (seg.c1 + u * seg.c2)
+            mn = min(mn, v)
+            mx = max(mx, v)
+    return mn, mx
+
+
+def diameter_norm_segmentwise(f: Signal) -> float:
+    mn = math.inf
+    mx = -math.inf
+    segs = tuple(f.segments)
+    for i, seg in enumerate(segs):
+        hi = segs[i + 1].t0 if i + 1 < len(segs) else f.T
+        a, b = segment_extrema(seg, hi)
+        mn = min(mn, a)
+        mx = max(mx, b)
+    return mx - mn
+
+
+def integrate_segmentwise(f: Signal) -> Signal:
+    if not f.is_linear():
+        raise ValueError("integrate supports degree <= 1 signals only "
+                         "(the antiderivative would exceed degree 2)")
+    acc = 0.0
+    out = []
+    segs = tuple(f.segments)
+    for i, seg in enumerate(segs):
+        out.append(Segment(seg.t0, acc, seg.c0, 0.5 * seg.c1))
+        hi = segs[i + 1].t0 if i + 1 < len(segs) else f.T
+        d = hi - seg.t0
+        acc += d * (seg.c0 + 0.5 * seg.c1 * d)
+    return signal_of(f.T, *out)
+
+
+def pwl_from_points_segmentwise(T: float, times, values) -> Signal:
+    times = [float(t) for t in times]
+    values = [float(v) for v in values]
+    if len(times) != len(values) or len(times) < 1:
+        raise ValueError("need equally many times and values (at least one)")
+    if times[0] != 0.0:
+        raise ValueError("first knot must be at t=0")
+    segs = []
+    for i in range(len(times) - 1):
+        dt = times[i + 1] - times[i]
+        if dt <= 0.0:
+            raise ValueError("knot times must be strictly increasing")
+        segs.append(Segment(times[i], values[i], (values[i + 1] - values[i]) / dt))
+    if times[-1] < T:
+        segs.append(Segment(times[-1], values[-1]))
+    elif times[-1] > T:
+        raise ValueError("knots exceed the horizon")
+    if not segs:  # single knot at t=0
+        segs.append(Segment(0.0, values[0]))
+    return signal_of(T, *segs)
+
+
+def events_csv_text(eta: EventSequence) -> str:
+    """The event CSV as an f-string per row writes it."""
+    lines = ["t,v"]
+    lines.extend(f"{t!r},{v!r}" for t, v in zip(eta.times, eta.values))
+    return "\n".join(lines) + "\n"
+
+
 def signal_to_dict(f: Signal) -> dict:
     return {
         "T": f.T,
@@ -145,16 +302,13 @@ def differentiate(f: Signal) -> Signal:
     The result must still satisfy the continuity invariant, so this is mainly
     useful on outputs of `integrate`.
     """
-    return Signal(
-        f.T,
-        tuple(Segment(s.t0, s.c1, 2.0 * s.c2, 0.0) for s in f.segments),
-    )
+    return signal_of(f.T, *(Segment(s.t0, s.c1, 2.0 * s.c2, 0.0) for s in f.segments))
 
 
 def sup_norm(f: Signal) -> float:
     """max |f| over [0, T], from exact per-segment extrema."""
     ends = [s.t0 for s in f.segments[1:]] + [f.T]
-    return max(max(map(abs, _segment_extrema(seg, hi)))
+    return max(max(map(abs, segment_extrema(seg, hi)))
                for seg, hi in zip(f.segments, ends))
 
 
@@ -195,10 +349,7 @@ def local_max_signal(theta: float = 0.25, T: float = 2.0) -> Signal:
     a threshold level exactly, the canonical right-discontinuous situation."""
     peak = 3.0 * theta
     half = T / 2.0
-    return Signal(T, (
-        Segment(0.0, 0.0, peak / half),
-        Segment(half, peak, -peak / half),
-    ))
+    return signal_of(T, Segment(0.0, 0.0, peak / half), Segment(half, peak, -peak / half))
 
 
 def comb_signal(n_peaks: int = 3, theta: float = 0.25) -> Signal:
@@ -210,4 +361,4 @@ def comb_signal(n_peaks: int = 3, theta: float = 0.25) -> Signal:
     for i in range(n_peaks):
         segs.append(Segment(2.0 * i, 0.0, top))
         segs.append(Segment(2.0 * i + 1.0, top, -top))
-    return Signal(2.0 * n_peaks, tuple(segs))
+    return signal_of(2.0 * n_peaks, *segs)

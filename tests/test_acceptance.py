@@ -27,7 +27,6 @@ from sodlab.norms import (
 from sodlab.sampler import homogeneity_check, reconstruct, sod_sample
 from sodlab.signals import (
     Segment,
-    Signal,
     diameter_norm,
     pwl_from_points,
     random_walk,
@@ -48,6 +47,7 @@ from oracles import (
     local_max_signal,
     random_nonnegative_train,
     random_pure_train,
+    signal_of,
 )
 
 
@@ -185,7 +185,7 @@ def test_c08_emdm_characterization():
     assert char_d == 1.0
     assert char_a == 1.0
     signals = (local_max_signal(0.25), comb_signal(4, 0.25),
-               Signal(1.0, (Segment(0.0, 0.0, 1.0),)))
+               signal_of(1.0, Segment(0.0, 0.0, 1.0)))
     for kind, char in (("D", char_d), ("A", char_a)):
         for f in signals:
             res = emdm_sweep(f, kind, [0.25, 0.2, 0.125])

@@ -18,7 +18,6 @@ from sodlab.cli import distance, emdm
 from sodlab.norms import NORM_KINDS, norm_by_kind
 from sodlab.signals import (
     Segment,
-    Signal,
     diameter_norm,
     random_walk,
     subtract,
@@ -26,11 +25,11 @@ from sodlab.signals import (
 )
 from sodlab.trains import alternating_train
 
-from oracles import comb_signal, local_max_signal
+from oracles import comb_signal, local_max_signal, signal_of
 
 
 def unit_ramp(T=1.0):
-    return Signal(T, (Segment(0.0, 0.0, 1.0),))
+    return signal_of(T, Segment(0.0, 0.0, 1.0))
 
 
 # random_walk(SHORT_T, ...) is the unit-horizon walk with time scaled by

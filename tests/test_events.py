@@ -17,10 +17,10 @@ from sodlab.events import (
     write_events_csv,
 )
 from sodlab.sampler import sod_sample
-from sodlab.signals import pwl_from_points
+from sodlab.signals import pwl_from_points, random_walk
 from sodlab.structure import DenseEvents
 
-from oracles import is_alternating, random_signed_train
+from oracles import events_csv_text, is_alternating, random_signed_train
 
 
 def seq(*pairs, T=10.0):
@@ -136,6 +136,20 @@ def test_csv_roundtrip(tmp_path):
     back = read_events_csv(path)
     assert back.T == eta.T
     assert back.pairs() == eta.pairs()
+
+
+@pytest.mark.parametrize("eta", [
+    empty(2.0),
+    EventSequence(1.0, (0.25, 0.5, 1.0), (0.125, -0.125, 0.125)),
+    # mixed magnitudes: subnormal, exponent and fixed-point reprs, signs
+    EventSequence(1e17, (0.0, 5e-324, 1e-20, 0.1, 1.5, 123456789.125, 1e16, 1e17),
+                  (1e-300, -2.5, 1e300, 7.0, -1e-7, 3.0, -3.0, -5e-324)),
+    sod_sample(random_walk(1.0, 7, 200, 0.4), 2.0 ** -7),
+])
+def test_csv_bytes_equal_the_fstring_writer(tmp_path, eta):
+    path = tmp_path / "events.csv"
+    write_events_csv(path, eta)
+    assert path.read_bytes() == events_csv_text(eta).encode()
 
 
 def test_csv_blank_lines_and_spaces(tmp_path):

@@ -28,11 +28,11 @@ from sodlab.signals import (
     zero,
 )
 
-from oracles import random_pure_train
+from oracles import random_pure_train, signal_of
 
 
 def ramp(T=1.0, slope=1.0):
-    return Signal(T, (Segment(0.0, 0.0, slope),))
+    return signal_of(T, Segment(0.0, 0.0, slope))
 
 
 class TestSod:
@@ -81,7 +81,7 @@ class TestSod:
         assert eta.times[-1] == 1.0
 
     def test_requires_anchored_signal(self):
-        f = Signal(1.0, (Segment(0.0, 1.0),))
+        f = signal_of(1.0, Segment(0.0, 1.0))
         with pytest.raises(ValueError):
             sod_sample(f, 0.5)
 
@@ -155,7 +155,7 @@ class TestLc:
 
 class TestIf:
     def test_constant_one(self):
-        f = Signal(2.0, (Segment(0.0, 1.0),))
+        f = signal_of(2.0, Segment(0.0, 1.0))
         eta = if_sample(f, 0.5)
         assert eta.pairs() == [(0.5, 0.5), (1.0, 0.5), (1.5, 0.5), (2.0, 0.5)]
 
@@ -169,7 +169,7 @@ class TestIf:
         assert a.pairs() == b.pairs()
 
     def test_rejects_quadratic_input(self):
-        g = Signal(1.0, (Segment(0.0, 0.0, 0.0, 1.0),))
+        g = signal_of(1.0, Segment(0.0, 0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             if_sample(g, 0.5)
 
@@ -442,7 +442,7 @@ def _steep(theta):
 @example((pwl_from_points(2.0, [0.0, 0.3, 1.1, 2.0], [0.0, 0.7, 0.7, 0.0]), 0.1))
 # the stored joint value 1e-13 above the piece's end, a level between them:
 # the root lies past the slack band, so the crossing is not sampled
-@example((Signal(2.0, (Segment(0.0, 0.0, 1e-3), Segment(1.0, 1e-3 + 1e-13))),
+@example((signal_of(2.0, Segment(0.0, 0.0, 1e-3), Segment(1.0, 1e-3 + 1e-13)),
           (1e-3 + 5e-14) / 2))
 # a 1e9 fall ending at 0: the joint evaluates to one ulp of 1e9
 @example((pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0]), 1e8))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from sodlab.sampler import reconstruct, sod_sample
+from sodlab.analysis import emdm_sweep, left_continuity_probe, make_qi_corpus, qi_verify
+from sodlab.sampler import homogeneity_check, if_sample, lc_sample, reconstruct, sod_sample
 from sodlab.signals import (
     Segment,
     Signal,
@@ -28,7 +29,19 @@ from sodlab.signals import (
     zero,
 )
 
-from oracles import differentiate, signal_to_dict, sup_norm
+from oracles import (
+    add_segmentwise,
+    diameter_norm_segmentwise,
+    differentiate,
+    evaluate_segmentwise,
+    integrate_segmentwise,
+    pwl_from_points_segmentwise,
+    scale_segmentwise,
+    signal_of,
+    signal_to_dict,
+    sup_norm,
+    validate_segmentwise,
+)
 
 
 def test_ramp_plateau_evaluate():
@@ -120,7 +133,7 @@ def test_diameter_against_dense_grid_oracle():
 
 def test_diameter_quadratic_vertex():
     # vertex of t - t^2 at t=1/2 is an interior extremum
-    f = Signal(1.0, (Segment(0.0, 0.0, 1.0, -1.0),))
+    f = signal_of(1.0, Segment(0.0, 0.0, 1.0, -1.0))
     assert diameter_norm(f) == 0.25
 
 
@@ -138,7 +151,7 @@ def test_diameter_at_most_twice_sup():
 
 
 def test_integrate_linear_ramp():
-    f = Signal(1.0, (Segment(0.0, 0.0, 1.0),))
+    f = signal_of(1.0, Segment(0.0, 0.0, 1.0))
     g = integrate(f)
     assert g(1.0) == 0.5
     assert g(0.5) == 0.125
@@ -161,7 +174,7 @@ def test_integrate_matches_trapezoid_at_breakpoints():
 
 
 def test_integrate_rejects_quadratic():
-    f = Signal(1.0, (Segment(0.0, 0.0, 0.0, 1.0),))
+    f = signal_of(1.0, Segment(0.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         integrate(f)
 
@@ -200,22 +213,22 @@ def test_segment_joint_continuity():
 
 def test_signal_validation():
     with pytest.raises(ValueError):
-        Signal(1.0, (Segment(0.5, 0.0, 1.0),))  # first segment not at 0
+        signal_of(1.0, Segment(0.5, 0.0, 1.0))  # first segment not at 0
     with pytest.raises(ValueError):
-        Signal(1.0, (Segment(0.0, 0.0, 1.0), Segment(0.5, 99.0)))  # jump
+        signal_of(1.0, Segment(0.0, 0.0, 1.0), Segment(0.5, 99.0))  # jump
     with pytest.raises(ValueError):
-        Signal(-1.0, (Segment(0.0, 0.0),))
+        signal_of(-1.0, Segment(0.0, 0.0))
 
 
 @pytest.mark.parametrize("T", [0, 0.0, -1, -1.0, math.inf, math.nan, "1", "1.0", 10**400])
 def test_horizon_refused(T):
     with pytest.raises(ValueError, match="horizon"):
-        Signal(T, (Segment(0.0, 0.0),))
+        signal_of(T, Segment(0.0, 0.0))
 
 
 @pytest.mark.parametrize("T", [1, 3, 0.4, np.float64(2.5), np.int64(2), np.float32(0.5)])
 def test_horizon_any_positive_real_stored_as_float(T):
-    f = Signal(T, (Segment(0.0, 0.0, 1.0),))
+    f = signal_of(T, Segment(0.0, 0.0, 1.0))
     assert type(f.T) is float and f.T == float(T)
     assert type(zero(T).T) is float
 
@@ -233,7 +246,7 @@ def test_non_finite_coefficients_refused(bad, coef, where):
     segs = [Segment(0.0, 0.0, 1.0), Segment(0.5, 0.5), Segment(0.75, 0.5, -1.0)]
     segs[where] = Segment(**{**vars(segs[where]), coef: bad})
     with pytest.raises(ValueError, match="non-finite"):
-        Signal(1.0, tuple(segs))
+        signal_of(1.0, *segs)
 
 
 def test_evaluate_matches_linear_scan():
@@ -257,7 +270,7 @@ def test_continuity_tolerance_scales_with_magnitude():
         assert len(eta) > 0
         assert sod_sample(reconstruct(eta), 2.0 ** 17) == eta
     with pytest.raises(ValueError):
-        Signal(1.0, (Segment(0.0, 1e6, 1e6), Segment(0.5, 1.5e6 + 1.0)))
+        signal_of(1.0, Segment(0.0, 1e6, 1e6), Segment(0.5, 1.5e6 + 1.0))
 
 
 def test_continuity_tolerance_scales_with_the_piece():
@@ -269,7 +282,7 @@ def test_continuity_tolerance_scales_with_the_piece():
     rise, fall = f.segments[:2]
     for miss in (1e-11, -1e-11):
         with pytest.raises(ValueError, match="discontinuity at t=0.525"):
-            Signal(1.0, (rise, fall, Segment(0.525, fall.value(0.525) + miss * 1e9)))
+            signal_of(1.0, rise, fall, Segment(0.525, fall.value(0.525) + miss * 1e9))
 
 
 def test_pwl_from_points_validation():
@@ -340,13 +353,13 @@ def test_save_signal_writes_json_dumps_bytes(tmp_path_factory, f):
 
 @pytest.mark.parametrize("f", [
     zero(1.0),
-    Signal(2.0, (Segment(0.0, 0.0, 1.0, 0.5),)),
+    signal_of(2.0, Segment(0.0, 0.0, 1.0, 0.5)),
     integrate(random_walk(1.0, 8, 6, 0.5)),
-    Signal(1.0, (Segment(0.0, -0.0, -0.0, -0.0),)),
-    Signal(1.0, (Segment(0.0, 0.0, 4e-320), Segment(0.5, 2e-320, -5e-324))),
-    Signal(1.0, (Segment(0.0, 1e300, -1e300, 1e300),)),
+    signal_of(1.0, Segment(0.0, -0.0, -0.0, -0.0)),
+    signal_of(1.0, Segment(0.0, 0.0, 4e-320), Segment(0.5, 2e-320, -5e-324)),
+    signal_of(1.0, Segment(0.0, 1e300, -1e300, 1e300)),
     scale(random_walk(1.0, 9, 5, 0.5), np.float64(1.5)),
-    Signal(3, (Segment(0, 0, 1), Segment(1, 1, 0, -1))),
+    signal_of(3, Segment(0, 0, 1), Segment(1, 1, 0, -1)),
 ])
 def test_save_signal_edge_cases(tmp_path, f):
     _assert_saved_as_json_dumps(tmp_path, f)
@@ -373,3 +386,194 @@ def test_subtract_pointwise():
     for t in np.linspace(0.0, 1.0, 101):
         t = float(t)
         assert d(t) == pytest.approx(f(t) - g(t), abs=1e-12)
+
+
+# --- the columns against the piece-by-piece oracles -------------------------
+
+def _bits(f: Signal):
+    """T and the four columns as float.hex strings, so that -0.0 and 0.0
+    differ."""
+    return (f.T.hex(), *(tuple(map(float.hex, col)) for col in (f.t0, f.c0, f.c1, f.c2)))
+
+
+@st.composite
+def column_signals(draw, T):
+    """A signal on [0, T] with amplitude 1e-9..1e9: a random walk of 1..12
+    pieces, its antiderivative divided by T (quadratic pieces), or either
+    scaled by a signed zero."""
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    f = random_walk(T, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)), amplitude)
+    if draw(st.booleans()):
+        f = scale_segmentwise(integrate_segmentwise(f), 1.0 / T)
+    if draw(st.integers(0, 3)) == 0:
+        f = scale_segmentwise(f, draw(st.sampled_from((0.0, -0.0))))
+    return f
+
+
+@st.composite
+def column_cases(draw):
+    """(f, g, lam): two signals on one horizon 2^-31..2^20 and a factor."""
+    T = 2.0 ** draw(st.integers(-30, 20)) * draw(st.floats(0.5, 1.0))
+    lam = draw(st.sampled_from((-0.0, 0.0, -1.0, 0.5, 3.0)) | st.floats(-1e3, 1e3))
+    return draw(column_signals(T)), draw(column_signals(T)), lam
+
+
+@given(column_cases())
+@settings(max_examples=300, deadline=None)
+def test_columns_match_the_segmentwise_oracles_bit_for_bit(case):
+    f, g, lam = case
+    for h in (f, g):
+        validate_segmentwise(h.T, tuple(h.segments))
+    assert _bits(scale(f, lam)) == _bits(scale_segmentwise(f, lam))
+    assert _bits(add(f, g)) == _bits(add_segmentwise(f, g))
+    assert _bits(subtract(f, g)) == _bits(add_segmentwise(f, scale_segmentwise(g, -1.0)))
+    for h in (f, add(f, g)):
+        assert diameter_norm(h).hex() == diameter_norm_segmentwise(h).hex()
+    for h in (f, g):
+        if h.is_linear():
+            assert _bits(integrate(h)) == _bits(integrate_segmentwise(h))
+    ends = f.t0[1:] + (f.T,)
+    for t in (*f.t0, *(0.5 * (a + b) for a, b in zip(f.t0, ends)), f.T):
+        assert evaluate(f, t).hex() == evaluate_segmentwise(f, t).hex()
+
+
+@st.composite
+def knot_cases(draw):
+    """(T, times, values): 1..12 knots from a signed zero, the last at or
+    before T, with values of magnitude up to 1e-9..1e9 and signed zeros."""
+    T = 2.0 ** draw(st.integers(-30, 20))
+    n = draw(st.integers(1, 12))
+    fracs = sorted(draw(st.lists(st.floats(1e-9, 1.0), min_size=n - 1, max_size=n - 1,
+                                 unique=True)))
+    times = [draw(st.sampled_from((0.0, -0.0))), *(T * x for x in fracs)]
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    values = draw(st.lists(st.floats(-amplitude, amplitude) | st.sampled_from((0.0, -0.0)),
+                           min_size=n, max_size=n))
+    return T, times, values
+
+
+@given(knot_cases())
+@settings(max_examples=300, deadline=None)
+def test_pwl_from_points_matches_the_segmentwise_oracle_bit_for_bit(case):
+    T, times, values = case
+    if len(set(times)) < len(times):  # two knots rounded onto one time
+        reject()
+    assert _bits(pwl_from_points(T, times, values)) == _bits(
+        pwl_from_points_segmentwise(T, times, values))
+
+
+@st.composite
+def single_faults(draw):
+    """(T, t0, c0, c1, c2): a valid signal of 2..12 pieces with exactly one
+    fault put in: a non-finite coefficient, a start not above the one
+    before it (or a first start off 0), a start at or past T (T lowered
+    below the last starts, or one start moved there), or a joint value
+    moved off the left piece's end."""
+    T = 2.0 ** draw(st.integers(-30, 20))
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    f = random_walk(T, draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 12)), amplitude)
+    if draw(st.booleans()):
+        f = integrate(f)
+    t0, c0, c1, c2 = (list(col) for col in (f.t0, f.c0, f.c1, f.c2))
+    n = len(t0)
+    fault = draw(st.sampled_from(("non_finite", "start", "horizon", "joint")))
+    if fault == "non_finite":
+        col = draw(st.sampled_from((c0, c1, c2)))
+        col[draw(st.integers(0, n - 1))] = draw(st.sampled_from((math.inf, -math.inf,
+                                                                 math.nan)))
+    elif fault == "start":
+        i = draw(st.integers(0, n - 1))
+        t0[i] = (t0[i - 1] * draw(st.floats(0.0, 1.0)) if i
+                 else T * draw(st.floats(1e-9, 1.0)))
+    elif fault == "horizon" and draw(st.booleans()):
+        T = t0[-1] * draw(st.floats(2.0 ** -10, 1.0))
+    elif fault == "horizon":
+        t0[draw(st.integers(1, n - 1))] = T * draw(st.floats(1.0, 2.0) | st.just(math.inf))
+    else:
+        i = draw(st.integers(1, n - 1))
+        u = t0[i] - t0[i - 1]
+        size = max(1.0, abs(c0[i - 1]), abs(c1[i - 1] * u), abs(c2[i - 1] * u * u),
+                   abs(c0[i]))
+        c0[i] += draw(st.sampled_from((1.0, -1.0))) * size * 2.0 ** -draw(st.integers(2, 30))
+    return T, t0, c0, c1, c2
+
+
+@given(single_faults())
+@settings(max_examples=300, deadline=None)
+def test_single_faults_raise_the_segmentwise_message(case):
+    T, *cols = case
+    with pytest.raises(ValueError) as ref:
+        validate_segmentwise(T, tuple(map(Segment, *cols)))
+    with pytest.raises(ValueError) as got:
+        Signal(T, *cols)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, b"1"])
+@pytest.mark.parametrize("where", [0, 1])
+@pytest.mark.parametrize("col", range(4))
+def test_a_column_entry_that_is_no_real_number_is_refused(bad, where, col):
+    cols = [[0.0, 0.5], [0.0, 0.5], [1.0, 0.0], [0.0, 0.0]]
+    cols[col][where] = bad
+    with pytest.raises((TypeError, ValueError)):
+        Signal(1.0, *cols)
+
+
+def test_columns_are_float_tuples_after_construction():
+    f = Signal(np.int64(3), [0, 1], (0, np.float32(1.0)), np.array([1, 0]), (False, -1))
+    for col in (f.t0, f.c0, f.c1, f.c2):
+        assert type(col) is tuple and all(type(x) is float for x in col)
+    assert f == signal_of(3.0, Segment(0.0, 0.0, 1.0), Segment(1.0, 1.0, 0.0, -1.0))
+
+
+def test_columns_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="equal lengths"):
+        Signal(1.0, (0.0, 0.5), (0.0, 0.5), (1.0,), (0.0, 0.0))
+
+
+def test_segments_view():
+    f = integrate(random_walk(1.0, 4, 5, 0.5))
+    view = f.segments
+    assert len(view) == 5
+    assert view[0] == Segment(f.t0[0], f.c0[0], f.c1[0], f.c2[0])
+    assert view[-1] == Segment(f.t0[-1], f.c0[-1], f.c1[-1], f.c2[-1])
+    assert view[1:3] == tuple(view)[1:3] and type(view[1:3]) is tuple
+    assert list(view) == [view[i] for i in range(5)]
+    assert view == tuple(view) and view == integrate(random_walk(1.0, 4, 5, 0.5)).segments
+    assert view != random_walk(1.0, 4, 5, 0.5).segments
+
+
+def test_no_production_path_builds_a_segment(monkeypatch, tmp_path):
+    built = []
+    init = Segment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Segment, "__init__", counting_init)
+    f = random_walk(1.0, 5, 12, 0.4)
+    g = pwl_from_points(1.0, [0.0, 0.3, 1.0], [0.0, 0.2, -0.1])
+    for theta in (0.05, 2.0 ** -6):
+        eta = sod_sample(f, theta)
+        assert sod_sample(reconstruct(eta), theta) == eta
+        lc_sample(f, theta)
+        if_sample(f, theta)
+        assert homogeneity_check(f, theta, 2.0 * theta)
+    h = subtract(add(f, g), scale(g, 2.0))
+    diameter_norm(h)
+    evaluate(integrate(h), 0.5)
+    assert len(h.segments) == len(h.t0)
+    path = tmp_path / "h.json"
+    save_signal(path, h)
+    assert load_signal(path) == h
+    corpus = make_qi_corpus(3, 1)
+    qi_verify(corpus, 0.1)
+    emdm_sweep(f, "D", [0.25, 0.2])
+    left_continuity_probe(f, 0.25, n_steps=3)
+    generate("ramp_plateau", 1.0)
+    sine_pwl(2.0, 8)
+    zero(1.0)
+    assert built == []
+    h.segments[0]  # the view builds its element, and the counter sees it
+    assert len(built) == 1
