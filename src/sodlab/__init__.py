@@ -51,8 +51,6 @@ from .structure import (
     chain_decompose,
     mmd_intervals,
     pi_map,
-    to_dense,
-    to_sparse,
     transcribe,
     transcription_sweep,
 )

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spike_metrics
+from ._util import check_positive
 from .events import EventSequence, difference, empty, scale_events
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
 from .sampler import reconstruct, sod_sample
@@ -143,9 +144,9 @@ def emdm_sweep(f: Signal, metric, theta_grid) -> SweepResult:
     """
     if isinstance(metric, str):
         metric = make_metric(metric)
-    thetas = [float(t) for t in theta_grid]
-    if not thetas or any(not (t > 0.0) for t in thetas):
-        raise ValueError("theta grid must be positive")
+    thetas = [check_positive(t, "threshold") for t in theta_grid]
+    if not thetas:
+        raise ValueError("theta grid must be nonempty")
     per = []
     for theta in thetas:
         eta0 = scale_events(sod_sample(f, theta), 1.0 / theta)

@@ -113,10 +113,6 @@ def difference(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
     return EventSequence(eta1.T, tuple(times), tuple(values))
 
 
-def add_events(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
-    return difference(eta1, scale_events(eta2, -1.0))
-
-
 def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
     """(positive part, negated negative part); both carry amplitudes > 0 and
     eta reconstructs as plus - minus on the merged grid."""

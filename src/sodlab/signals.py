@@ -304,12 +304,26 @@ def generate(kind: str, T: float, **params) -> Signal:
 # {"T": number, "segments": [{"t": .., "c0": .., "c1": .., "c2": ..}, ...]}
 # Round-trips bit-faithfully: json emits shortest round-tripping decimals.
 
+# The types json.load gives a number; a bool, though an int, is not one.
+_JSON_NUMBERS = frozenset((float, int))
+
+
 def signal_from_dict(d: dict) -> Signal:
+    """The signal of a parsed signal JSON.  The numbers go to `Signal` as
+    loaded; a value that is not a JSON number (a bool, a string, null)
+    raises a ValueError that names its field."""
     try:
-        segs = d["segments"]
-        return Signal(float(d["T"]), *([float(s[key]) for s in segs]
-                                       for key in ("t", "c0", "c1", "c2")))
+        T, segs = d["T"], d["segments"]
+        cols = {key: [s[key] for s in segs] for key in ("t", "c0", "c1", "c2")}
     except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed signal JSON: {exc}") from exc
+    for key, col in (("T", (T,)), *cols.items()):
+        if not _JSON_NUMBERS.issuperset(map(type, col)):
+            bad = next(v for v in col if type(v) not in _JSON_NUMBERS)
+            raise ValueError(f'signal JSON field "{key}" must be a number, got {json.dumps(bad)}')
+    try:
+        return Signal(T, *cols.values())
+    except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
 

@@ -10,7 +10,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .events import EventSequence, add_events, difference, split_signs
+from .events import EventSequence, difference, scale_events, split_signs
 
 # Valid Params names, in the order the CLI lists them.
 VP_MODES = ("combined", "separate")
@@ -240,6 +240,6 @@ def victor_purpura(eta1: EventSequence, eta2: EventSequence,
     if params.mode == "separate":
         return (_vp_dp(_spike_times(p1), _spike_times(p2), params.s)
                 + _vp_dp(_spike_times(m1), _spike_times(m2), params.s))
-    a = add_events(p1, m2)
-    b = add_events(m1, p2)
+    a = difference(p1, scale_events(m2, -1.0))
+    b = difference(m1, scale_events(p2, -1.0))
     return _vp_dp(_spike_times(a), _spike_times(b), params.s)

@@ -2,15 +2,18 @@
 discrepancy, the unit-step chain factorization, pattern-transcription
 operators, and the sign-purification map built from them.
 
-Everything here runs on the prefix-sum walk: the discrepancy of a contiguous
-block of events equals the range of the global prefix-sum array over the
-block's index window (left base included), so interval searches are sliding
-range queries on one array.
+The interval searches run on the prefix-sum walk: the discrepancy of a
+contiguous block of events equals the range of the global prefix-sum array
+over the block's index window (left base included), so they are sliding
+range queries on one array.  Transcription runs on the sparse sequence: one
+pass (`_transcribe_pass`) drops each cancelled pair, and `transcribe`,
+`transcription_sweep` and `pi_map` all repeat it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -20,7 +23,8 @@ from .norms import discrepancy_norm, norm_by_kind
 
 @dataclass(frozen=True)
 class DenseEvents:
-    """Events on an explicit support grid, zeros retained positionally."""
+    """Events on an explicit support grid, zeros retained positionally: the
+    output of `pi_map`."""
 
     T: float
     grid: tuple[float, ...]
@@ -34,15 +38,6 @@ class DenseEvents:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-
-def to_dense(eta: EventSequence) -> DenseEvents:
-    return DenseEvents(eta.T, eta.times, eta.values)
-
-
-def to_sparse(dense: DenseEvents) -> EventSequence:
-    kept = [(t, v) for t, v in zip(dense.grid, dense.values) if v != 0.0]
-    return EventSequence(dense.T, tuple(t for t, _ in kept), tuple(v for _, v in kept))
 
 
 @dataclass(frozen=True)
@@ -70,16 +65,6 @@ class ChainDecomposition:
     r: int
     first_stage: tuple[int, ...]
 
-    @property
-    def stages(self) -> tuple[DenseEvents, ...]:
-        """All r + 1 dense stages, built on each access: O(r n)."""
-        eta, first = self.eta, self.first_stage
-        return tuple(
-            DenseEvents(eta.T, eta.times,
-                        tuple(v if s <= k else 0.0 for v, s in zip(eta.values, first)))
-            for k in range(self.r + 1)
-        )
-
     def increments(self) -> list[EventSequence]:
         """eta_k - eta_{k-1} for k = 1..r, each the events first appearing
         at stage k."""
@@ -92,13 +77,10 @@ class ChainDecomposition:
                 for ts, vs in zip(times, values)]
 
 
-def _require_unit(values, zeros_ok: bool) -> None:
-    allowed = (-1.0, 0.0, 1.0) if zeros_ok else (-1.0, 1.0)
+def _require_unit(values) -> None:
     for v in values:
-        if v not in allowed:
-            raise ValueError(
-                f"needs unit amplitudes ({'zeros allowed' if zeros_ok else 'no zeros'}), got {v!r}"
-            )
+        if v not in (-1.0, 1.0):
+            raise ValueError(f"needs unit amplitudes, got {v!r}")
 
 
 def _turns(walk, hi, lo):
@@ -163,7 +145,7 @@ def chain_decompose(eta: EventSequence) -> ChainDecomposition:
     """
     if not eta.times:
         raise ValueError("chain_decompose needs a nonempty sequence")
-    _require_unit(eta.values, zeros_ok=False)
+    _require_unit(eta.values)
     steps = np.where(np.asarray(eta.values) > 0.0, 1, -1)
     live = np.arange(len(steps))
     first = np.zeros(len(steps), dtype=np.int64)
@@ -179,65 +161,63 @@ def chain_decompose(eta: EventSequence) -> ChainDecomposition:
     return ChainDecomposition(eta, r, tuple(first.tolist()))
 
 
-_PATTERNS = {"plus_minus": (1.0, -1.0), "minus_plus": (-1.0, 1.0)}
+_PATTERNS = {"plus_minus": 1.0, "minus_plus": -1.0}
 
 
-def _sweep_once(values, first, second):
-    """One left-to-right transcription pass: zero every disjoint occurrence of
-    (first, 0...0, second); the scan continues after each zeroed pair, so
-    freshly exposed patterns wait for the next application."""
-    out = list(values)
-    nz = [k for k, v in enumerate(out) if v != 0.0]
-    changed = False
-    k = 0
-    while k + 1 < len(nz):
-        i, j = nz[k], nz[k + 1]
-        if out[i] == first and out[j] == second:
-            out[i] = 0.0
-            out[j] = 0.0
-            changed = True
+def _transcribe_pass(cur, first):
+    """One left-to-right transcription pass over a zero-free list: drop each
+    disjoint adjacent pair whose first entry has the sign of `first` and
+    whose second has the opposite sign.  Only signs are read.  The scan
+    resumes after a dropped pair, so a pair that the drop brings together
+    waits for the next pass."""
+    out = []
+    k, last = 0, len(cur) - 1
+    while k < last:
+        if cur[k] * first > 0.0 > cur[k + 1] * first:
             k += 2
         else:
+            out.append(cur[k])
             k += 1
-    return out, changed
+    if k == last:
+        out.append(cur[k])
+    return out
 
 
-def transcribe(dense: DenseEvents, pattern: str, n: int) -> DenseEvents:
-    """n transcription applications; idempotent once no pattern remains."""
+def _transcriptions(cur, first):
+    """`cur` and each further pass over it, up to the first pass that drops
+    nothing (the fixpoint)."""
+    while True:
+        yield cur
+        nxt = _transcribe_pass(cur, first)
+        if len(nxt) == len(cur):
+            return
+        cur = nxt
+
+
+def _survivors(values, firsts, n):
+    """Positions of the events of a unit list that survive n passes for each
+    sign in `firsts`, in turn (fewer once a pass drops nothing).  The passes
+    run on the signed position codes +-(k + 1)."""
+    codes = [k if v > 0.0 else -k for k, v in enumerate(values, start=1)]
+    for first in firsts:
+        for codes in islice(_transcriptions(codes, first), n + 1):
+            pass
+    return [abs(c) - 1 for c in codes]
+
+
+def transcribe(eta: EventSequence, pattern: str, n: int) -> EventSequence:
+    """n transcription applications to a unit sequence: each cancels every
+    disjoint adjacent (+1, -1) pair ("plus_minus") or (-1, +1) pair
+    ("minus_plus") and drops both events.  Idempotent once no pattern
+    remains."""
     if pattern not in _PATTERNS:
         raise ValueError(f"pattern must be 'plus_minus' or 'minus_plus', got {pattern!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_unit(dense.values, zeros_ok=True)
-    first, second = _PATTERNS[pattern]
-    vals = list(dense.values)
-    for _ in range(n):
-        vals, changed = _sweep_once(vals, first, second)
-        if not changed:
-            break
-    return DenseEvents(dense.T, dense.grid, tuple(vals))
-
-
-def _compact_chain(signs, first, second):
-    """All stages of repeated transcription on a zero-free sign list, the
-    input itself first, stopping at the fixpoint."""
-    chain = [signs]
-    cur = signs
-    while True:
-        out = []
-        k = 0
-        changed = False
-        while k < len(cur):
-            if k + 1 < len(cur) and cur[k] == first and cur[k + 1] == second:
-                k += 2
-                changed = True
-            else:
-                out.append(cur[k])
-                k += 1
-        if not changed:
-            return chain
-        chain.append(out)
-        cur = out
+    _require_unit(eta.values)
+    kept = _survivors(eta.values, (_PATTERNS[pattern],), n)
+    return EventSequence(eta.T, tuple(eta.times[k] for k in kept),
+                         tuple(eta.values[k] for k in kept))
 
 
 # Largest sequence `transcription_sweep` accepts: its interval enumeration
@@ -252,7 +232,7 @@ def transcription_sweep(eta: EventSequence, kind: str) -> float:
     O(n^2) interval enumeration; refuses sequences above `_SWEEP_MAX_EVENTS`.
     """
     normf = norm_by_kind(kind)
-    _require_unit(eta.values, zeros_ok=False)
+    _require_unit(eta.values)
     n = len(eta.values)
     if n > _SWEEP_MAX_EVENTS:
         raise ValueError(f"transcription_sweep refuses n={n} > {_SWEEP_MAX_EVENTS}")
@@ -261,8 +241,8 @@ def transcription_sweep(eta: EventSequence, kind: str) -> float:
     for i in range(n):
         for j in range(i, n):
             window = vals[i:j + 1]
-            for mid in _compact_chain(window, 1.0, -1.0):
-                for final in _compact_chain(mid, -1.0, 1.0):
+            for mid in _transcriptions(window, 1.0):
+                for final in _transcriptions(mid, -1.0):
                     v = normf(final)
                     if v > best:
                         best = v
@@ -271,7 +251,7 @@ def transcription_sweep(eta: EventSequence, kind: str) -> float:
 
 def pi_map(eta: EventSequence) -> DenseEvents:
     """Restrict to the first MMD interval and transcribe both pattern kinds
-    r = ||eta||_D times each.
+    r = ||eta||_D times each; the survivors are laid onto the window's grid.
 
     The result is single-signed with exactly r nonzero values and
     discrepancy r: inside the minimal window the walk meets its extremes only
@@ -279,10 +259,12 @@ def pi_map(eta: EventSequence) -> DenseEvents:
     """
     if not eta.times:
         raise ValueError("pi_map needs a nonempty sequence")
-    _require_unit(eta.values, zeros_ok=False)
+    _require_unit(eta.values)
     r_val, idx, _ = _mmd_index_intervals(eta.values)
     r = int(r_val)
     i, j = idx[0]
-    dense = DenseEvents(eta.T, eta.times[i:j + 1], eta.values[i:j + 1])
-    dense = transcribe(dense, "plus_minus", r)
-    return transcribe(dense, "minus_plus", r)
+    window = eta.values[i:j + 1]
+    values = [0.0] * len(window)
+    for k in _survivors(window, (1.0, -1.0), r):
+        values[k] = window[k]
+    return DenseEvents(eta.T, eta.times[i:j + 1], tuple(values))

@@ -3,9 +3,10 @@
 Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
 O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
-search and chain, the row-by-row Victor-Purpura program, the signal
-operations piece by piece on `Segment`s, the f-string event CSV), seeded
-train generators, and curated adversarial signals.
+search and chain, transcription on the dense grid and its sign-list sweep,
+the row-by-row Victor-Purpura program, the signal operations piece by piece
+on `Segment`s, the f-string event CSV), seeded train generators, and
+curated adversarial signals.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from operator import attrgetter
 import numpy as np
 
 from sodlab.events import EventSequence, from_pairs
-from sodlab.norms import _amplitudes
+from sodlab.norms import _amplitudes, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal
+from sodlab.structure import DenseEvents
 from sodlab.trains import _random_times
 
 # --- oracles --------------------------------------------------------------
@@ -362,3 +364,102 @@ def comb_signal(n_peaks: int = 3, theta: float = 0.25) -> Signal:
         segs.append(Segment(2.0 * i, 0.0, top))
         segs.append(Segment(2.0 * i + 1.0, top, -top))
     return signal_of(2.0 * n_peaks, *segs)
+
+
+# --- transcription on the dense grid ----------------------------------------
+# The grid-keeping forms that `structure` replaced with one sparse pass.
+
+def _require_unit_or_zero(values) -> None:
+    for v in values:
+        if v not in (-1.0, 0.0, 1.0):
+            raise ValueError(f"needs unit amplitudes (zeros allowed), got {v!r}")
+
+
+def sweep_once_dense(values, first, second):
+    """One left-to-right transcription pass: zero every disjoint occurrence of
+    (first, 0...0, second); the scan continues after each zeroed pair, so
+    freshly exposed patterns wait for the next application."""
+    out = list(values)
+    nz = [k for k, v in enumerate(out) if v != 0.0]
+    changed = False
+    k = 0
+    while k + 1 < len(nz):
+        i, j = nz[k], nz[k + 1]
+        if out[i] == first and out[j] == second:
+            out[i] = 0.0
+            out[j] = 0.0
+            changed = True
+            k += 2
+        else:
+            k += 1
+    return out, changed
+
+
+_DENSE_PATTERNS = {"plus_minus": (1.0, -1.0), "minus_plus": (-1.0, 1.0)}
+
+
+def transcribe_dense(dense: DenseEvents, pattern: str, n: int) -> DenseEvents:
+    """n transcription applications; idempotent once no pattern remains."""
+    if pattern not in _DENSE_PATTERNS:
+        raise ValueError(f"pattern must be 'plus_minus' or 'minus_plus', got {pattern!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _require_unit_or_zero(dense.values)
+    first, second = _DENSE_PATTERNS[pattern]
+    vals = list(dense.values)
+    for _ in range(n):
+        vals, changed = sweep_once_dense(vals, first, second)
+        if not changed:
+            break
+    return DenseEvents(dense.T, dense.grid, tuple(vals))
+
+
+def pi_map_dense(eta: EventSequence) -> DenseEvents:
+    """The first MMD window (scanned), transcribed r times by each pattern
+    on the dense grid."""
+    r, idx, _ = mmd_index_intervals_scan(eta.values)
+    i, j = idx[0]
+    dense = DenseEvents(eta.T, eta.times[i:j + 1], eta.values[i:j + 1])
+    dense = transcribe_dense(dense, "plus_minus", int(r))
+    return transcribe_dense(dense, "minus_plus", int(r))
+
+
+def _compact_chain(signs, first, second):
+    """All stages of repeated transcription on a zero-free sign list, the
+    input itself first, stopping at the fixpoint."""
+    chain = [signs]
+    cur = signs
+    while True:
+        out = []
+        k = 0
+        changed = False
+        while k < len(cur):
+            if k + 1 < len(cur) and cur[k] == first and cur[k + 1] == second:
+                k += 2
+                changed = True
+            else:
+                out.append(cur[k])
+                k += 1
+        if not changed:
+            return chain
+        chain.append(out)
+        cur = out
+
+
+def transcription_sweep_compact(eta: EventSequence, kind: str) -> float:
+    """max of ||T^n_(-+)(T^m_(+-)(eta|_I))|| over all contiguous index
+    intervals I and all application depths up to the per-interval fixpoints,
+    by sign-list chains."""
+    normf = norm_by_kind(kind)
+    vals = list(eta.values)
+    n = len(vals)
+    best = 0.0
+    for i in range(n):
+        for j in range(i, n):
+            window = vals[i:j + 1]
+            for mid in _compact_chain(window, 1.0, -1.0):
+                for final in _compact_chain(mid, -1.0, 1.0):
+                    v = normf(final)
+                    if v > best:
+                        best = v
+    return best

@@ -33,7 +33,7 @@ from sodlab.signals import (
     subtract,
 )
 from sodlab.spike_metrics import VictorPurpuraParams, victor_purpura
-from sodlab.structure import pi_map, to_dense, transcribe
+from sodlab.structure import pi_map, transcribe
 from sodlab.trains import (
     equidistant_alternating,
     mmsn_train,
@@ -161,12 +161,11 @@ def test_c06_chain_decomposition():
 def test_c07_transcription_inequality_and_pi():
     for seed in range(300):
         eta = random_unit_train(seed + 7000, 4 + seed % 90)
-        dense = to_dense(eta)
         d0 = discrepancy_norm(eta)
         for pattern in ("plus_minus", "minus_plus"):
             prev = d0
             for n in range(1, 10):
-                cur = discrepancy_norm(transcribe(dense, pattern, n))
+                cur = discrepancy_norm(transcribe(eta, pattern, n))
                 assert cur <= d0
                 assert cur <= prev + 1e-12
                 prev = cur

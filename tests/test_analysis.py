@@ -129,6 +129,11 @@ class TestEmdmSweep:
         with pytest.raises(ValueError):
             emdm_sweep(unit_ramp(), "D", [])
 
+    @pytest.mark.parametrize("theta", [True, "0.25", 0, math.nan, math.inf])
+    def test_rejects_a_threshold_that_is_not_a_positive_real(self, theta):
+        with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+            emdm_sweep(unit_ramp(), "D", [0.25, theta])
+
     def test_short_horizon_matches_unit_horizon(self):
         for seed in range(10):
             unit = emdm_sweep(random_walk(1.0, seed, 12, 0.4), "D", [0.1, 0.05])

@@ -294,6 +294,20 @@ def test_malformed_input_exits_one(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("field, value", [("T", "true"), ("t", '"0"'),
+                                          ("c1", '" 1e0 "'), ("c2", "false")])
+def test_signal_field_that_is_not_a_json_number_exits_one(runner, tmp_path, field, value):
+    fields = {"T": "1.0", "t": "0.0", "c0": "0.0", "c1": "1.0", "c2": "0.0", field: value}
+    seg = ", ".join(f'"{key}": {fields[key]}' for key in ("t", "c0", "c1", "c2"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"T": {fields["T"]}, "segments": [{{{seg}}}]}}')
+    res = runner.invoke(main, ["sample", "--input", str(bad), "--theta", "0.1",
+                               "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 1
+    assert f'{bad}: signal JSON field "{field}" must be a number, got {value}' in res.output
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("meta", ['{"X": 1}', "[1]", '{"T": "abc"}', '{"T": -1}',
                                   '{"T": true}', '{"T": "2"}'])
 def test_malformed_sidecar_exits_one_naming_it(runner, tmp_path, meta):

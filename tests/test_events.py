@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sodlab.events import (
     EventSequence,
-    add_events,
     difference,
     empty,
     from_pairs,
@@ -222,9 +221,3 @@ def test_csv_malformed(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):
         read_events_csv(path, horizon=1.0)
-
-
-def test_add_events_inverts_difference():
-    a = random_signed_train(1, 10)
-    b = random_signed_train(2, 8)
-    assert add_events(difference(a, b), b).pairs() == a.pairs()

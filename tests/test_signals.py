@@ -377,6 +377,17 @@ def test_load_signal_malformed_names_the_path(tmp_path, text):
 def test_signal_from_dict_malformed():
     with pytest.raises(ValueError):
         signal_from_dict({"T": 1.0, "segments": [{"t": 0.0}]})
+    seg = {"t": 0, "c0": 10**400, "c1": 0, "c2": 0}
+    with pytest.raises(ValueError, match="too large"):
+        signal_from_dict({"T": 1, "segments": [seg]})
+    with pytest.raises(ValueError, match='field "c2" must be a number, got null'):
+        signal_from_dict({"T": 1, "segments": [{**seg, "c0": 0, "c2": None}]})
+
+
+def test_signal_from_dict_takes_json_ints_as_floats():
+    f = signal_from_dict({"T": 2, "segments": [{"t": 0, "c0": 1, "c1": -1, "c2": 0}]})
+    assert f == signal_of(2.0, Segment(0.0, 1.0, -1.0, 0.0))
+    assert all(type(x) is float for x in (f.T, *f.t0, *f.c0, *f.c1, *f.c2))
 
 
 def test_subtract_pointwise():

@@ -13,8 +13,6 @@ from sodlab.structure import (
     chain_decompose,
     mmd_intervals,
     pi_map,
-    to_dense,
-    to_sparse,
     transcribe,
     transcription_sweep,
 )
@@ -25,6 +23,9 @@ from oracles import (
     discrepancy_bruteforce,
     is_alternating,
     mmd_index_intervals_scan,
+    pi_map_dense,
+    transcribe_dense,
+    transcription_sweep_compact,
 )
 
 
@@ -54,11 +55,6 @@ def mmd_oracle(eta):
         sums.append(sum(vals[left:end + 1]))
         start = end + 1
     return r, spans, sums
-
-
-def test_dense_sparse_roundtrip():
-    eta = random_unit_train(1, 12)
-    assert to_sparse(to_dense(eta)).pairs() == eta.pairs()
 
 
 def test_dense_validation():
@@ -128,20 +124,26 @@ class TestMmd:
                 assert sum(gap) == 0.0
 
 
+def dense_stages(chain):
+    """The r + 1 dense stages of a chain, built from `first_stage`."""
+    cells = list(zip(chain.eta.values, chain.first_stage))
+    return [tuple(v if first <= k else 0.0 for v, first in cells)
+            for k in range(chain.r + 1)]
+
+
 class TestChain:
     def test_two_up_two_down(self):
         eta = from_pairs(5.0, [(1.0, 1.0), (2.0, 1.0), (3.0, -1.0), (4.0, -1.0)])
         chain = chain_decompose(eta)
         assert chain.r == 2
-        assert chain.stages[0].values == (0.0, 0.0, 0.0, 0.0)
-        assert chain.stages[1].values == (0.0, 1.0, 0.0, -1.0)
-        assert chain.stages[2].values == eta.values
+        assert chain.first_stage == (2, 1, 2, 1)
+        assert dense_stages(chain) == [(0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, -1.0), eta.values]
 
     def test_alternating_single_stage(self):
         eta = alternating_train(9)
         chain = chain_decompose(eta)
         assert chain.r == 1
-        assert len(chain.stages) == 2
+        assert len(dense_stages(chain)) == 2
 
     def test_campaign(self):
         for seed in range(100):
@@ -152,10 +154,11 @@ class TestChain:
             increments = chain.increments()
             assert len(increments) == r
             total = 0.0
+            dense = dense_stages(chain)
             for k, inc in enumerate(increments, start=1):
                 assert is_alternating(inc)
                 assert discrepancy_norm(inc) == 1.0
-                assert discrepancy_norm(chain.stages[k]) == float(k)
+                assert discrepancy_norm(dense[k]) == float(k)
                 total += discrepancy_norm(inc)
             assert total == discrepancy_norm(eta)
 
@@ -166,45 +169,51 @@ class TestChain:
             chain_decompose(from_pairs(1.0, []))
 
 
+def unit_seq(*values):
+    return from_pairs(1.0, [((k + 1) / 10, v) for k, v in enumerate(values)])
+
+
 class TestTranscribe:
     def test_adjacent_pair(self):
-        d = DenseEvents(1.0, (0.2, 0.4), (1.0, -1.0))
-        out = transcribe(d, "plus_minus", 1)
-        assert out.values == (0.0, 0.0)
+        out = transcribe(unit_seq(1.0, -1.0), "plus_minus", 1)
+        assert out.pairs() == []
+        assert out.T == 1.0
 
     def test_nested_pairs_inner_first(self):
-        d = DenseEvents(1.0, (0.1, 0.2, 0.3, 0.4), (1.0, 1.0, -1.0, -1.0))
-        one = transcribe(d, "plus_minus", 1)
-        assert one.values == (1.0, 0.0, 0.0, -1.0)
-        two = transcribe(d, "plus_minus", 2)
-        assert two.values == (0.0, 0.0, 0.0, 0.0)
+        eta = unit_seq(1.0, 1.0, -1.0, -1.0)
+        one = transcribe(eta, "plus_minus", 1)
+        assert one.pairs() == [(0.1, 1.0), (0.4, -1.0)]
+        two = transcribe(eta, "plus_minus", 2)
+        assert two.pairs() == []
 
     def test_pattern_over_zeros(self):
-        d = DenseEvents(1.0, (0.1, 0.2, 0.3, 0.4), (-1.0, 0.0, 0.0, 1.0))
-        out = transcribe(d, "minus_plus", 1)
-        assert out.values == (0.0, 0.0, 0.0, 0.0)
-        assert transcribe(d, "plus_minus", 5).values == d.values
+        # the zeros of a dense grid are the pairs that a pass dropped
+        eta = unit_seq(-1.0, 1.0, -1.0, 1.0)
+        out = transcribe(eta, "plus_minus", 1)
+        assert out.pairs() == [(0.1, -1.0), (0.4, 1.0)]
+        assert transcribe(out, "minus_plus", 1).pairs() == []
+        assert transcribe(out, "plus_minus", 5).pairs() == out.pairs()
 
     def test_idempotent_beyond_fixpoint(self):
-        d = DenseEvents(1.0, (0.1, 0.2, 0.3), (1.0, -1.0, 1.0))
-        assert transcribe(d, "plus_minus", 50).values == (0.0, 0.0, 1.0)
+        eta = unit_seq(1.0, -1.0, 1.0)
+        assert transcribe(eta, "plus_minus", 50).pairs() == [(0.3, 1.0)]
 
     def test_rejects_non_unit_values(self):
-        d = DenseEvents(1.0, (0.1,), (2.0,))
-        with pytest.raises(ValueError):
-            transcribe(d, "plus_minus", 1)
-        with pytest.raises(ValueError):
-            transcribe(to_dense(alternating_train(2)), "plus", 1)
+        with pytest.raises(ValueError, match="unit amplitudes"):
+            transcribe(unit_seq(2.0), "plus_minus", 1)
+        with pytest.raises(ValueError, match="pattern"):
+            transcribe(alternating_train(2), "plus", 1)
+        with pytest.raises(ValueError, match="n must be"):
+            transcribe(alternating_train(2), "plus_minus", -1)
 
     def test_sum_invariant_and_discrepancy_non_increasing(self):
         for seed in range(60):
             eta = random_unit_train(seed + 2000, 4 + seed % 30)
-            dense = to_dense(eta)
             for pattern in ("plus_minus", "minus_plus"):
-                prev = dense
+                prev = eta
                 for n in range(1, 8):
-                    cur = transcribe(dense, pattern, n)
-                    assert sum(cur.values) == sum(dense.values)
+                    cur = transcribe(eta, pattern, n)
+                    assert sum(cur.values) == sum(eta.values)
                     assert discrepancy_norm(cur) <= discrepancy_norm(prev)
                     assert discrepancy_norm(cur) <= discrepancy_norm(eta)
                     prev = cur
@@ -274,7 +283,7 @@ def test_chain_and_mmd_equal_the_scanning_oracle(eta):
     chain = chain_decompose(eta)
     stages = chain_stages_scan(eta.values)
     assert chain.r == len(stages) - 1
-    assert tuple(s.values for s in chain.stages) == tuple(stages)
+    assert dense_stages(chain) == stages
     for inc, prev, cur in zip(chain.increments(), stages, stages[1:]):
         kept = [(t, b) for t, a, b in zip(eta.times, prev, cur) if a != b]
         assert inc.pairs() == kept
@@ -317,3 +326,36 @@ def test_chain_at_128k_events_runs_in_linear_passes():
     assert chain.r == int(discrepancy_norm(eta))
     assert sorted(set(chain.first_stage)) == list(range(1, chain.r + 1))
     assert elapsed < 2.0
+
+
+# --- the sparse transcription pass against the dense-grid oracles -----------
+
+short_unit_trains = st.one_of(
+    st.lists(st.sampled_from((-1.0, 1.0)), min_size=1, max_size=300).map(_train_from_signs),
+    st.builds(random_unit_train, st.integers(0, 2**32 - 1), st.integers(1, 300)),
+)
+
+
+@given(short_unit_trains)
+@example(random_unit_train(7, 300))
+@example(alternating_train(300))
+@settings(max_examples=60, deadline=None)
+def test_transcribe_and_pi_equal_the_dense_oracles(eta):
+    dense = DenseEvents(eta.T, eta.times, eta.values)
+    r = int(discrepancy_norm(eta))
+    for pattern in ("plus_minus", "minus_plus"):
+        for n in range(r + 2):
+            ref = transcribe_dense(dense, pattern, n)
+            kept = [(t, v) for t, v in zip(ref.grid, ref.values) if v != 0.0]
+            assert transcribe(eta, pattern, n).pairs() == kept
+    out, ref = pi_map(eta), pi_map_dense(eta)
+    assert (out.T, out.grid) == (ref.T, ref.grid)
+    assert list(map(repr, out.values)) == list(map(repr, ref.values))
+
+
+@given(st.lists(st.sampled_from((-1.0, 1.0)), min_size=1, max_size=40).map(_train_from_signs))
+@example(mmsn_train(40))
+@settings(max_examples=40, deadline=None)
+def test_sweep_equals_the_sign_list_oracle(eta):
+    for kind in ("D", "A", "M"):
+        assert transcription_sweep(eta, kind) == transcription_sweep_compact(eta, kind)
