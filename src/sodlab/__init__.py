@@ -52,7 +52,6 @@ from .structure import (
     mmd_intervals,
     pi_map,
     transcribe,
-    transcription_sweep,
 )
 
 __version__ = "0.1.0"

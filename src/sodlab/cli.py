@@ -11,7 +11,7 @@ import click
 
 from . import (__version__, analysis, events, norms, sampler, signals,
                spike_metrics, structure)
-from ._util import json_report, write_text_atomic
+from ._util import check_positive, json_report, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -254,7 +254,13 @@ def decompose(events_path, what, horizon, out):
 def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
     """Threshold-discontinuity report: characterization plus optional sweep."""
     m = analysis.make_metric(metric, **_metric_params(metric, {"alpha": alpha}))
-    thetas = tuple(float(x) for x in theta_grid.split(","))
+    thetas = []
+    for entry in theta_grid.split(","):
+        try:
+            thetas.append(check_positive(float(entry), "--theta-grid"))
+        except ValueError:
+            raise ValueError("each --theta-grid entry must be a positive finite "
+                             f"number, got {entry!r}") from None
     char = analysis.emdm_characterize(m, n_max=n_max, T=horizon)
     per_signal = []
     if input_path:
@@ -267,7 +273,7 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
         })
     report = analysis.EmdmReport(
         metric=m.kind,
-        theta_grid=thetas,
+        theta_grid=tuple(thetas),
         eps_ratios=analysis.EPS_RATIOS,
         per_signal=tuple(per_signal),
         characterization=char.value,

@@ -6,19 +6,18 @@ The interval searches run on the prefix-sum walk: the discrepancy of a
 contiguous block of events equals the range of the global prefix-sum array
 over the block's index window (left base included), so they are sliding
 range queries on one array.  Transcription runs on the sparse sequence: one
-pass (`_transcribe_pass`) drops each cancelled pair, and `transcribe`,
-`transcription_sweep` and `pi_map` all repeat it.
+pass (`_transcribe_pass`) drops each cancelled pair, and `transcribe` and
+`pi_map` both repeat it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .events import EventSequence, _check_grid
-from .norms import discrepancy_norm, norm_by_kind
+from .norms import discrepancy_norm
 
 
 @dataclass(frozen=True)
@@ -183,25 +182,17 @@ def _transcribe_pass(cur, first):
     return out
 
 
-def _transcriptions(cur, first):
-    """`cur` and each further pass over it, up to the first pass that drops
-    nothing (the fixpoint)."""
-    while True:
-        yield cur
-        nxt = _transcribe_pass(cur, first)
-        if len(nxt) == len(cur):
-            return
-        cur = nxt
-
-
 def _survivors(values, firsts, n):
     """Positions of the events of a unit list that survive n passes for each
     sign in `firsts`, in turn (fewer once a pass drops nothing).  The passes
     run on the signed position codes +-(k + 1)."""
     codes = [k if v > 0.0 else -k for k, v in enumerate(values, start=1)]
     for first in firsts:
-        for codes in islice(_transcriptions(codes, first), n + 1):
-            pass
+        for _ in range(n):
+            nxt = _transcribe_pass(codes, first)
+            if len(nxt) == len(codes):
+                break
+            codes = nxt
     return [abs(c) - 1 for c in codes]
 
 
@@ -218,35 +209,6 @@ def transcribe(eta: EventSequence, pattern: str, n: int) -> EventSequence:
     kept = _survivors(eta.values, (_PATTERNS[pattern],), n)
     return EventSequence(eta.T, tuple(eta.times[k] for k in kept),
                          tuple(eta.values[k] for k in kept))
-
-
-# Largest sequence `transcription_sweep` accepts: its interval enumeration
-# is O(n^2) and each interval runs two transcription chains.
-_SWEEP_MAX_EVENTS = 300
-
-
-def transcription_sweep(eta: EventSequence, kind: str) -> float:
-    """max of ||T^n_(-+)(T^m_(+-)(eta|_I))|| over all contiguous index
-    intervals I and all application depths up to the per-interval fixpoints.
-
-    O(n^2) interval enumeration; refuses sequences above `_SWEEP_MAX_EVENTS`.
-    """
-    normf = norm_by_kind(kind)
-    _require_unit(eta.values)
-    n = len(eta.values)
-    if n > _SWEEP_MAX_EVENTS:
-        raise ValueError(f"transcription_sweep refuses n={n} > {_SWEEP_MAX_EVENTS}")
-    vals = list(eta.values)
-    best = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            window = vals[i:j + 1]
-            for mid in _transcriptions(window, 1.0):
-                for final in _transcriptions(mid, -1.0):
-                    v = normf(final)
-                    if v > best:
-                        best = v
-    return best
 
 
 def pi_map(eta: EventSequence) -> DenseEvents:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sodlab import analysis
 from sodlab.analysis import (
     SPIKE_METRICS,
     certify_norm,
@@ -23,9 +24,9 @@ from sodlab.signals import (
     subtract,
     zero,
 )
-from sodlab.trains import alternating_train
+from sodlab.trains import alternating_train, mmsn_train, random_unit_train
 
-from oracles import comb_signal, local_max_signal, signal_of
+from oracles import comb_signal, local_max_signal, signal_of, transcription_sweep_compact
 
 
 def unit_ramp(T=1.0):
@@ -326,6 +327,20 @@ class TestCertify:
             assert normf(same) / len(same) == rep.same_sign_witness["value"]
             sweep = from_pairs(rep.sweep_witness["T"], rep.sweep_witness["events"])
             assert normf(sweep) == rep.sweep_witness["norm"]
+
+    def test_sweeps_are_the_oracle_sweeps_of_the_family_trains(self):
+        # the report's sweep is the window-and-transcription definition itself
+        trains = [("mmsn", n, mmsn_train(n)) for n in analysis._MMSN_COUNTS]
+        trains += [("random", n, random_unit_train(seed, n))
+                   for seed, n in analysis._RANDOM_SWEEP]
+        for kind in NORM_KINDS:
+            rep = certify_norm(kind)
+            assert [(row["family"], row["n"]) for row in rep.sweep_table] == [
+                (family, n) for family, n, _ in trains]
+            for row, (_, _, eta) in zip(rep.sweep_table, trains):
+                assert row["sweep"] == transcription_sweep_compact(eta, kind)
+            witness = from_pairs(rep.sweep_witness["T"], rep.sweep_witness["events"])
+            assert rep.sweep_witness["sweep"] == transcription_sweep_compact(witness, kind)
 
 
 def test_schreiber_witness_conflates_pairs():

@@ -156,8 +156,21 @@ def test_emdm_vr_records_alpha(runner, tmp_path):
     assert res.exit_code == 0
     report = json.loads(out.read_text())
     assert report["metric"] == "van_rossum"
+    assert report["theta_grid"] == [0.2, 0.25, 0.3]
     assert report["growth_table"]
     assert all(row["alpha"] == 2.0 for row in report["growth_table"])
+
+
+@pytest.mark.parametrize("grid", ["0.2,-1", "0.2,x", "0.2,,0.3", "0", "nan", "inf"])
+def test_emdm_refuses_a_bad_theta_grid_entry_before_any_work(runner, tmp_path,
+                                                             monkeypatch, grid):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.analysis, "emdm_characterize",
+                        lambda *args, **kwargs: pytest.fail("characterization ran"))
+    res = invoke(runner, "emdm", "--metric", "D", "--theta-grid", grid, "--out", "e.json")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and "--theta-grid" in res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, flags", [
