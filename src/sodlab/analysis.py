@@ -6,6 +6,7 @@ infimum, transcription-sweep bound, with the sweep equal to ||eta||_D)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,6 +267,8 @@ class QiReport:
 def make_qi_corpus(n_pairs: int, seed: int, T: float = 1.0,
                    n_breaks: int = 12, amplitude: float = 0.4):
     """Seed-deterministic list of random piecewise-linear signal pairs."""
+    if type(n_pairs) is bool or not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
+        raise ValueError(f"trial count n_pairs must be an integer >= 1, got {n_pairs!r}")
     rng = np.random.default_rng(seed)
     child = rng.integers(0, 2 ** 62, size=(n_pairs, 2))
     return [
@@ -291,6 +294,21 @@ def _monotone_envelopes(dxs, dys):
     return tuple(rho1), tuple(rho2)
 
 
+def _qi_fit(dxs, dys, theta):
+    """(A, B(A), B(1)) for the least A of the grid 1, 1.01, ..., 2 that
+    minimises B(a) = max(0, dy - a dx, dx/a - dy) over the trials, up to a
+    rounding error relative to the data's scale, so that the fit commutes
+    with scaling every dx, dy and theta by a power of two."""
+    # one 1-D pass per a, never an n x 101 matrix: the IEEE operations of
+    # the loop over the trials, and an exact max
+    x, y = np.array(dxs), np.array(dys)
+    grid = [1.0 + 0.01 * k for k in range(101)]
+    bs = [max(0.0, float(np.maximum(y - a * x, x / a - y).max())) for a in grid]
+    tie = min(bs) + 1e-12 * (max(dxs) + theta)
+    best = next(i for i, b in enumerate(bs) if b <= tie)
+    return grid[best], bs[best], bs[0]
+
+
 # Lower sandwich bound (a, b) per norm kind: a * diam(f - g) - b * theta;
 # the upper bound diam(f - g) + 2 theta is shared.  Kinds without an entry
 # carry no sandwich.
@@ -311,10 +329,9 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
     surjectivity constant is certified as 0 by exact reconstruct/resample
     round trips on the image side.
     """
+    theta = check_positive(theta, "threshold")
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
     normf = norm_by_kind(kind)
     dxs, dys = [], []
     failures = 0
@@ -337,16 +354,7 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
     else:
         violations = None
 
-    def b_of(a):
-        worst = 0.0
-        for dx, dy in zip(dxs, dys):
-            worst = max(worst, dy - a * dx, dx / a - dy)
-        return worst
-
-    grid = [1.0 + 0.01 * k for k in range(101)]
-    bs = [(b_of(a), a) for a in grid]
-    b_min = min(b for b, _ in bs)
-    fitted_a = min(a for b, a in bs if b <= b_min + 1e-12)
+    fitted_a, fitted_b, b_at_a1 = _qi_fit(dxs, dys, theta)
     rho1, rho2 = _monotone_envelopes(dxs, dys)
     return QiReport(
         kind=kind,
@@ -354,8 +362,8 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
         trials=len(corpus),
         violations=violations,
         fitted_A=fitted_a,
-        fitted_B=b_of(fitted_a),
-        B_at_A1=b_of(1.0),
+        fitted_B=fitted_b,
+        B_at_A1=b_at_a1,
         coarse_C=0.0 if failures == 0 else math.nan,
         reconstruction_failures=failures,
         per_trial=tuple(zip(dxs, dys)),
@@ -392,8 +400,7 @@ def left_continuity_probe(f: Signal, theta0: float,
     The control run at a threshold slightly above theta0 exposes the
     right-discontinuity (event-count drop) when theta0 is critical for f.
     """
-    if not theta0 > 0.0:
-        raise ValueError("theta0 must be positive")
+    theta0 = check_positive(theta0, "threshold")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     reference = sod_sample(f, theta0)

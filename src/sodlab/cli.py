@@ -303,6 +303,7 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_path):
     """Quasi-isometry sandwich campaign; exits 2 if any violation is found."""
+    theta = check_positive(theta, "--theta")  # before the corpus is built
     corpus = analysis.make_qi_corpus(trials, seed, horizon, n_breaks, amplitude)
     report = analysis.qi_verify(corpus, theta, kind)
     _write_json(out, report, omit=("per_trial",))

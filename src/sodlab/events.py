@@ -65,10 +65,7 @@ class EventSequence:
 
     def is_pure(self) -> bool:
         """True when all amplitude magnitudes are identical (or empty)."""
-        if not self.values:
-            return True
-        mag = abs(self.values[0])
-        return all(abs(v) == mag for v in self.values)
+        return len(set(map(abs, self.values))) <= 1
 
 
 def from_pairs(T: float, pairs) -> EventSequence:
@@ -94,22 +91,31 @@ def difference(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
         raise ValueError(f"horizon mismatch: {eta1.T!r} vs {eta2.T!r}")
     t1, v1 = eta1.times, eta1.values
     t2, v2 = eta2.times, eta2.values
+    n1, n2 = len(t1), len(t2)
     i = j = 0
     times, values = [], []
-    while i < len(t1) or j < len(t2):
-        if j >= len(t2) or (i < len(t1) and t1[i] < t2[j]):
-            t, v = t1[i], v1[i]
+    while i < n1 and j < n2:
+        t, s = t1[i], t2[j]
+        if t < s:
+            times.append(t)
+            values.append(v1[i])
             i += 1
-        elif i >= len(t1) or t2[j] < t1[i]:
-            t, v = t2[j], -v2[j]
+        elif s < t:
+            times.append(s)
+            values.append(-v2[j])
             j += 1
         else:  # exact time collision
-            t, v = t1[i], v1[i] - v2[j]
+            v = v1[i] - v2[j]
+            if v != 0.0:
+                times.append(t)
+                values.append(v)
             i += 1
             j += 1
-        if v != 0.0:
-            times.append(t)
-            values.append(v)
+    # the tail of the side left over: its amplitudes are nonzero, as stored
+    times += t1[i:]
+    values += v1[i:]
+    times += t2[j:]
+    values += map(operator.neg, v2[j:])
     return EventSequence(eta1.T, tuple(times), tuple(values))
 
 

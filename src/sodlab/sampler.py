@@ -68,10 +68,13 @@ def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float
     return min(hits) if hits else math.inf
 
 
-def _sample(f: Signal, theta: float, levels) -> EventSequence:
+def _sample(f: Signal, theta: float, lattice: bool) -> EventSequence:
     """The first-crossing recursion: after an event at reference level `ref`
     (the level it hit) and net index `k`, both 0 at the start, the next event
-    is the first hit of ``(up, down) = levels(ref, k)``, carrying +-theta.
+    is the first hit of one of the levels ``(up, down)``, carrying +-theta.
+    They are ``(ref + theta, ref - theta)`` for SOD and, with `lattice`, the
+    LC lattice levels ``((k + 1) * theta, (k - 1) * theta)``; both rules give
+    ``(theta, -theta)`` at the start.
 
     The pieces are walked once, in time order.  While a piece ends after the
     last event (``hi > t_cur``) it is searched for the earlier of its first
@@ -111,10 +114,10 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
     his = t0[1:] + (T,)
     ends = c0s[1:] + (c0s[-1] + u * (c1s[-1] + u * c2s[-1]),)
     inf = math.inf
-    ref, k = 0.0, 0
+    k = 0
     t_cur = 0.0
     times, values = [], []
-    up, down = levels(ref, k)
+    up, down = theta, -theta
     for lo, c0, c1, c2, hi, end_value in zip(t0, c0s, c1s, c2s, his, ends):
         linear = c2 == 0.0
         if linear:  # the terms of the linear search and the run-on
@@ -149,9 +152,12 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
             amp = sign * theta
             times.append(t_cur)
             values.append(amp)
-            ref = up if sign > 0 else down
-            k += sign
-            up, down = levels(ref, k)
+            if lattice:
+                k += sign
+                up, down = (k + 1) * theta, (k - 1) * theta
+            else:
+                ref = up if sign > 0 else down
+                up, down = ref + theta, ref - theta
             if not linear or sign * c1 <= 0.0:
                 continue
             while True:
@@ -168,9 +174,11 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
                 t_cur = t
                 times.append(t)
                 values.append(amp)
-                ref = level
-                k += sign
-                up, down = levels(ref, k)
+                if lattice:
+                    k += sign
+                    up, down = (k + 1) * theta, (k - 1) * theta
+                else:
+                    up, down = level + theta, level - theta
     return EventSequence(f.T, tuple(times), tuple(values))
 
 
@@ -182,7 +190,7 @@ def sod_sample(f: Signal, theta: float) -> EventSequence:
     empty sequence.
     """
     theta = _check_theta(theta)
-    return _sample(f, theta, lambda ref, k: (ref + theta, ref - theta))
+    return _sample(f, theta, False)
 
 
 def lc_sample(f: Signal, theta: float) -> EventSequence:
@@ -193,7 +201,7 @@ def lc_sample(f: Signal, theta: float) -> EventSequence:
     lies on the lattice.
     """
     theta = _check_theta(theta)
-    return _sample(f, theta, lambda ref, k: ((k + 1) * theta, (k - 1) * theta))
+    return _sample(f, theta, True)
 
 
 def if_sample(f: Signal, theta: float) -> EventSequence:

@@ -156,11 +156,25 @@ def add(f: Signal, g: Signal) -> Signal:
     """Pointwise f + g on the merged grid of starts (equal horizons required):
     per merged piece, the sum of the coefficients of the pieces of f and g
     it lies in, each rewritten relative to its start."""
+    return _merged_sum(f, g, g.c0, g.c1, g.c2)
+
+
+def subtract(f: Signal, g: Signal) -> Signal:
+    """Pointwise f - g: ``add(f, scale(g, -1.0))``, the same float operations
+    (g's coefficients as the products ``-1.0 * c``, so signed zeros match),
+    without building the negated signal."""
+    return _merged_sum(f, g, [-1.0 * c for c in g.c0], [-1.0 * c for c in g.c1],
+                       [-1.0 * c for c in g.c2])
+
+
+def _merged_sum(f: Signal, g: Signal, gc0, gc1, gc2) -> Signal:
+    """`add` of f and the signal with g's starts and the coefficient
+    columns `gc0`, `gc1`, `gc2`."""
     if f.T != g.T:
         raise ValueError(f"horizon mismatch: {f.T!r} vs {g.T!r}")
     starts = sorted(set(f.t0) | set(g.t0))
     ft, fc0, fc1, fc2 = f.t0, f.c0, f.c1, f.c2
-    gt, gc0, gc1, gc2 = g.t0, g.c0, g.c1, g.c2
+    gt = g.t0
     c0, c1, c2 = [], [], []
     for s in starts:
         i = bisect_right(ft, s) - 1
@@ -171,10 +185,6 @@ def add(f: Signal, g: Signal) -> Signal:
         c1.append(fc1[i] + 2.0 * a2 * d + (gc1[j] + 2.0 * b2 * e))
         c2.append(a2 + b2)
     return Signal(f.T, starts, c0, c1, c2)
-
-
-def subtract(f: Signal, g: Signal) -> Signal:
-    return add(f, scale(g, -1.0))
 
 
 def diameter_norm(f: Signal) -> float:
@@ -280,7 +290,7 @@ def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
     steps = np.random.default_rng(seed).uniform(-amplitude, amplitude, n_breaks)
     times = [i * T / n_breaks for i in range(n_breaks + 1)]
     times[-1] = T
-    return pwl_from_points(T, times, accumulate(map(float, steps), initial=0.0))
+    return pwl_from_points(T, times, accumulate(steps.tolist(), initial=0.0))
 
 
 def generate(kind: str, T: float, **params) -> Signal:

@@ -5,7 +5,8 @@ that the library's paths are checked against (the O(n^2) discrepancy, the
 O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
 search and chain, transcription on the dense grid and its sign-list sweep,
 the row-by-row Victor-Purpura program, the signal operations piece by piece
-on `Segment`s, the f-string event CSV), seeded train generators, and
+on `Segment`s, the f-string event CSV, the event difference and the
+quasi-isometry fit one trial at a time), seeded train generators, and
 curated adversarial signals.
 """
 
@@ -121,6 +122,48 @@ def vp_dp_rowwise(ta, tb, s: float) -> float:
             cur[j] = min(prev[j] + 1.0, cur[j - 1] + 1.0, shift)
         prev = cur
     return prev[m]
+
+
+def difference_stepwise(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
+    """eta1 - eta2 on the merged grid, one event per step, with the test for
+    an exhausted side inside the loop; exact cancellations are dropped."""
+    if eta1.T != eta2.T:
+        raise ValueError(f"horizon mismatch: {eta1.T!r} vs {eta2.T!r}")
+    t1, v1 = eta1.times, eta1.values
+    t2, v2 = eta2.times, eta2.values
+    i = j = 0
+    times, values = [], []
+    while i < len(t1) or j < len(t2):
+        if j >= len(t2) or (i < len(t1) and t1[i] < t2[j]):
+            t, v = t1[i], v1[i]
+            i += 1
+        elif i >= len(t1) or t2[j] < t1[i]:
+            t, v = t2[j], -v2[j]
+            j += 1
+        else:  # exact time collision
+            t, v = t1[i], v1[i] - v2[j]
+            i += 1
+            j += 1
+        if v != 0.0:
+            times.append(t)
+            values.append(v)
+    return EventSequence(eta1.T, tuple(times), tuple(values))
+
+
+def qi_fit_loop(dxs, dys, theta: float) -> tuple[float, float, float]:
+    """(A, B(A), B(1)) of the quasi-isometry fit, with each B(a) a loop over
+    the trials and the tie to the minimum within 1e-12 (max dx + theta)."""
+    def b_of(a):
+        worst = 0.0
+        for dx, dy in zip(dxs, dys):
+            worst = max(worst, dy - a * dx, dx / a - dy)
+        return worst
+
+    grid = [1.0 + 0.01 * k for k in range(101)]
+    bs = [(b_of(a), a) for a in grid]
+    b_min = min(b for b, _ in bs)
+    fitted_a = min(a for b, a in bs if b <= b_min + 1e-12 * (max(dxs) + theta))
+    return fitted_a, b_of(fitted_a), b_of(1.0)
 
 
 def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:

@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodlab import analysis
 from sodlab.analysis import (
     SPIKE_METRICS,
+    _qi_fit,
     certify_norm,
     emdm_characterize,
     emdm_sweep,
@@ -26,7 +29,13 @@ from sodlab.signals import (
 )
 from sodlab.trains import alternating_train, mmsn_train, random_unit_train
 
-from oracles import comb_signal, local_max_signal, signal_of, transcription_sweep_compact
+from oracles import (
+    comb_signal,
+    local_max_signal,
+    qi_fit_loop,
+    signal_of,
+    transcription_sweep_compact,
+)
 
 
 def unit_ramp(T=1.0):
@@ -256,6 +265,55 @@ class TestQiVerify:
         monkeypatch.setattr("sodlab.analysis.norm_by_kind",
                             lambda kind: lambda eta: 0.0)
         assert qi_verify(corpus, 2.5e-12, "D").violations == len(corpus)
+
+
+@st.composite
+def fit_inputs(draw):
+    """(dxs, dys, theta): 1..40 trials at a scale 2^-40..2^40, each value a
+    multiple of 1/16 (so that B ties across grid points), a signed zero, or
+    any float up to 4, times the scale."""
+    unit = 2.0 ** draw(st.integers(-40, 40))
+    value = (st.integers(0, 64).map(lambda m: m / 16.0) | st.sampled_from((0.0, -0.0))
+             | st.floats(0.0, 4.0)).map(lambda v: v * unit)
+    n = draw(st.integers(1, 40))
+    dxs = draw(st.lists(value, min_size=n, max_size=n))
+    dys = draw(st.lists(value, min_size=n, max_size=n))
+    return dxs, dys, unit * draw(st.floats(1.0 / 64.0, 1.0))
+
+
+@given(fit_inputs())
+@settings(max_examples=200, deadline=None)
+def test_qi_fit_matches_the_trial_loop_by_repr(case):
+    assert repr(_qi_fit(*case)) == repr(qi_fit_loop(*case))
+
+
+@pytest.mark.parametrize("seed", [3, 201])
+def test_qi_fit_commutes_with_power_of_two_scaling(seed):
+    # every dx, dy and B scales exactly by 2^k, so the tie to the minimum
+    # must too: with an absolute tolerance, k = -40 fitted A = 1.0
+    fits = []
+    for k in (-40, -20, 0, 20):
+        s = 2.0 ** k
+        rep = qi_verify(make_qi_corpus(200, seed, amplitude=0.4 * s), 0.1 * s, "D")
+        fit = (rep.fitted_A, rep.fitted_B, rep.B_at_A1)
+        assert repr(fit) == repr(qi_fit_loop(*zip(*rep.per_trial), rep.theta))
+        fits.append((rep.fitted_A, rep.fitted_B / s, rep.B_at_A1 / s))
+    assert fits[0][0] > 1.0
+    assert fits == [fits[0]] * 4
+
+
+@pytest.mark.parametrize("n_pairs", [0, -5, True, 2.5])
+def test_qi_corpus_refuses_a_bad_trial_count(n_pairs):
+    with pytest.raises(ValueError, match=f"n_pairs must be an integer >= 1, got {n_pairs!r}"):
+        make_qi_corpus(n_pairs, 1)
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.1, math.inf, math.nan, True, "0.1"])
+def test_qi_verify_and_probe_refuse_a_bad_threshold(theta):
+    with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+        qi_verify([], theta)  # before the corpus is looked at
+    with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+        left_continuity_probe(unit_ramp(), theta)
 
 
 class TestLeftContinuityProbe:

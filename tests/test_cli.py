@@ -173,6 +173,26 @@ def test_emdm_refuses_a_bad_theta_grid_entry_before_any_work(runner, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--trials", "-5", "--theta", "0.1"], "n_pairs"),
+    (["--trials", "0", "--theta", "0.1"], "n_pairs"),
+    (["--theta", "inf"], "--theta"),
+    (["--trials", "-5", "--theta", "-0.1"], "--theta"),
+])
+def test_qi_check_refuses_bad_inputs_before_any_work(runner, tmp_path, monkeypatch,
+                                                      args, named):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.analysis, "qi_verify",
+                        lambda *args, **kwargs: pytest.fail("the campaign ran"))
+    if named == "--theta":  # the threshold is checked before the corpus is built
+        monkeypatch.setattr(cli.analysis, "make_qi_corpus",
+                            lambda *args, **kwargs: pytest.fail("the corpus was built"))
+    res = invoke(runner, "qi-check", *args, "--out", "q.json")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and named in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args, flags", [
     (["emdm", "--metric", "D", "--alpha", "5", "--out", "e.json"], "--alpha"),
     (["distance", "--a", "a.csv", "--b", "a.csv", "--metric", "vr", "--s", "5"], "--s"),

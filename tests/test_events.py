@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sodlab.events import (
@@ -19,7 +19,7 @@ from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points, random_walk
 from sodlab.structure import DenseEvents
 
-from oracles import events_csv_text, is_alternating, random_signed_train
+from oracles import difference_stepwise, events_csv_text, is_alternating, random_signed_train
 
 
 def seq(*pairs, T=10.0):
@@ -56,6 +56,41 @@ def test_difference_antisymmetry(s1, s2):
     lhs = difference(a, b)
     rhs = scale_events(difference(b, a), -1.0)
     assert lhs.times == rhs.times and lhs.values == rhs.values
+
+
+@st.composite
+def difference_pairs(draw):
+    """Two sequences on one horizon 2^-30..2^20 with times from one small
+    pool, so that exact collisions are common, each side possibly empty
+    and holding t = 0 as 0.0 or -0.0; amplitudes of magnitude 1e-9..1e9,
+    +-1 or +-2 times one unit, so that collisions cancel, or any float."""
+    T = 2.0 ** draw(st.integers(-30, 20))
+    unit = 10.0 ** draw(st.floats(-9.0, 9.0))
+    pool = sorted({T * x for x in draw(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                                   max_size=8))})
+    amplitude = (st.sampled_from((1.0, -1.0, 2.0, -2.0)).map(lambda c: c * unit)
+                 | st.floats(-2.0 * unit, 2.0 * unit).filter(bool))
+
+    def side():
+        times = sorted(draw(st.lists(st.sampled_from(pool), unique=True)))
+        if times and times[0] == 0.0 and draw(st.booleans()):
+            times[0] = -0.0
+        return EventSequence(T, times, [draw(amplitude) for _ in times])
+
+    return side(), side()
+
+
+@given(difference_pairs())
+@settings(max_examples=300, deadline=None)
+@example((from_pairs(1.0, [(-0.0, 1.0), (0.5, 2.0)]), from_pairs(1.0, [(0.0, 1.0)])))
+@example((from_pairs(1.0, [(-0.0, 2.0)]), from_pairs(1.0, [(0.0, 1.0), (0.5, -1.0)])))
+@example((from_pairs(1.0, [(0.0, 1.0)]), from_pairs(1.0, [(-0.0, 1.0), (1.0, 3.0)])))
+@example((from_pairs(1.0, []), from_pairs(1.0, [(0.25, 1.0), (0.5, -1.0)])))
+@example((from_pairs(1.0, [(0.25, 1.0), (0.5, -1.0)]), from_pairs(1.0, [])))
+def test_difference_matches_the_stepwise_merge_by_repr(pair):
+    a, b = pair
+    got, ref = difference(a, b), difference_stepwise(a, b)
+    assert repr((got.T, got.times, got.values)) == repr((ref.T, ref.times, ref.values))
 
 
 def test_split_signs_all_positive():

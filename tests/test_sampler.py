@@ -460,6 +460,16 @@ def test_run_on_crossings_match_scalar_oracle(case):
         assert eta.values == ref.values
 
 
+def test_lc_lattice_levels_match_the_scalar_oracle_where_sod_levels_drift():
+    # the eighth LC level 8 * 0.1 is the knot value 0.8, hit at its joint;
+    # the SOD reference 0.1 + ... + 0.1 = 0.7999999999999999 is hit before it
+    f = pwl_from_points(2.0, [0.0, 1.0, 2.0], [0.0, 0.8, 0.0])
+    eta, ref = lc_sample(f, 0.1), scalar_lc(f, 0.1)
+    assert eta.times[7] == 1.0 > sod_sample(f, 0.1).times[7]
+    assert eta.times == ref.times
+    assert eta.values == ref.values
+
+
 @st.composite
 def cross_scale_inputs(draw):
     """(f, g, theta) over horizons 1e-6..1e9 and amplitudes 1e-9..1e9, with
