@@ -1,5 +1,5 @@
-"""Small shared helpers (positive-number check, report JSON, atomic file
-output)."""
+"""Small shared helpers (positive-number and integer checks, report JSON,
+atomic file output)."""
 
 import json
 import math
@@ -21,6 +21,14 @@ def check_positive(x, name: str) -> float:
         if math.isfinite(value) and value > 0.0:
             return value
     raise ValueError(f"{name} must be a positive finite number, got {x!r}")
+
+
+def check_integer(x, name: str, minimum: int) -> int:
+    """x as an int, if x is an integer >= `minimum` (bools not); anything
+    else raises a ValueError naming the quantity `name`."""
+    if type(x) is not bool and isinstance(x, numbers.Integral) and x >= minimum:
+        return int(x)
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
 
 
 def write_text_atomic(path, text):

@@ -6,13 +6,12 @@ infimum, transcription-sweep bound, with the sweep equal to ||eta||_D)."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spike_metrics
-from ._util import check_positive
+from ._util import check_integer, check_positive
 from .events import EventSequence, difference, empty, scale_events
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
 from .sampler import reconstruct, sod_sample
@@ -199,8 +198,7 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
     """
     if isinstance(metric, str):
         metric = make_metric(metric)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = check_integer(n_max, "n_max", 1)
     if metric.is_norm:
         normf = norm_by_kind(metric.kind)
         counts = sorted({1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
@@ -267,9 +265,8 @@ class QiReport:
 def make_qi_corpus(n_pairs: int, seed: int, T: float = 1.0,
                    n_breaks: int = 12, amplitude: float = 0.4):
     """Seed-deterministic list of random piecewise-linear signal pairs."""
-    if type(n_pairs) is bool or not isinstance(n_pairs, numbers.Integral) or n_pairs < 1:
-        raise ValueError(f"trial count n_pairs must be an integer >= 1, got {n_pairs!r}")
-    rng = np.random.default_rng(seed)
+    n_pairs = check_integer(n_pairs, "trial count n_pairs", 1)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
     child = rng.integers(0, 2 ** 62, size=(n_pairs, 2))
     return [
         (random_walk(T, int(a), n_breaks, amplitude),
@@ -401,8 +398,7 @@ def left_continuity_probe(f: Signal, theta0: float,
     right-discontinuity (event-count drop) when theta0 is critical for f.
     """
     theta0 = check_positive(theta0, "threshold")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = check_integer(n_steps, "n_steps", 1)
     reference = sod_sample(f, theta0)
     ref_times = reference.times
     steps = []

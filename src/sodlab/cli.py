@@ -11,7 +11,7 @@ import click
 
 from . import (__version__, analysis, events, norms, sampler, signals,
                spike_metrics, structure)
-from ._util import check_positive, json_report, write_text_atomic
+from ._util import check_integer, check_positive, json_report, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -87,6 +87,7 @@ def main():
 def generate(kind, horizon, resolution, seed, n_breaks, amplitude,
              events_path, events_horizon, out):
     """Write a generated signal as JSON."""
+    check_integer(seed, "--seed", 0)
     if kind == "from_events":
         if not events_path:
             raise ValueError("kind=from_events needs --events")
@@ -304,6 +305,7 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
 def qi_check(trials, theta, kind, seed, horizon, n_breaks, amplitude, out, csv_path):
     """Quasi-isometry sandwich campaign; exits 2 if any violation is found."""
     theta = check_positive(theta, "--theta")  # before the corpus is built
+    check_integer(seed, "--seed", 0)
     corpus = analysis.make_qi_corpus(trials, seed, horizon, n_breaks, amplitude)
     report = analysis.qi_verify(corpus, theta, kind)
     _write_json(out, report, omit=("per_trial",))

@@ -1,21 +1,20 @@
 """Send-on-delta sampling, level-crossing with hysteresis, integrate-and-fire,
 and the canonical right inverse (reconstruction).
 
-SOD and LC share one first-crossing recursion: from the last event the next
-fires at the first time f hits one of two levels, ref +- theta for SOD and
-(k +- 1)*theta for LC.  Crossings are computed closed-form per polynomial
-piece and the earliest root wins; root tolerances are relative to the piece
-length, so the output commutes exactly with power-of-two rescaling of time.
-Exact endpoint hits are recognized by comparing stored joint values, which is
-what makes ``sod_sample(reconstruct(eta)) == eta`` bit-exact: the
-reconstruction's breakpoint levels are produced by the same float additions
-the sampler uses for its reference levels.
+SOD and LC are one first-crossing recursion: for an anchored f (f(0) = 0),
+SOD's reference f(t_k) is the level k*theta the last event hit, k the net
+signed event count, so the next event fires at the first hit of LC's
+lattice levels (k +- 1)*theta.  Crossings are computed closed-form per
+polynomial piece and the earliest root wins; root tolerances are relative
+to the piece length, so the output commutes exactly with power-of-two
+rescaling of time.  Exact endpoint hits are recognized by comparing stored
+joint values, which makes ``sample(reconstruct(eta)) == eta`` bit-exact for
+both schemes: the reconstruction's knots are the same products k*theta.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 from ._util import check_positive
 from .events import EventSequence
@@ -68,13 +67,11 @@ def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float
     return min(hits) if hits else math.inf
 
 
-def _sample(f: Signal, theta: float, lattice: bool) -> EventSequence:
-    """The first-crossing recursion: after an event at reference level `ref`
-    (the level it hit) and net index `k`, both 0 at the start, the next event
-    is the first hit of one of the levels ``(up, down)``, carrying +-theta.
-    They are ``(ref + theta, ref - theta)`` for SOD and, with `lattice`, the
-    LC lattice levels ``((k + 1) * theta, (k - 1) * theta)``; both rules give
-    ``(theta, -theta)`` at the start.
+def _sample(f: Signal, theta: float) -> EventSequence:
+    """The first-crossing recursion: after events of net signed count `k`, 0
+    at the start, the next event is the first hit of one of the levels
+    ``(up, down) = ((k + 1) * theta, (k - 1) * theta)``, carrying +-theta;
+    each level is one product, so no rounding accumulates over the events.
 
     The pieces are walked once, in time order.  While a piece ends after the
     last event (``hi > t_cur``) it is searched for the earlier of its first
@@ -114,7 +111,7 @@ def _sample(f: Signal, theta: float, lattice: bool) -> EventSequence:
     his = t0[1:] + (T,)
     ends = c0s[1:] + (c0s[-1] + u * (c1s[-1] + u * c2s[-1]),)
     inf = math.inf
-    k = 0
+    k = 0.0  # the net count: a float is exact below 2**53 and multiplies faster
     t_cur = 0.0
     times, values = [], []
     up, down = theta, -theta
@@ -146,39 +143,30 @@ def _sample(f: Signal, theta: float, lattice: bool) -> EventSequence:
             if t_up <= t_down:
                 if t_up == inf:
                     break
-                t_cur, sign = t_up, 1
+                t_cur, sign = t_up, 1.0
             else:
-                t_cur, sign = t_down, -1
+                t_cur, sign = t_down, -1.0
             amp = sign * theta
             times.append(t_cur)
             values.append(amp)
-            if lattice:
-                k += sign
-                up, down = (k + 1) * theta, (k - 1) * theta
-            else:
-                ref = up if sign > 0 else down
-                up, down = ref + theta, ref - theta
-            if not linear or sign * c1 <= 0.0:
-                continue
-            while True:
-                level = up if sign > 0 else down
-                if (level >= end_value) if sign > 0 else (level <= end_value):
-                    break
-                u = (level - c0) / c1
-                if not -slack <= u <= u_max:
-                    break
-                # lo + min(max(u, 0.0), seg_len), without the two calls
-                t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
-                if not t > t_cur:
-                    break
-                t_cur = t
-                times.append(t)
-                values.append(amp)
-                if lattice:
+            k += sign
+            if linear and sign * c1 > 0.0:
+                while True:
+                    level = (k + sign) * theta
+                    if (level >= end_value) if sign > 0.0 else (level <= end_value):
+                        break
+                    u = (level - c0) / c1
+                    if not -slack <= u <= u_max:
+                        break
+                    # lo + min(max(u, 0.0), seg_len), without the two calls
+                    t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                    if not t > t_cur:
+                        break
+                    t_cur = t
+                    times.append(t)
+                    values.append(amp)
                     k += sign
-                    up, down = (k + 1) * theta, (k - 1) * theta
-                else:
-                    up, down = level + theta, level - theta
+            up, down = (k + 1.0) * theta, (k - 1.0) * theta
     return EventSequence(f.T, tuple(times), tuple(values))
 
 
@@ -187,10 +175,11 @@ def sod_sample(f: Signal, theta: float) -> EventSequence:
 
     Returns a theta-pure sequence; amplitudes are exactly +-theta.  A
     crossing at t = T counts as an event.  An event-free signal yields the
-    empty sequence.
+    empty sequence.  f(t_k) is the level k*theta the last event hit, so the
+    output equals `lc_sample`'s.
     """
     theta = _check_theta(theta)
-    return _sample(f, theta, False)
+    return _sample(f, theta)
 
 
 def lc_sample(f: Signal, theta: float) -> EventSequence:
@@ -198,10 +187,11 @@ def lc_sample(f: Signal, theta: float) -> EventSequence:
 
     From level index k0 at the last event the next event fires at the first
     time f reaches (k0 +- 1)*theta.  The initial index is 0 since f(0) = 0
-    lies on the lattice.
+    lies on the lattice.  This is the recursion of `sod_sample`, kept a
+    function of its own so that a profile or trace tells the schemes apart.
     """
     theta = _check_theta(theta)
-    return _sample(f, theta, True)
+    return _sample(f, theta)
 
 
 def if_sample(f: Signal, theta: float) -> EventSequence:
@@ -211,12 +201,13 @@ def if_sample(f: Signal, theta: float) -> EventSequence:
 
 
 def reconstruct(eta: EventSequence) -> Signal:
-    """Piecewise-linear interpolant through (0, 0) and (t_k, sum_{j<=k} v_j),
-    constant after the last event.
+    """Piecewise-linear interpolant through (0, 0) and (t_k, n_k * theta),
+    constant after the last event: theta = |v_1| and n_k is the net signed
+    count of the events up to t_k, so the knots are the sampler's levels.
 
     Requires a theta-pure input (all |v_k| equal).  Guarantee:
-    ``sod_sample(reconstruct(eta), theta) == eta`` exactly, times and
-    amplitudes.
+    ``sod_sample(reconstruct(eta), theta) == eta`` and the same for
+    `lc_sample`, exactly, times and amplitudes.
     """
     if not eta.is_pure():
         raise ValueError("reconstruct needs a theta-pure sequence (equal |v_k|)")
@@ -224,7 +215,10 @@ def reconstruct(eta: EventSequence) -> Signal:
         return zero(eta.T)
     if eta.times[0] == 0.0:
         raise ValueError("cannot interpolate through an event at t = 0")
-    return pwl_from_points(eta.T, (0.0, *eta.times), accumulate(eta.values, initial=0.0))
+    theta = abs(eta.values[0])
+    n = 0.0  # the net count: each v / theta is +-1.0 exactly
+    levels = [(n := n + v / theta) * theta for v in eta.values]
+    return pwl_from_points(eta.T, (0.0, *eta.times), (0.0, *levels))
 
 
 def homogeneity_check(f: Signal, theta: float, theta_tilde: float) -> bool:

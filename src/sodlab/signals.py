@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from ._util import check_positive, write_text_atomic
+from ._util import check_integer, check_positive, write_text_atomic
 
 # Tolerance for structural checks (continuity at segment joints), relative
 # to the size of the joint's terms once that exceeds 1: sampling is
@@ -260,8 +260,7 @@ def sine_pwl(T: float, resolution: int) -> Signal:
     approximation is the signal of record; interpolation error is bounded by
     h^2 * max|f''| / 8 = h^2/32 with h = 2*pi/resolution.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2 knots per period")
+    resolution = check_integer(resolution, "resolution (knots per period)", 2)
     h = 2.0 * math.pi / resolution
     times = [0.0]
     while times[-1] + h < T:
@@ -275,8 +274,8 @@ def sine_pwl(T: float, resolution: int) -> Signal:
 
 def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
     """Seed-deterministic PWL walk: equally spaced knots, uniform steps."""
-    if n_breaks < 1:
-        raise ValueError("n_breaks must be >= 1")
+    seed = check_integer(seed, "seed", 0)
+    n_breaks = check_integer(n_breaks, "n_breaks", 1)
     if not amplitude > 0.0:
         raise ValueError("amplitude must be positive")
     T = check_positive(T, "horizon")

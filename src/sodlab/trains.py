@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._util import check_integer
 from .events import EventSequence, from_pairs
 
 
 def alternating_train(n: int, T: float = 1.0, start: int = 1) -> EventSequence:
     """n unit events of strictly alternating sign at k*T/(n+1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = check_integer(n, "n", 0)
     sign = 1.0 if start > 0 else -1.0
     pairs = [((k + 1) * T / (n + 1), sign * (-1.0) ** k) for k in range(n)]
     return from_pairs(T, pairs)
@@ -29,8 +29,7 @@ def mmsn_train(n: int, T: float = 1.0) -> EventSequence:
     Max-max-sum norm 1 for every n while the discrepancy norm is ceil(n/2):
     the family separating the two norms.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_integer(n, "n", 1)
     half = (n + 1) // 2
     pairs = [(k * T / n, 1.0 if k <= half else -1.0) for k in range(1, n + 1)]
     return from_pairs(T, pairs)

@@ -24,7 +24,7 @@ from sodlab.norms import (
     discrepancy_norm,
     max_max_sum_norm,
 )
-from sodlab.sampler import homogeneity_check, reconstruct, sod_sample
+from sodlab.sampler import homogeneity_check, lc_sample, reconstruct, sod_sample
 from sodlab.signals import (
     Segment,
     diameter_norm,
@@ -252,11 +252,13 @@ def test_c12_coarse_surjectivity():
         theta = float(rng.uniform(0.05, 2.0))
         n = int(rng.integers(1, 30))
         eta = random_pure_train(trial + 40_000, n, theta)
-        back = sod_sample(reconstruct(eta), theta)
-        assert back.times == eta.times
-        assert back.values == eta.values
+        f = reconstruct(eta)
+        for sample in (sod_sample, lc_sample):
+            back = sample(f, theta)
+            assert back.times == eta.times
+            assert back.values == eta.values
     ok("criterion 12: reconstruct/resample exact on 10^3 theta-pure "
-       "sequences (C = 0)")
+       "sequences (C = 0), by SOD and by LC")
 
 
 def test_c13_homogeneity():

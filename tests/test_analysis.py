@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from sodlab.signals import (
     Segment,
     diameter_norm,
     random_walk,
+    sine_pwl,
     subtract,
     zero,
 )
@@ -306,6 +308,27 @@ def test_qi_fit_commutes_with_power_of_two_scaling(seed):
 def test_qi_corpus_refuses_a_bad_trial_count(n_pairs):
     with pytest.raises(ValueError, match=f"n_pairs must be an integer >= 1, got {n_pairs!r}"):
         make_qi_corpus(n_pairs, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "3"])
+def test_qi_corpus_refuses_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        make_qi_corpus(3, seed)
+    assert len(make_qi_corpus(3, np.int64(7))) == 3
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: random_walk(1.0, 1, True, 0.5), "n_breaks"),
+    (lambda: random_walk(1.0, 1, 0, 0.5), "n_breaks"),
+    (lambda: sine_pwl(1.0, 64.0), "resolution"),
+    (lambda: emdm_characterize("D", n_max=2.5), "n_max"),
+    (lambda: left_continuity_probe(random_walk(1.0, 1, 4, 0.5), 0.1, n_steps=0), "n_steps"),
+    (lambda: alternating_train(-1), "n"),
+    (lambda: mmsn_train(True), "n"),
+])
+def test_counts_are_refused_unless_integers_in_range(build, name):
+    with pytest.raises(ValueError, match=rf"^{name}\b.* must be an integer >= "):
+        build()
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.1, math.inf, math.nan, True, "0.1"])

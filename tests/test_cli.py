@@ -178,18 +178,30 @@ def test_emdm_refuses_a_bad_theta_grid_entry_before_any_work(runner, tmp_path,
     (["--trials", "0", "--theta", "0.1"], "n_pairs"),
     (["--theta", "inf"], "--theta"),
     (["--trials", "-5", "--theta", "-0.1"], "--theta"),
+    (["--trials", "3", "--theta", "0.1", "--seed", "-1"], "--seed"),
 ])
 def test_qi_check_refuses_bad_inputs_before_any_work(runner, tmp_path, monkeypatch,
                                                       args, named):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli.analysis, "qi_verify",
                         lambda *args, **kwargs: pytest.fail("the campaign ran"))
-    if named == "--theta":  # the threshold is checked before the corpus is built
+    if named != "n_pairs":  # these are checked before the corpus is built
         monkeypatch.setattr(cli.analysis, "make_qi_corpus",
                             lambda *args, **kwargs: pytest.fail("the corpus was built"))
     res = invoke(runner, "qi-check", *args, "--out", "q.json")
     assert res.exit_code == 1
     assert res.output.startswith("error: ") and named in res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_refuses_a_negative_seed_before_any_work(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.signals, "generate",
+                        lambda *args, **kwargs: pytest.fail("the signal was generated"))
+    res = invoke(runner, "generate", "--kind", "random_walk", "--seed", "-3",
+                 "--out", "w.json")
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ") and "--seed" in res.output
     assert list(tmp_path.iterdir()) == []
 
 

@@ -130,7 +130,7 @@ class TestLc:
     def test_monotone_ramp_matches_sod(self):
         a = sod_sample(ramp(), 0.3)
         b = lc_sample(ramp(), 0.3)
-        assert b.times == pytest.approx(a.times, abs=1e-12)
+        assert b.times == a.times
         assert b.values == a.values
 
     def test_zero_signal(self):
@@ -150,7 +150,15 @@ class TestLc:
             a = sod_sample(f, 0.13)
             b = lc_sample(f, 0.13)
             assert a.values == b.values
-            assert b.times == pytest.approx(a.times, abs=1e-12)
+            assert b.times == a.times
+
+    def test_matches_sod_on_a_long_walk(self):
+        # 5000 pieces at a non-dyadic theta: a quarter of a million events,
+        # each level one product, so no drift separates the two schemes
+        f = random_walk(1.0, 3, 5000, 1.0)
+        a, b = sod_sample(f, 0.01), lc_sample(f, 0.01)
+        assert len(a) > 200_000
+        assert a == b
 
 
 class TestIf:
@@ -184,8 +192,8 @@ class TestReconstruct:
         eta = from_pairs(1.0, [(0.5, 1.0)])
         f = reconstruct(eta)
         assert f(0.5) == 1.0 and f(1.0) == 1.0 and f(0.25) == 0.5
-        back = sod_sample(f, 1.0)
-        assert back.pairs() == eta.pairs()
+        for sample in (sod_sample, lc_sample):
+            assert sample(f, 1.0).pairs() == eta.pairs()
 
     def test_roundtrip_campaign_exact(self):
         rng = np.random.default_rng(0)
@@ -193,9 +201,19 @@ class TestReconstruct:
             theta = float(rng.uniform(0.05, 2.0))
             n = int(rng.integers(1, 25))
             eta = random_pure_train(trial, n, theta)
-            back = sod_sample(reconstruct(eta), theta)
-            assert back.times == eta.times
-            assert back.values == eta.values
+            f = reconstruct(eta)
+            for sample in (sod_sample, lc_sample):
+                back = sample(f, theta)
+                assert back.times == eta.times
+                assert back.values == eta.values
+
+    def test_knots_are_lattice_levels(self):
+        # the knot after n net events is n * theta, one product, where a
+        # running sum of 0.1s drifts off the lattice by the eighth event
+        eta = from_pairs(1.0, [(0.1 * (i + 1), 0.1) for i in range(9)])
+        f = reconstruct(eta)
+        assert list(f.c0[1:]) == [n * 0.1 for n in range(1, 10)]
+        assert f.c0[8] != sum([0.1] * 8)
 
     def test_mixed_magnitudes_rejected(self):
         with pytest.raises(ValueError):
@@ -294,7 +312,10 @@ class TestHomogeneity:
 
 # --- scalar oracle for the run-on crossings ------------------------------------
 # The first-crossing recursion without run-on crossings, kept verbatim as the
-# reference that `sod_sample` and `lc_sample` must match bit for bit.
+# reference that `sod_sample` and `lc_sample` must match bit for bit.  It
+# takes the level rule as a parameter: `scalar_sod` is the one the samplers
+# use, and `scalar_sod_accumulated` the running sum ``ref +- theta`` of
+# SOD's reference level, which agrees with it where k * theta is exact.
 
 def _segment_arrays(f: Signal):
     """Flatten segments into parallel lists plus exact joint values.
@@ -378,26 +399,29 @@ def _sample(f: Signal, theta: float, levels) -> EventSequence:
 
 
 def scalar_sod(f, theta):
-    return _sample(f, theta, lambda ref, k: (ref + theta, ref - theta))
-
-
-def scalar_lc(f, theta):
+    """SOD and LC: the levels (k +- 1) * theta of the net event count k."""
     return _sample(f, theta, lambda ref, k: ((k + 1) * theta, (k - 1) * theta))
 
 
+def scalar_sod_accumulated(f, theta):
+    """SOD with the reference level accumulated, one addition per event."""
+    return _sample(f, theta, lambda ref, k: (ref + theta, ref - theta))
+
+
 @st.composite
-def run_on_inputs(draw):
+def run_on_inputs(draw, dyadic=None):
     """(signal, theta) over horizons 2^-30..2^20 and amplitudes 1e-9..1e9,
-    with theta a power of two or not.  Four signal kinds: random walks,
-    their antiderivatives (quadratic pieces), the reconstructions of their
-    SOD samples at theta (one event per piece, each on a stored joint: the
-    resample round trip), and lattice walks whose knot values are integer
-    multiples of theta, so that pieces end exactly on a level, repeat a
-    value (constant pieces) or, when two knots are a few ulps apart, are
-    steep enough that several levels round to one time."""
+    with theta a power of two or not (`dyadic` fixes which).  Four signal
+    kinds: random walks, their antiderivatives (quadratic pieces), the
+    reconstructions of their SOD samples at theta (one event per piece, each
+    on a stored joint: the resample round trip), and lattice walks whose
+    knot values are integer multiples of theta, so that pieces end exactly
+    on a level, repeat a value (constant pieces) or, when two knots are a
+    few ulps apart, are steep enough that several levels round to one
+    time."""
     T = 2.0 ** draw(st.integers(-30, 20))
     amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
-    if draw(st.booleans()):
+    if draw(st.booleans()) if dyadic is None else dyadic:
         theta = 2.0 ** (math.floor(math.log2(amplitude)) - draw(st.integers(0, 6)))
     else:
         theta = amplitude * draw(st.floats(1.0 / 64.0, 1.0))
@@ -453,21 +477,35 @@ def _steep(theta):
 @example((pwl_from_points(1.0, [0.0, 0.25, 0.75, 1.0], [0.0, 0.5, 0.5, -0.25]), 0.25))
 def test_run_on_crossings_match_scalar_oracle(case):
     f, theta = case
-    for fast, scalar in ((sod_sample, scalar_sod), (lc_sample, scalar_lc)):
+    ref = scalar_sod(f, theta)
+    for fast in (sod_sample, lc_sample):
         eta = fast(f, theta)
-        ref = scalar(f, theta)
         assert eta.times == ref.times
         assert eta.values == ref.values
 
 
+@given(run_on_inputs(dyadic=True))
+@settings(max_examples=200, deadline=None)
+def test_accumulated_reference_is_the_lattice_at_dyadic_thresholds(case):
+    # at theta = 2^m every sum of +-theta is an exact multiple k * theta
+    f, theta = case
+    lattice, accumulated = scalar_sod(f, theta), scalar_sod_accumulated(f, theta)
+    assert lattice.times == accumulated.times
+    assert lattice.values == accumulated.values
+
+
 def test_lc_lattice_levels_match_the_scalar_oracle_where_sod_levels_drift():
-    # the eighth LC level 8 * 0.1 is the knot value 0.8, hit at its joint;
-    # the SOD reference 0.1 + ... + 0.1 = 0.7999999999999999 is hit before it
+    # the eighth level 8 * 0.1 is the knot value 0.8, hit at its joint by
+    # both samplers; the accumulated reference 0.1 + ... + 0.1 =
+    # 0.7999999999999999 would be hit before it
     f = pwl_from_points(2.0, [0.0, 1.0, 2.0], [0.0, 0.8, 0.0])
-    eta, ref = lc_sample(f, 0.1), scalar_lc(f, 0.1)
-    assert eta.times[7] == 1.0 > sod_sample(f, 0.1).times[7]
-    assert eta.times == ref.times
-    assert eta.values == ref.values
+    ref = scalar_sod(f, 0.1)
+    assert ref.times[7] == 1.0 > scalar_sod_accumulated(f, 0.1).times[7]
+    for sample in (sod_sample, lc_sample):
+        eta = sample(f, 0.1)
+        assert eta.times[7] == 1.0
+        assert eta.times == ref.times
+        assert eta.values == ref.values
 
 
 @st.composite

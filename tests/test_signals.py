@@ -204,6 +204,12 @@ def test_generate_dispatch_and_errors():
         generate("random_walk", 1.0, seed=1, n_breaks=0, amplitude=0.5)
 
 
+@pytest.mark.parametrize("seed", [-3, True, 2.5, "3"])
+def test_random_walk_refuses_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        random_walk(1.0, seed, 4, 0.5)
+
+
 def test_segment_joint_continuity():
     for seed in range(5):
         f = random_walk(1.0, seed + 40, 10, 0.5)
@@ -269,6 +275,7 @@ def test_continuity_tolerance_scales_with_magnitude():
         eta = sod_sample(h, 2.0 ** 17)
         assert len(eta) > 0
         assert sod_sample(reconstruct(eta), 2.0 ** 17) == eta
+        assert lc_sample(reconstruct(eta), 2.0 ** 17) == eta
     with pytest.raises(ValueError):
         signal_of(1.0, Segment(0.0, 1e6, 1e6), Segment(0.5, 1.5e6 + 1.0))
 
@@ -277,7 +284,9 @@ def test_continuity_tolerance_scales_with_the_piece():
     # a 1e9 fall ending at 0 evaluates the joint to one ulp of 1e9, not 0
     f = pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0])
     assert f.segments[-1].c0 == 0.0
-    assert sod_sample(reconstruct(sod_sample(f, 2.5e8)), 2.5e8) == sod_sample(f, 2.5e8)
+    eta = sod_sample(f, 2.5e8)
+    assert sod_sample(reconstruct(eta), 2.5e8) == eta
+    assert lc_sample(reconstruct(eta), 2.5e8) == eta
     # a joint that misses by 1e-11 of the piece's size is still a jump
     rise, fall = f.segments[:2]
     for miss in (1e-11, -1e-11):
@@ -568,6 +577,7 @@ def test_no_production_path_builds_a_segment(monkeypatch, tmp_path):
     for theta in (0.05, 2.0 ** -6):
         eta = sod_sample(f, theta)
         assert sod_sample(reconstruct(eta), theta) == eta
+        assert lc_sample(reconstruct(eta), theta) == eta
         lc_sample(f, theta)
         if_sample(f, theta)
         assert homogeneity_check(f, theta, 2.0 * theta)
