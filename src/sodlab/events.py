@@ -57,6 +57,17 @@ class EventSequence:
         if 0.0 in values:
             raise ValueError("event amplitudes must be nonzero")
 
+    @classmethod
+    def _from_columns(cls, T: float, times: tuple, values: tuple) -> EventSequence:
+        """The sequence with these fields, stored as given: none of the
+        checks of `__post_init__` runs.  For library code only, on float
+        tuples that pass those checks by how they were built; each caller
+        names the checks it skips and why they cannot fail, and runs the
+        ones that can."""
+        eta = object.__new__(cls)
+        eta.__dict__.update(T=T, times=times, values=values)
+        return eta
+
     def __len__(self) -> int:
         return len(self.times)
 

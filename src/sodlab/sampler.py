@@ -18,7 +18,7 @@ import math
 
 from ._util import check_positive
 from .events import EventSequence
-from .signals import Signal, integrate, pwl_from_points, scale, zero
+from .signals import Signal, _check_finite, _pwl_columns, integrate, scale, zero
 
 
 def _check_theta(theta: float) -> float:
@@ -104,6 +104,16 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     piece whose end the last event reached: with times >= 0, no root short
     of ``lo + seg_len`` rounds to the piece's end when that one rounds past
     it.
+
+    The events are stored without the checks of `EventSequence` that hold
+    by construction: T is f's horizon; each time is appended only when it
+    lies after the last one (``t > t_cur``, or the guard ``hi > t_cur``
+    for a stored end joint), from ``t_cur = 0``, so the times are floats
+    that increase strictly from above 0; each amplitude is the finite,
+    nonzero float +-theta.  One check stays: ``lo + seg_len`` can round
+    one ulp past ``hi``, so a root clamped to the end of the last piece may
+    lie past T; the last time is checked against T, with the validator's
+    message.
     """
     _check_anchored(f)
     T, t0, c0s, c1s, c2s = f.T, f.t0, f.c0, f.c1, f.c2
@@ -167,7 +177,9 @@ def _sample(f: Signal, theta: float) -> EventSequence:
                     values.append(amp)
                     k += sign
             up, down = (k + 1.0) * theta, (k - 1.0) * theta
-    return EventSequence(f.T, tuple(times), tuple(values))
+    if times and times[-1] > T:
+        raise ValueError(f"event time {times[-1]!r} outside [0, {T!r}]")
+    return EventSequence._from_columns(T, tuple(times), tuple(values))
 
 
 def sod_sample(f: Signal, theta: float) -> EventSequence:
@@ -208,6 +220,17 @@ def reconstruct(eta: EventSequence) -> Signal:
     Requires a theta-pure input (all |v_k| equal).  Guarantee:
     ``sod_sample(reconstruct(eta), theta) == eta`` and the same for
     `lc_sample`, exactly, times and amplitudes.
+
+    The columns are those of `pwl_from_points`, built by the same code but
+    stored without the checks of `Signal` that hold by construction: the
+    knot times are 0 and eta's times, floats that increase strictly from
+    above 0 to at most T, so the starts increase from 0 and stay below T;
+    the columns are float tuples of one length.  The joint check is
+    skipped too: a joint evaluates to ``level + d * ((next - level) / d)``,
+    which misses ``next`` by a few roundings of the terms that the
+    tolerance, 1e-12 of the largest of them, is relative to.  The
+    finiteness of the coefficients is checked, with the validator's
+    message: a level n * theta or a slope can overflow.
     """
     if not eta.is_pure():
         raise ValueError("reconstruct needs a theta-pure sequence (equal |v_k|)")
@@ -218,7 +241,9 @@ def reconstruct(eta: EventSequence) -> Signal:
     theta = abs(eta.values[0])
     n = 0.0  # the net count: each v / theta is +-1.0 exactly
     levels = [(n := n + v / theta) * theta for v in eta.values]
-    return pwl_from_points(eta.T, (0.0, *eta.times), (0.0, *levels))
+    cols = _pwl_columns(eta.T, [0.0, *eta.times], [0.0, *levels])
+    _check_finite(*cols)
+    return Signal._from_columns(eta.T, *cols)
 
 
 def homogeneity_check(f: Signal, theta: float, theta_tilde: float) -> bool:

@@ -96,29 +96,28 @@ class Signal:
             raise ValueError("signal columns must have equal lengths")
         if t0[0] != 0.0:
             raise ValueError(f"first segment must start at 0, got {t0[0]!r}")
-        isfinite = math.isfinite
-        if not all(map(isfinite, chain(c0, c1, c2))):
-            t = next(t for t, *abc in zip(t0, c0, c1, c2) if not all(map(isfinite, abc)))
-            raise ValueError(f"non-finite coefficient in the segment at t={t!r}")
+        _check_finite(t0, c0, c1, c2)
         if not (all(map(operator.lt, t0, t0[1:])) and t0[-1] < T):
             for prev, t in zip(t0, t0[1:]):  # the first piece at fault
                 if not t > prev:
                     raise ValueError("segment start times must be strictly increasing")
                 if not t < T:
                     raise ValueError("segment start times must lie in [0, T)")
-        # the float operations of Segment.value at each joint
-        for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
-            u = t - lo
-            left = a + u * (b + u * c)
-            if abs(left - v) > STRUCT_TOL:
-                # above magnitude 1 the bound is relative to the largest
-                # term of the sum that evaluates the joint
-                size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
-                if abs(left - v) > STRUCT_TOL * size:
-                    raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
+        _check_joints(t0, c0, c1, c2)
         object.__setattr__(self, "T", T)
         for name, col in (("t0", t0), ("c0", c0), ("c1", c1), ("c2", c2)):
             object.__setattr__(self, name, tuple(map(float, col)))
+
+    @classmethod
+    def _from_columns(cls, T: float, t0: tuple, c0: tuple, c1: tuple, c2: tuple) -> Signal:
+        """The signal with these fields, stored as given: none of the checks
+        of `__post_init__` runs.  For library code only, on float tuples
+        that pass those checks by how they were built; each caller names
+        the checks it skips and why they cannot fail, and runs the ones that
+        can."""
+        f = object.__new__(cls)
+        f.__dict__.update(T=T, t0=t0, c0=c0, c1=c1, c2=c2)
+        return f
 
     @property
     def segments(self) -> _SegmentView:
@@ -130,6 +129,29 @@ class Signal:
 
     def is_linear(self) -> bool:
         return not any(self.c2)
+
+
+def _check_finite(t0, c0, c1, c2) -> None:
+    """Raise for the first piece with a non-finite coefficient."""
+    isfinite = math.isfinite
+    if not all(map(isfinite, chain(c0, c1, c2))):
+        t = next(t for t, *abc in zip(t0, c0, c1, c2) if not all(map(isfinite, abc)))
+        raise ValueError(f"non-finite coefficient in the segment at t={t!r}")
+
+
+def _check_joints(t0, c0, c1, c2) -> None:
+    """Raise for the first joint where the left piece's end misses the
+    right piece's start by more than the tolerance of `Signal`."""
+    # the float operations of Segment.value at each joint
+    for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
+        u = t - lo
+        left = a + u * (b + u * c)
+        if abs(left - v) > STRUCT_TOL:
+            # above magnitude 1 the bound is relative to the largest
+            # term of the sum that evaluates the joint
+            size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
+            if abs(left - v) > STRUCT_TOL * size:
+                raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
 
 
 def zero(T: float) -> Signal:
@@ -169,7 +191,16 @@ def subtract(f: Signal, g: Signal) -> Signal:
 
 def _merged_sum(f: Signal, g: Signal, gc0, gc1, gc2) -> Signal:
     """`add` of f and the signal with g's starts and the coefficient
-    columns `gc0`, `gc1`, `gc2`."""
+    columns `gc0`, `gc1`, `gc2`.
+
+    The sum runs the checks of `Signal` that the arithmetic can fail, with
+    their messages: finite coefficients (a sum can overflow) and the joints
+    (a sum can cancel the terms that a joint's tolerance is relative to).
+    It skips the start checks and the float conversion: the starts are the
+    sorted set of two valid start columns on one horizon T, so the first
+    is 0 (or -0.0, as given), they increase strictly and stay below T, and
+    every column is built of floats.
+    """
     if f.T != g.T:
         raise ValueError(f"horizon mismatch: {f.T!r} vs {g.T!r}")
     starts = sorted(set(f.t0) | set(g.t0))
@@ -184,7 +215,9 @@ def _merged_sum(f: Signal, g: Signal, gc0, gc1, gc2) -> Signal:
         c0.append(fc0[i] + d * (fc1[i] + d * a2) + (gc0[j] + e * (gc1[j] + e * b2)))
         c1.append(fc1[i] + 2.0 * a2 * d + (gc1[j] + 2.0 * b2 * e))
         c2.append(a2 + b2)
-    return Signal(f.T, starts, c0, c1, c2)
+    _check_finite(starts, c0, c1, c2)
+    _check_joints(starts, c0, c1, c2)
+    return Signal._from_columns(f.T, tuple(starts), tuple(c0), tuple(c1), tuple(c2))
 
 
 def diameter_norm(f: Signal) -> float:
@@ -235,15 +268,25 @@ def pwl_from_points(T: float, times, values) -> Signal:
         raise ValueError("first knot must be at t=0")
     if not all(map(operator.lt, times, times[1:])):
         raise ValueError("knot times must be strictly increasing")
+    if times[-1] > T:
+        raise ValueError("knots exceed the horizon")
+    return Signal(T, *_pwl_columns(T, times, values))
+
+
+def _pwl_columns(T: float, times: list, values: list):
+    """The columns (t0, c0, c1, c2), as float tuples, of the interpolant
+    through the knots (times[i], values[i]): float lists, the times
+    strictly increasing from 0 to at most T.  The last value is held up to
+    T; a last knot at T starts no piece and is deleted from the lists.
+    Coefficients that overflow are returned as they are, for the caller to
+    check."""
     slopes = [(v1 - v0) / (t1 - t0)
               for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:])]
     if times[-1] < T:
         slopes.append(0.0)  # the last value, held up to T
-    elif times[-1] > T:
-        raise ValueError("knots exceed the horizon")
     else:
         del times[-1], values[-1]
-    return Signal(T, times, values, slopes, (0.0,) * len(slopes))
+    return tuple(times), tuple(values), tuple(slopes), (0.0,) * len(slopes)
 
 
 def ramp_plateau(T: float) -> Signal:
@@ -297,14 +340,9 @@ def generate(kind: str, T: float, **params) -> Signal:
     if kind == "ramp_plateau":
         return ramp_plateau(T)
     if kind == "sine_pwl":
-        return sine_pwl(T, int(params["resolution"]))
+        return sine_pwl(T, params["resolution"])
     if kind == "random_walk":
-        return random_walk(
-            T,
-            int(params["seed"]),
-            int(params["n_breaks"]),
-            float(params["amplitude"]),
-        )
+        return random_walk(T, params["seed"], params["n_breaks"], float(params["amplitude"]))
     raise ValueError(f"unknown generator kind {kind!r} "
                      "(from_events lives in sampler.reconstruct)")
 

@@ -48,6 +48,14 @@ def test_difference_horizon_mismatch():
         difference(seq((1.0, 1.0), T=2.0), seq((1.0, 1.0), T=3.0))
 
 
+def test_difference_past_the_float_range_is_refused():
+    # 1e308 - (-1e308) overflows: the EventSequence validator's message
+    a = EventSequence(1.0, (0.5,), (1e308,))
+    b = EventSequence(1.0, (0.5,), (-1e308,))
+    with pytest.raises(ValueError, match="^event values must be finite$"):
+        difference(a, b)
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
 def test_difference_antisymmetry(s1, s2):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,32 @@ class TestReconstruct:
     def test_event_at_zero_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(from_pairs(1.0, [(0.0, 1.0)]))
+
+    # the checks that stay where the columns are stored unvalidated: a
+    # level n * theta or a slope past the float range raises the message
+    # of the Signal validator, which names the first piece at fault
+    @pytest.mark.parametrize("eta, t", [
+        # the second slope, 1e300 over one ulp of 1.0, overflows
+        (EventSequence(1e300, (1.0, 1.0 + 2.2e-16), (1e300, 1e300)), 1.0),
+        # the second level, 2 * 1e308, overflows, and so does the first slope
+        (EventSequence(1.0, (0.25, 0.5), (1e308, 1e308)), 0.0),
+    ])
+    def test_a_coefficient_past_the_float_range_is_refused(self, eta, t):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"non-finite coefficient in the segment at t={t!r}")):
+            reconstruct(eta)
+
+
+def test_an_event_rounded_past_the_horizon_is_refused():
+    # the last piece's start plus its length, each rounded, lies one ulp
+    # past T; a root clamped to that end must raise the EventSequence
+    # validator's message, not be returned
+    lo, T = 3 * 2.0 ** -53, 1.0 + 3 * 2.0 ** -52
+    assert lo + (T - lo) > T
+    f = Signal(T, (0.0, lo), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"event time {lo + (T - lo)!r} outside [0, {T!r}]")):
+        sod_sample(f, math.nextafter(T - lo, 2.0))
 
 
 def sod_bruteforce(f, theta, n_grid=50_000):

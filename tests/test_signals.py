@@ -104,6 +104,24 @@ def test_add_horizon_mismatch():
         add(ramp_plateau(1.0), ramp_plateau(2.0))
 
 
+# a sum runs the validator's checks that its arithmetic can fail
+_STEEP = Signal(1.0, (0.0,), (0.0,), (1e308,), (0.0,))
+
+
+@pytest.mark.parametrize("f, g, message", [
+    # slopes of 1e308 add up past the float range
+    (_STEEP, _STEEP, "non-finite coefficient in the segment at t=0.0"),
+    # f's jump of 1e-7 at 0.5 is inside its tolerance, 1e-12 of 5e5; the
+    # sum cancels the ramp, and the jump is no longer inside the sum's
+    (Signal(1.0, (0.0, 0.5), (0.0, 5e5 + 1e-7), (1e6, 0.0), (0.0, 0.0)),
+     Signal(1.0, (0.0, 0.5), (0.0, -5e5), (-1e6, 0.0), (0.0, 0.0)),
+     "discontinuity at t=0.5: 0.0 vs 1.00000761449337e-07"),
+])
+def test_add_refuses_a_sum_the_validator_refuses(f, g, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        add(f, g)
+
+
 def test_add_merges_grids_pointwise():
     f = random_walk(1.0, 1, 5, 0.5)
     g = random_walk(1.0, 2, 7, 0.5)
@@ -202,6 +220,20 @@ def test_generate_dispatch_and_errors():
         generate("sine_pwl", 1.0, resolution=1)
     with pytest.raises(ValueError):
         generate("random_walk", 1.0, seed=1, n_breaks=0, amplitude=0.5)
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("random_walk", {"seed": 2.9, "n_breaks": 3, "amplitude": 0.4},
+     "seed must be an integer >= 0, got 2.9"),
+    ("random_walk", {"seed": 2, "n_breaks": 3.7, "amplitude": 0.4},
+     "n_breaks must be an integer >= 1, got 3.7"),
+    ("sine_pwl", {"resolution": 64.5},
+     "resolution (knots per period) must be an integer >= 2, got 64.5"),
+])
+def test_generate_refuses_a_count_that_is_no_integer(kind, params, message):
+    # refused by the generator, not truncated to the next integer down
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(kind, 1.0, **params)
 
 
 @pytest.mark.parametrize("seed", [-3, True, 2.5, "3"])
