@@ -49,8 +49,14 @@ def write_text_atomic(path, text):
         raise
 
 
-# Types whose C-encoded JSON holds no ", " of its own.
+# Types whose C-encoded JSON holds no ", " or "]" of its own.
 _FLAT_SCALARS = (float, int, bool, type(None))
+# Longest inner list that a list of flat lists is encoded in one call for.
+# Short ones, like (x, y) pairs, cost more per list in the recursion than
+# per value; long ones cost about the same either way, but one call over
+# them all builds strings too large for the cache (15% slower on chain
+# stages of 2000 values).
+_SHORT = 16
 
 
 def json_report(payload) -> str:
@@ -58,8 +64,10 @@ def json_report(payload) -> str:
     payloads built of dicts with string keys, lists, tuples and JSON scalars.
 
     json.dumps with an indent runs the pure-Python encoder.  Here a flat
-    list of numbers goes through the C encoder in one call and only its
-    separators are laid out again; dicts and other lists recurse.
+    list of numbers, or a list of short nonempty flat lists of numbers
+    (such as qi-check's envelope pairs), goes through the C encoder in one
+    call and only its separators are laid out again; dicts and other lists
+    recurse.
     """
     parts = []
     _encode(payload, "\n", parts)
@@ -88,6 +96,15 @@ def _encode(obj, newline, parts) -> None:
             # appended apart: joining them here would copy the body once more
             body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
             parts.extend(("[", inner, body, newline, "]"))
+        elif (all(isinstance(x, (list, tuple)) and 0 < len(x) <= _SHORT for x in obj)
+              and all(type(y) in _FLAT_SCALARS for x in obj for y in x)):
+            # no scalar's JSON holds "]" or ", ", so the inner lists' own
+            # "], [" and ", " are the only ones
+            deeper = inner + "  "
+            body = (json.dumps(obj)[2:-2]
+                    .replace("], [", f"{inner}],{inner}[{deeper}")
+                    .replace(", ", "," + deeper))
+            parts.extend(("[", inner, "[", deeper, body, inner, "]", newline, "]"))
         else:
             sep = "[" + inner
             for item in obj:

@@ -52,8 +52,9 @@ def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float
 
     An exact end-joint hit (stored end value == level, bit for bit) is
     reported at the joint time; closed-form roots within a rounding error of
-    it, or of an earlier root, fold into it.  No start joint is tested: see
-    `_sample`.
+    it, or of an earlier root, fold into it.  A root is clamped into the
+    piece, one at or past its length ``hi_t - lo_t`` to hi_t itself, and no
+    start joint is tested: see `_sample` for both.
     """
     hits = [hi_t] if end_value == level and hi_t > t_from else []
     seg_len = hi_t - lo_t
@@ -61,7 +62,7 @@ def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float
     snap = 1e-9 * seg_len
     for u in _quadratic_roots(c2, c1, c0 - level):
         if -slack <= u <= seg_len + slack:
-            t = lo_t + min(max(u, 0.0), seg_len)
+            t = lo_t if u < 0.0 else hi_t if u >= seg_len else lo_t + u
             if t > t_from and all(abs(t - h) > snap for h in hits):
                 hits.append(t)
     return min(hits) if hits else math.inf
@@ -93,6 +94,14 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     it.  ``inf`` stands for no hit, so the earlier level, an exact tie going
     to up, is one comparison.
 
+    A root's offset u from ``lo`` is clamped into the piece: below 0 to lo,
+    and at or past ``seg_len = hi - lo`` to hi itself, never to ``lo +
+    seg_len``, which can round one ulp past hi.  No other root can: for a
+    float u < seg_len, ``lo + u <= hi``, since ``hi - lo`` is exact when
+    lo >= hi/2, and otherwise rounds up by at most half the gap from
+    seg_len to the float below it.  So every time lies in its piece, at no
+    cost per piece or per event.
+
     After an event on a linear piece rising (falling) with the event's sign,
     the next up (down) levels on that piece are run on in place, each as the
     root ``lo + clamp((level - c0) / c1)`` that the piece's search would
@@ -101,19 +110,14 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     end value.  The run hands back to the piece's search once the level
     reaches the end value, the root leaves the slack band, or the root is
     not after the last event.  The last stop also covers the walk leaving a
-    piece whose end the last event reached: with times >= 0, no root short
-    of ``lo + seg_len`` rounds to the piece's end when that one rounds past
-    it.
+    piece whose end the last event reached, since no root lies past hi.
 
     The events are stored without the checks of `EventSequence` that hold
     by construction: T is f's horizon; each time is appended only when it
     lies after the last one (``t > t_cur``, or the guard ``hi > t_cur``
     for a stored end joint), from ``t_cur = 0``, so the times are floats
-    that increase strictly from above 0; each amplitude is the finite,
-    nonzero float +-theta.  One check stays: ``lo + seg_len`` can round
-    one ulp past ``hi``, so a root clamped to the end of the last piece may
-    lie past T; the last time is checked against T, with the validator's
-    message.
+    that increase strictly from above 0 and, each in its piece, end at or
+    before T; each amplitude is the finite, nonzero float +-theta.
     """
     _check_anchored(f)
     T, t0, c0s, c1s, c2s = f.T, f.t0, f.c0, f.c1, f.c2
@@ -142,12 +146,12 @@ def _sample(f: Signal, theta: float) -> EventSequence:
                 if c1 != 0.0:
                     u = (up - c0) / c1
                     if -slack <= u <= u_max:
-                        t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                        t = lo if u < 0.0 else hi if u >= seg_len else lo + u
                         if t > t_cur and t_up - t > snap:
                             t_up = t
                     u = (down - c0) / c1
                     if -slack <= u <= u_max:
-                        t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                        t = lo if u < 0.0 else hi if u >= seg_len else lo + u
                         if t > t_cur and t_down - t > snap:
                             t_down = t
             if t_up <= t_down:
@@ -168,8 +172,7 @@ def _sample(f: Signal, theta: float) -> EventSequence:
                     u = (level - c0) / c1
                     if not -slack <= u <= u_max:
                         break
-                    # lo + min(max(u, 0.0), seg_len), without the two calls
-                    t = lo + (0.0 if u < 0.0 else seg_len if u > seg_len else u)
+                    t = lo if u < 0.0 else hi if u >= seg_len else lo + u
                     if not t > t_cur:
                         break
                     t_cur = t
@@ -177,8 +180,6 @@ def _sample(f: Signal, theta: float) -> EventSequence:
                     values.append(amp)
                     k += sign
             up, down = (k + 1.0) * theta, (k - 1.0) * theta
-    if times and times[-1] > T:
-        raise ValueError(f"event time {times[-1]!r} outside [0, {T!r}]")
     return EventSequence._from_columns(T, tuple(times), tuple(values))
 
 

@@ -14,7 +14,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse, repeat
 
 import numpy as np
 
@@ -315,9 +315,9 @@ def sine_pwl(T: float, resolution: int) -> Signal:
     return pwl_from_points(T, times, values)
 
 
-def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
-    """Seed-deterministic PWL walk: equally spaced knots, uniform steps."""
-    seed = check_integer(seed, "seed", 0)
+def _check_walk(T: float, n_breaks: int, amplitude: float) -> tuple[float, int]:
+    """(T, n_breaks) as a float and an int, if `random_walk` takes them and
+    `amplitude`; anything else raises a ValueError naming the quantity."""
     n_breaks = check_integer(n_breaks, "n_breaks", 1)
     if not amplitude > 0.0:
         raise ValueError("amplitude must be positive")
@@ -329,6 +329,13 @@ def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
         raise ValueError(f"random_walk: amplitude {amplitude!r} over n_breaks={n_breaks} "
                          f"pieces of horizon T={T!r} gives slopes or values past the "
                          "float range")
+    return T, n_breaks
+
+
+def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
+    """Seed-deterministic PWL walk: equally spaced knots, uniform steps."""
+    seed = check_integer(seed, "seed", 0)
+    T, n_breaks = _check_walk(T, n_breaks, amplitude)
     steps = np.random.default_rng(seed).uniform(-amplitude, amplitude, n_breaks)
     times = [i * T / n_breaks for i in range(n_breaks + 1)]
     times[-1] = T
@@ -374,15 +381,28 @@ def signal_from_dict(d: dict) -> Signal:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
 
+def _reprs(col):
+    """The repr of each value of a float column, computed once per distinct
+    value.  0.0 and -0.0 are one dict key, so a column holding both is
+    repr'd value by value."""
+    reprs = {v: repr(v) for v in set(col)}
+    if 0.0 in reprs and len(set(map(math.copysign, repeat(1.0), filterfalse(None, col)))) > 1:
+        return map(repr, col)
+    return map(reprs.__getitem__, col)
+
+
 def _signal_json(f: Signal) -> str:
     """The JSON layout above, byte for byte as ``json.dumps(...,
     indent=2, sort_keys=True) + "\\n"`` writes it, but built directly,
     since with an indent json falls back to its pure-Python encoder.  The
-    columns are finite floats, which json writes by float.__repr__."""
+    columns are finite floats, which json writes by float.__repr__: one
+    repr per piece for the times, and one per distinct value for the
+    coefficients, which repeat (c2 is all 0.0 on a piecewise-linear signal,
+    and a reconstruction's levels and slopes recur)."""
     body = ",\n".join(
-        f'    {{\n      "c0": {c0!r},\n      "c1": {c1!r},\n'
-        f'      "c2": {c2!r},\n      "t": {t!r}\n    }}'
-        for t, c0, c1, c2 in zip(f.t0, f.c0, f.c1, f.c2)
+        f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
+        f'      "c2": {c2},\n      "t": {t}\n    }}'
+        for t, c0, c1, c2 in zip(map(repr, f.t0), _reprs(f.c0), _reprs(f.c1), _reprs(f.c2))
     )
     return f'{{\n  "T": {f.T!r},\n  "segments": [\n{body}\n  ]\n}}\n'
 

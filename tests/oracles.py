@@ -6,8 +6,8 @@ O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
 search and chain, transcription on the dense grid and its sign-list sweep,
 the row-by-row Victor-Purpura program, the signal operations piece by piece
 on `Segment`s, the f-string event CSV, the event difference and the
-quasi-isometry fit one trial at a time), seeded train generators, and
-curated adversarial signals.
+quasi-isometry fit one trial at a time, the qi corpus built as one list),
+seeded train generators, and curated adversarial signals.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from operator import attrgetter
 
 import numpy as np
 
+from sodlab._util import check_integer
 from sodlab.events import EventSequence, from_pairs
 from sodlab.norms import _amplitudes, norm_by_kind
-from sodlab.signals import STRUCT_TOL, Segment, Signal
+from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk
 from sodlab.structure import DenseEvents
 from sodlab.trains import _random_times
 
@@ -164,6 +165,19 @@ def qi_fit_loop(dxs, dys, theta: float) -> tuple[float, float, float]:
     b_min = min(b for b, _ in bs)
     fitted_a = min(a for b, a in bs if b <= b_min + 1e-12 * (max(dxs) + theta))
     return fitted_a, b_of(fitted_a), b_of(1.0)
+
+
+def qi_corpus_eager(n_pairs: int, seed: int, T: float = 1.0,
+                    n_breaks: int = 12, amplitude: float = 0.4):
+    """Seed-deterministic list of random piecewise-linear signal pairs."""
+    n_pairs = check_integer(n_pairs, "trial count n_pairs", 1)
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
+    child = rng.integers(0, 2 ** 62, size=(n_pairs, 2))
+    return [
+        (random_walk(T, int(a), n_breaks, amplitude),
+         random_walk(T, int(b), n_breaks, amplitude))
+        for a, b in child
+    ]
 
 
 def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:

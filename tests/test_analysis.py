@@ -1,4 +1,7 @@
 import math
+import re
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from sodlab.trains import alternating_train, mmsn_train, random_unit_train
 from oracles import (
     comb_signal,
     local_max_signal,
+    qi_corpus_eager,
     qi_fit_loop,
     signal_of,
     transcription_sweep_compact,
@@ -315,6 +319,58 @@ def test_qi_corpus_refuses_a_bad_seed(seed):
     with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
         make_qi_corpus(3, seed)
     assert len(make_qi_corpus(3, np.int64(7))) == 3
+
+
+@pytest.mark.parametrize("n_pairs, seed, T, n_breaks, amplitude", [
+    (1, 0, 1.0, 12, 0.4),
+    (7, 42, 1.0, 12, 0.4),
+    (25, 201, 2.5, 3, 0.05),
+    (40, 2 ** 40, 1e-6, 30, 1e3),
+    (5, np.int64(9), 3, 1, 1),
+])
+def test_qi_corpus_builds_the_pairs_of_the_eager_list(n_pairs, seed, T, n_breaks,
+                                                      amplitude):
+    eager = qi_corpus_eager(n_pairs, seed, T, n_breaks, amplitude)
+    corpus = make_qi_corpus(n_pairs, seed, T, n_breaks, amplitude)
+    assert isinstance(corpus, Sequence) and len(corpus) == n_pairs
+    assert list(corpus) == eager
+    assert list(corpus) == eager  # a second pass builds them again
+    assert [corpus[i] for i in range(n_pairs)] == eager
+    assert corpus[-1] == eager[-1] and corpus[-n_pairs] == eager[0]
+    assert corpus[0][0] is not corpus[0][0]  # nothing is cached
+    for i in (n_pairs, -n_pairs - 1):
+        with pytest.raises(IndexError):
+            corpus[i]
+
+
+@pytest.mark.parametrize("walk", [
+    {"T": -1.0}, {"T": True}, {"n_breaks": 0}, {"amplitude": 0.0},
+    {"T": 1e-300, "amplitude": 1e300},
+])
+def test_qi_corpus_refuses_bad_walk_parameters_before_any_pair(walk):
+    with pytest.raises(ValueError) as eager:
+        qi_corpus_eager(3, 1, **walk)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(eager.value))}$"):
+        make_qi_corpus(3, 1, **walk)
+
+
+def test_qi_verify_memory_per_trial_is_bounded():
+    # only the per-trial results grow with the trial count: the pairs are
+    # built a batch at a time and freed after it
+    def peak(n):
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        qi_verify(make_qi_corpus(n, 3), 0.2)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        peak(50)  # warm-up: lazy imports and caches
+        small, large = peak(100), peak(600)
+    finally:
+        tracemalloc.stop()
+    # about 440 B per trial; a corpus built up front adds about 3 KB
+    assert (large - small) / 500 < 1000.0
 
 
 @pytest.mark.parametrize("build, name", [

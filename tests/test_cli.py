@@ -279,6 +279,11 @@ _json_payloads = st.recursive(
 @given(_json_payloads)
 @example({"é\n\"\\": ["a, b", "\u2028\x00", {}], "": [[], (), -0.0, 10 ** 40, None, True],
           "z": {"nan": [math.nan, math.inf, -math.inf]}})
+@example({"pairs": [[0.5, 1.0], (2.0, -3.0)], "one": [[7]], "deep": [[1.0, [2.0]]]})
+@example([[1.0, 2.0], []])
+@example([[True, None], [False, 0], (None,)])
+@example({"rho": [[-0.0, math.inf], [10 ** 40, -math.inf], [math.nan, -(10 ** 40)]]})
+@example([["], [", 1.0], [2.0, ", "]])
 @settings(max_examples=150, deadline=None)
 def test_json_report_equals_sorted_indented_json_dumps(payload):
     assert json_report(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -239,16 +239,26 @@ class TestReconstruct:
             reconstruct(eta)
 
 
-def test_an_event_rounded_past_the_horizon_is_refused():
-    # the last piece's start plus its length, each rounded, lies one ulp
-    # past T; a root clamped to that end must raise the EventSequence
-    # validator's message, not be returned
-    lo, T = 3 * 2.0 ** -53, 1.0 + 3 * 2.0 ** -52
-    assert lo + (T - lo) > T
-    f = Signal(T, (0.0, lo), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0))
-    with pytest.raises(ValueError, match=re.escape(
-            f"event time {lo + (T - lo)!r} outside [0, {T!r}]")):
-        sod_sample(f, math.nextafter(T - lo, 2.0))
+# lo + (T - lo), each rounded, lies one ulp past T
+_LO, _T = 3 * 2.0 ** -53, 1.0 + 3 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("f, theta, end", [
+    # the last piece: the root clamped to its end is T itself
+    (Signal(_T, (0.0, _LO), (0.0, 0.0), (0.0, 1.0), (0.0, 0.0)),
+     math.nextafter(_T - _LO, 2.0), _T),
+    # an inner piece: the event lies at the piece's end, not on the next piece
+    (Signal(2.0, (0.0, _LO, _T), (0.0, 0.0, _T - _LO), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
+     math.nextafter(_T - _LO, 2.0), _T),
+    # a quadratic last piece, searched by `_segment_first_hit`
+    (Signal(_T, (0.0, _LO), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)),
+     math.nextafter((_T - _LO) ** 2, 2.0), _T),
+], ids=["last_piece", "inner_piece", "quadratic_last_piece"])
+def test_a_root_clamped_to_a_piece_end_lies_at_that_end(f, theta, end):
+    assert _LO + (_T - _LO) > _T
+    eta = sod_sample(f, theta)
+    assert eta.times == (end,) and eta.values == (theta,)
+    assert EventSequence(eta.T, eta.times, eta.values) == eta
 
 
 def sod_bruteforce(f, theta, n_grid=50_000):
@@ -378,7 +388,9 @@ def _segment_first_hit(seg: Segment, lo_t: float, hi_t: float, end_value: float,
         roots = _quadratic_roots(seg.c2, seg.c1, seg.c0 - level)
     for u in roots:
         if -slack <= u <= seg_len + slack:
-            t = lo_t + min(max(u, 0.0), seg_len)
+            # clamped into the piece: at or past its length to hi_t itself,
+            # and never past hi_t
+            t = hi_t if u >= seg_len else min(lo_t + max(u, 0.0), hi_t)
             if t > t_from and all(abs(t - h) > snap for h in hits):
                 hits.append(t)
     return min(hits) if hits else None

@@ -401,6 +401,8 @@ def test_save_signal_writes_json_dumps_bytes(tmp_path_factory, f):
     signal_of(1.0, Segment(0.0, 1e300, -1e300, 1e300)),
     scale(random_walk(1.0, 9, 5, 0.5), np.float64(1.5)),
     signal_of(3, Segment(0, 0, 1), Segment(1, 1, 0, -1)),
+    # both zeros in one column: equal as dict keys, written apart
+    signal_of(1.0, Segment(0.0, 0.0, 1.0, -0.0), Segment(0.5, 0.5, -0.0, 0.0)),
 ])
 def test_save_signal_edge_cases(tmp_path, f):
     _assert_saved_as_json_dumps(tmp_path, f)
