@@ -222,9 +222,12 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
     for delta in deltas:
         n = int(round(T / delta))
         n = min(n, n_max)
-        eta = equidistant_alternating(n, T / n, T)
+        step = T / n
+        if n * step > T:  # rounded past T; one ulp less puts n * step <= T
+            step = math.nextafter(step, 0.0)
+        eta = equidistant_alternating(n, step, T)
         dist = metric(eta, zero_train)
-        row = {"n": n, "T": T, "delta": T / n, "distance": dist}
+        row = {"n": n, "T": T, "delta": step, "distance": dist}
         row.update(metric.params)
         if metric.kind == "van_rossum":
             row["energy"] = dist * dist

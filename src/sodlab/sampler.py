@@ -44,30 +44,6 @@ def _quadratic_roots(a: float, b: float, c: float):
     return (r1, r2)
 
 
-def _segment_first_hit(c0: float, c1: float, c2: float, lo_t: float, hi_t: float,
-                       end_value: float, level: float, t_from: float) -> float:
-    """Earliest t in (t_from, hi_t] with c0 + c1*u + c2*u^2 == level, where
-    u = t - lo_t, or inf, on a quadratic piece (``c2 != 0``; `_sample`
-    searches linear ones inline).
-
-    An exact end-joint hit (stored end value == level, bit for bit) is
-    reported at the joint time; closed-form roots within a rounding error of
-    it, or of an earlier root, fold into it.  A root is clamped into the
-    piece, one at or past its length ``hi_t - lo_t`` to hi_t itself, and no
-    start joint is tested: see `_sample` for both.
-    """
-    hits = [hi_t] if end_value == level and hi_t > t_from else []
-    seg_len = hi_t - lo_t
-    slack = 1e-12 * seg_len
-    snap = 1e-9 * seg_len
-    for u in _quadratic_roots(c2, c1, c0 - level):
-        if -slack <= u <= seg_len + slack:
-            t = lo_t if u < 0.0 else hi_t if u >= seg_len else lo_t + u
-            if t > t_from and all(abs(t - h) > snap for h in hits):
-                hits.append(t)
-    return min(hits) if hits else math.inf
-
-
 def _sample(f: Signal, theta: float) -> EventSequence:
     """The first-crossing recursion: after events of net signed count `k`, 0
     at the start, the next event is the first hit of one of the levels
@@ -84,15 +60,18 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     it.  The right endpoint's value is the next piece's stored c0 (exact by
     the continuity invariant), or f(T) for the last piece.
 
-    A quadratic piece is searched by `_segment_first_hit`.  A linear piece
-    is searched for both levels in one pass, without allocations, that
-    makes for each level the float operations of `_segment_first_hit` in
-    its order: the stored end-joint candidate (after the last event, by the
-    loop's guard); the one root, kept inside the slack band and clamped
-    into the piece; and, in one test that is the snap fold and the ``min``,
-    the root replacing the candidate when it lies more than `snap` before
-    it.  ``inf`` stands for no hit, so the earlier level, an exact tie going
-    to up, is one comparison.
+    Each level is searched by one rule, on linear and quadratic pieces
+    alike.  The best time starts as hi when the stored end value is the
+    level bit for bit (hi is after the last event, by the loop's guard),
+    else as ``inf`` for no hit.  Each root u = t - lo, the one ``(level -
+    c0) / c1`` of a linear piece or those of `_quadratic_roots` in order,
+    is kept inside the slack band, clamped into the piece, and replaces the
+    best when it lies after the last event and more than `snap` before it.
+    So a root within a rounding error of the end joint, or of an earlier
+    root, folds into it.  The tests' per-event oracle folds each root
+    against every kept one and takes the minimum, which is the same: a root
+    kept after the best never blocks one that lowers it, since rounding is
+    monotone.
 
     A root's offset u from ``lo`` is clamped into the piece: below 0 to lo,
     and at or past ``seg_len = hi - lo`` to hi itself, never to ``lo +
@@ -130,30 +109,36 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     times, values = [], []
     up, down = theta, -theta
     for lo, c0, c1, c2, hi, end_value in zip(t0, c0s, c1s, c2s, his, ends):
+        seg_len = hi - lo
+        slack = 1e-12 * seg_len
+        snap = 1e-9 * seg_len
+        u_max = seg_len + slack
         linear = c2 == 0.0
-        if linear:  # the terms of the linear search and the run-on
-            seg_len = hi - lo
-            slack = 1e-12 * seg_len
-            snap = 1e-9 * seg_len
-            u_max = seg_len + slack
         while hi > t_cur:
+            t_up = hi if end_value == up else inf
+            t_down = hi if end_value == down else inf
             if not linear:
-                t_up = _segment_first_hit(c0, c1, c2, lo, hi, end_value, up, t_cur)
-                t_down = _segment_first_hit(c0, c1, c2, lo, hi, end_value, down, t_cur)
-            else:
-                t_up = hi if end_value == up else inf
-                t_down = hi if end_value == down else inf
-                if c1 != 0.0:
-                    u = (up - c0) / c1
+                for u in _quadratic_roots(c2, c1, c0 - up):
                     if -slack <= u <= u_max:
                         t = lo if u < 0.0 else hi if u >= seg_len else lo + u
                         if t > t_cur and t_up - t > snap:
                             t_up = t
-                    u = (down - c0) / c1
+                for u in _quadratic_roots(c2, c1, c0 - down):
                     if -slack <= u <= u_max:
                         t = lo if u < 0.0 else hi if u >= seg_len else lo + u
                         if t > t_cur and t_down - t > snap:
                             t_down = t
+            elif c1 != 0.0:
+                u = (up - c0) / c1
+                if -slack <= u <= u_max:
+                    t = lo if u < 0.0 else hi if u >= seg_len else lo + u
+                    if t > t_cur and t_up - t > snap:
+                        t_up = t
+                u = (down - c0) / c1
+                if -slack <= u <= u_max:
+                    t = lo if u < 0.0 else hi if u >= seg_len else lo + u
+                    if t > t_cur and t_down - t > snap:
+                        t_down = t
             if t_up <= t_down:
                 if t_up == inf:
                     break

@@ -79,8 +79,8 @@ class SchreiberParams:
         value = getattr(self, width)
         if value is None:
             object.__setattr__(self, width, 1.0)
-        elif not value > 0.0:
-            raise ValueError(f"{self.kernel} needs {width} > 0")
+        elif not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{self.kernel} needs {width} > 0 and finite, got {value!r}")
 
 
 def _exp_gram(eta1: EventSequence, eta2: EventSequence, alpha: float) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_integer
 from .events import EventSequence, _check_grid
 from .norms import discrepancy_norm
 
@@ -203,8 +204,7 @@ def transcribe(eta: EventSequence, pattern: str, n: int) -> EventSequence:
     remains."""
     if pattern not in _PATTERNS:
         raise ValueError(f"pattern must be 'plus_minus' or 'minus_plus', got {pattern!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = check_integer(n, "n", 0)
     _require_unit(eta.values)
     kept = _survivors(eta.values, (_PATTERNS[pattern],), n)
     return EventSequence(eta.T, tuple(eta.times[k] for k in kept),

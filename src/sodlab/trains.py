@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import check_integer
+from ._util import check_integer, check_positive
 from .events import EventSequence, from_pairs
 
 
@@ -20,6 +20,7 @@ def alternating_train(n: int, T: float = 1.0, start: int = 1) -> EventSequence:
 
 def positive_train(n: int, T: float = 1.0) -> EventSequence:
     """n unit up events at k*T/(n+1)."""
+    n = check_integer(n, "n", 0)
     return from_pairs(T, [((k + 1) * T / (n + 1), 1.0) for k in range(n)])
 
 
@@ -38,8 +39,8 @@ def mmsn_train(n: int, T: float = 1.0) -> EventSequence:
 def equidistant_alternating(n: int, delta: float, T: float | None = None,
                             start: int = 1) -> EventSequence:
     """Alternating unit train at (k+1)*delta, k = 0..n-1."""
-    if n < 1 or delta <= 0.0:
-        raise ValueError("need n >= 1 and delta > 0")
+    n = check_integer(n, "n", 1)
+    delta = check_positive(delta, "delta")
     if T is None:
         T = n * delta
     sign = 1.0 if start > 0 else -1.0

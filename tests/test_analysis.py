@@ -32,7 +32,14 @@ from sodlab.signals import (
     subtract,
     zero,
 )
-from sodlab.trains import alternating_train, mmsn_train, random_unit_train
+from sodlab.structure import transcribe
+from sodlab.trains import (
+    alternating_train,
+    equidistant_alternating,
+    mmsn_train,
+    positive_train,
+    random_unit_train,
+)
 
 from oracles import (
     comb_signal,
@@ -207,6 +214,14 @@ class TestEmdmCharacterize:
         m = make_metric("vp", s=1.0)
         res = emdm_characterize(m, n_max=64, T=8.0)
         assert all(row["distance"] > 0.0 for row in res.growth_table)
+
+    @pytest.mark.parametrize("T, n_max", [(0.9, 7), (0.9, 28), (0.1, 11), (0.1, 22)])
+    def test_growth_trains_end_inside_a_horizon_that_n_times_T_over_n_rounds_past(
+            self, T, n_max):
+        assert n_max * (T / n_max) > T
+        res = emdm_characterize(make_metric("vr", alpha=1.0), n_max=n_max, T=T)
+        for row in res.growth_table:
+            assert row["T"] == T and row["n"] * row["delta"] <= T
 
     def test_schreiber_has_no_characterization(self):
         with pytest.raises(ValueError):
@@ -384,6 +399,21 @@ def test_qi_verify_memory_per_trial_is_bounded():
 ])
 def test_counts_are_refused_unless_integers_in_range(build, name):
     with pytest.raises(ValueError, match=rf"^{name}\b.* must be an integer >= "):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: transcribe(alternating_train(2), "plus_minus", 2.5), "n must be an integer >= 0"),
+    (lambda: transcribe(alternating_train(2), "plus_minus", True), "n must be an integer >= 0"),
+    (lambda: positive_train(2.5), "n must be an integer >= 0"),
+    (lambda: positive_train(-3), "n must be an integer >= 0"),
+    (lambda: equidistant_alternating(2.5, 0.1), "n must be an integer >= 1"),
+    (lambda: equidistant_alternating(3, True), "delta must be a positive finite number"),
+    (lambda: equidistant_alternating(3, math.inf), "delta must be a positive finite number"),
+], ids=["transcribe_float", "transcribe_bool", "positive_float", "positive_negative",
+        "equidistant_float", "equidistant_bool_delta", "equidistant_inf_delta"])
+def test_train_and_transcription_counts_are_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=f"^{message}, got "):
         build()
 
 

@@ -161,6 +161,17 @@ def test_emdm_vr_records_alpha(runner, tmp_path):
     assert all(row["alpha"] == 2.0 for row in report["growth_table"])
 
 
+def test_emdm_growth_table_at_a_horizon_n_times_T_over_n_rounds_past(runner, tmp_path):
+    # 7 * (0.9 / 7) rounds to 0.9000000000000001
+    out = tmp_path / "e.json"
+    res = invoke(runner, "emdm", "--metric", "vr", "--n-max", "7", "--T", "0.9",
+                 "--out", str(out))
+    assert res.exit_code == 0, res.output
+    table = json.loads(out.read_text())["growth_table"]
+    assert [row["n"] for row in table] == [7, 7, 7]
+    assert all(row["T"] == 0.9 for row in table)
+
+
 @pytest.mark.parametrize("grid", ["0.2,-1", "0.2,x", "0.2,,0.3", "0", "nan", "inf"])
 def test_emdm_refuses_a_bad_theta_grid_entry_before_any_work(runner, tmp_path,
                                                              monkeypatch, grid):

@@ -250,7 +250,7 @@ _LO, _T = 3 * 2.0 ** -53, 1.0 + 3 * 2.0 ** -52
     # an inner piece: the event lies at the piece's end, not on the next piece
     (Signal(2.0, (0.0, _LO, _T), (0.0, 0.0, _T - _LO), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0)),
      math.nextafter(_T - _LO, 2.0), _T),
-    # a quadratic last piece, searched by `_segment_first_hit`
+    # a quadratic last piece: its larger root is clamped the same way
     (Signal(_T, (0.0, _LO), (0.0, 0.0), (0.0, 0.0), (0.0, 1.0)),
      math.nextafter((_T - _LO) ** 2, 2.0), _T),
 ], ids=["last_piece", "inner_piece", "quadratic_last_piece"])
@@ -531,6 +531,22 @@ def test_accumulated_reference_is_the_lattice_at_dyadic_thresholds(case):
     lattice, accumulated = scalar_sod(f, theta), scalar_sod_accumulated(f, theta)
     assert lattice.times == accumulated.times
     assert lattice.values == accumulated.values
+
+
+def test_a_quadratic_root_one_ulp_before_its_end_joint_folds_into_it():
+    # c2 * t^2 reaches the level v = c2 * a^2 at its stored end joint a; the
+    # closed-form root sqrt(v / c2) rounds one ulp short of a, within the
+    # snap distance, so the event is the joint itself
+    a, c2 = 0.35712729806931665, 2.4650564490845754
+    v = c2 * a * a
+    f = Signal(a + 1.0, (0.0, a), (0.0, v), (0.0, 2 * c2 * a), (c2, 0.0))
+    assert max(_quadratic_roots(c2, 0.0, -v)) == math.nextafter(a, 0.0)
+    ref = scalar_sod(f, v)
+    assert ref.times[0] == a
+    for sample in (sod_sample, lc_sample):
+        eta = sample(f, v)
+        assert eta.times == ref.times
+        assert eta.values == ref.values
 
 
 def test_lc_lattice_levels_match_the_scalar_oracle_where_sod_levels_drift():

@@ -273,7 +273,7 @@ class TestSchreiber:
             SchreiberParams(sigma=2.0)
         with pytest.raises(ValueError, match="gaussian kernel takes no alpha"):
             SchreiberParams(kernel="gaussian", alpha=2.0)
-        for bad in (0.0, -1.0, math.nan):
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="needs alpha > 0"):
                 SchreiberParams(alpha=bad)
             with pytest.raises(ValueError, match="needs sigma > 0"):
