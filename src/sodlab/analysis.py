@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -215,10 +217,15 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
     if metric.kind == "schreiber":
         raise ValueError("the Schreiber similarity has no distance to the zero "
                          "sequence; see schreiber_conflation_witness")
+    zero_train = empty(T)  # checks the horizon
     if deltas is None:
         deltas = (T / 8.0, T / 16.0, T / 32.0)
+    deltas = [check_positive(delta, "delta") for delta in deltas]
+    for delta in deltas:
+        if round(T / delta) == 0:
+            raise ValueError(f"delta {delta!r} puts no event on the horizon "
+                             f"T = {T!r}: round(T / delta) is 0")
     rows = []
-    zero_train = empty(T)
     for delta in deltas:
         n = int(round(T / delta))
         n = min(n, n_max)
@@ -284,7 +291,10 @@ class QiCorpus(Sequence):
     def __len__(self) -> int:
         return len(self._seeds)
 
-    def __getitem__(self, i) -> tuple[Signal, Signal]:
+    def __getitem__(self, i):
+        """Pair i, or for a slice a corpus over the same seed rows (a view)."""
+        if isinstance(i, slice):
+            return QiCorpus(self._seeds[i], *self._walk)
         a, b = self._seeds[operator.index(i)]  # an IndexError out of range
         T, n_breaks, amplitude = self._walk
         return (random_walk(T, int(a), n_breaks, amplitude),
@@ -350,6 +360,102 @@ def _qi_fit(dxs, dys, theta):
 SANDWICH = {"D": (1.0, 4.0), "A": (0.5, 2.0)}
 # Rounding allowance on both sides of the sandwich, per unit diam(f - g) + theta.
 _QI_SLACK = 1e-9
+# Fewest trials qi_verify gives a forked worker.  A child costs about 6 ms
+# to fork, join and hand its results back.  At theta = 0.2, the cheapest
+# trials qi-check runs, two workers were slower than one at 80 trials each
+# and faster at 96 (medians of 15 alternating runs, 2-CPU x86_64 VM,
+# Python 3.11); 128 stays clear of that break-even.
+_QI_MIN_TRIALS_PER_WORKER = 128
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where the platform
+    cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _qi_trials(pairs, theta, normf):
+    """(dxs, dys, failures) over the pairs, in order: diam(f - g), the norm
+    of the difference of the two samples, and the number of samples that
+    the reconstruct/resample round trip did not give back exactly."""
+    dxs, dys = [], []
+    failures = 0
+    for f, g in pairs:
+        eta_f = sod_sample(f, theta)
+        eta_g = sod_sample(g, theta)
+        dxs.append(diameter_norm(subtract(f, g)))
+        dys.append(normf(difference(eta_f, eta_g)))
+        for eta in (eta_f, eta_g):
+            back = sod_sample(reconstruct(eta), theta)
+            if back.times != eta.times or back.values != eta.values:
+                failures += 1
+    return dxs, dys, failures
+
+
+def _qi_child(pairs, theta, normf, conn):
+    """A forked worker's body: send (True, trials) or (False, exception)."""
+    try:
+        result = (True, _qi_trials(pairs, theta, normf))
+    except Exception as exc:  # re-raised by the parent, in trial order
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _qi_trials_forked(ranges, theta, normf):
+    """`_qi_trials` over consecutive ranges of pairs, joined in order: the
+    first range runs in this process, each other one in a forked child that
+    sends its three results back through a pipe.  The earliest failing
+    range's exception is raised; children are always joined, and ended
+    first when anything fails.
+
+    Fork, not spawn: a child needs the parent's imports, its `normf` closure
+    and its pairs, which a spawned process would import or unpickle again
+    at a cost above what the trials save."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    done = False
+    try:
+        for pairs in ranges[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_qi_child, args=(pairs, theta, normf, send))
+            # Python >= 3.12 warns when a process with threads forks, as
+            # numpy's with an OpenBLAS pool does.  The child takes no lock
+            # such a thread may hold: it runs only pure-Python trials and
+            # numpy's random generator, never BLAS.
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                    DeprecationWarning)
+                proc.start()
+            send.close()
+            children.append((proc, recv))
+        dxs, dys, failures = _qi_trials(ranges[0], theta, normf)
+        for proc, recv in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a qi_verify worker exited with code {proc.exitcode} "
+                                   "before sending its trials") from None
+            if not ok:
+                raise result
+            dxs += result[0]
+            dys += result[1]
+            failures += result[2]
+        done = True
+    finally:
+        for proc, recv in children:
+            if not done:
+                proc.terminate()
+            proc.join()
+            recv.close()
+    return dxs, dys, failures
 
 
 def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
@@ -366,22 +472,27 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
 
     The corpus is any sized iterable of pairs, read once in order, so a
     `QiCorpus` holds no more than one batch of pairs at a time.
+
+    On a host with several usable CPUs, a list, tuple or `QiCorpus` is
+    split into contiguous ranges of at least `_QI_MIN_TRIALS_PER_WORKER`
+    pairs, at most one per CPU: this process runs the first, forked
+    children the others, and the results are joined in trial order, so the
+    report does not depend on the CPU count.  An exception a trial raises
+    reaches the caller as the serial loop would raise it: the earliest
+    failing trial's.
     """
     theta = check_positive(theta, "threshold")
     if not corpus:
         raise ValueError("corpus must be nonempty")
     normf = norm_by_kind(kind)
-    dxs, dys = [], []
-    failures = 0
-    for f, g in corpus:
-        eta_f = sod_sample(f, theta)
-        eta_g = sod_sample(g, theta)
-        dxs.append(diameter_norm(subtract(f, g)))
-        dys.append(normf(difference(eta_f, eta_g)))
-        for eta in (eta_f, eta_g):
-            back = sod_sample(reconstruct(eta), theta)
-            if back.times != eta.times or back.values != eta.values:
-                failures += 1
+    n = len(corpus)
+    k = min(_usable_cpus(), n // _QI_MIN_TRIALS_PER_WORKER)
+    if k > 1 and isinstance(corpus, (list, tuple, QiCorpus)):
+        bounds = [n * i // k for i in range(k + 1)]
+        ranges = [corpus[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        dxs, dys, failures = _qi_trials_forked(ranges, theta, normf)
+    else:
+        dxs, dys, failures = _qi_trials(corpus, theta, normf)
     if kind in SANDWICH:
         a, b = SANDWICH[kind]
         violations = sum(

@@ -1,6 +1,11 @@
 import math
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -27,6 +32,7 @@ from sodlab.norms import NORM_KINDS, norm_by_kind
 from sodlab.signals import (
     Segment,
     diameter_norm,
+    pwl_from_points,
     random_walk,
     sine_pwl,
     subtract,
@@ -223,6 +229,22 @@ class TestEmdmCharacterize:
         for row in res.growth_table:
             assert row["T"] == T and row["n"] * row["delta"] <= T
 
+    @pytest.mark.parametrize("deltas, message", [
+        ((5.0,), "delta 5.0 puts no event on the horizon T = 1.0: round(T / delta) is 0"),
+        ((0.5, 2.5), "delta 2.5 puts no event on the horizon T = 1.0"),
+        ((-0.5,), "delta must be a positive finite number, got -0.5"),
+        ((0.0,), "delta must be a positive finite number, got 0.0"),
+        ((math.nan,), "delta must be a positive finite number, got nan"),
+        ((True,), "delta must be a positive finite number, got True"),
+    ])
+    def test_refuses_a_delta_by_name_before_any_train(self, monkeypatch, deltas, message):
+        def no_train(*args):
+            raise AssertionError("a train was built")
+
+        monkeypatch.setattr(analysis, "equidistant_alternating", no_train)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            emdm_characterize(make_metric("vr"), T=1.0, deltas=deltas)
+
     def test_schreiber_has_no_characterization(self):
         with pytest.raises(ValueError):
             emdm_characterize(make_metric("schreiber"))
@@ -369,9 +391,9 @@ def test_qi_corpus_refuses_bad_walk_parameters_before_any_pair(walk):
         make_qi_corpus(3, 1, **walk)
 
 
-def test_qi_verify_memory_per_trial_is_bounded():
-    # only the per-trial results grow with the trial count: the pairs are
-    # built a batch at a time and freed after it
+def qi_peak_growth_per_trial(warm, small, large):
+    """Growth of qi_verify's tracemalloc peak per trial from `small` to
+    `large` trials, after a warm-up run of `warm` (lazy imports, caches)."""
     def peak(n):
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
@@ -380,12 +402,170 @@ def test_qi_verify_memory_per_trial_is_bounded():
 
     tracemalloc.start()
     try:
-        peak(50)  # warm-up: lazy imports and caches
-        small, large = peak(100), peak(600)
+        peak(warm)
+        low, high = peak(small), peak(large)
     finally:
         tracemalloc.stop()
+    return (high - low) / (large - small)
+
+
+def test_qi_verify_memory_per_trial_is_bounded(monkeypatch):
+    # only the per-trial results grow with the trial count: the pairs are
+    # built a batch at a time and freed after it.  One worker: tracemalloc
+    # sees only this process, which would otherwise run half the trials.
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
     # about 440 B per trial; a corpus built up front adds about 3 KB
-    assert (large - small) / 500 < 1000.0
+    assert qi_peak_growth_per_trial(50, 100, 600) < 1000.0
+
+
+def test_qi_verify_memory_per_trial_is_bounded_with_forked_workers(monkeypatch):
+    # the parent builds only its own range's pairs, and what the children
+    # send back is their per-trial results, so its own growth per trial of
+    # the campaign stays that of the results
+    forks = []
+    forked = analysis._qi_trials_forked
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(analysis, "_qi_trials_forked",
+                        lambda ranges, *args: forks.append(len(ranges)) or forked(ranges, *args))
+    assert qi_peak_growth_per_trial(300, 300, 800) < 1000.0
+    assert forks == [2, 2, 2]
+
+
+def _qi_with_cpus(monkeypatch, cpus, corpus, theta, kind):
+    """qi_verify as a host with `cpus` usable CPUs runs it, and the length of
+    each range this process ran itself."""
+    ran = []
+    trials = analysis._qi_trials
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "_qi_trials",
+                        lambda pairs, *args: ran.append(len(pairs)) or trials(pairs, *args))
+    try:
+        return qi_verify(corpus, theta, kind), ran
+    finally:
+        monkeypatch.setattr(analysis, "_qi_trials", trials)
+
+
+@pytest.mark.parametrize("kind", ["D", "A", "M"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_qi_verify_on_forked_workers_equals_the_serial_loop_by_repr(monkeypatch, cpus, kind):
+    # a small minimum keeps the campaigns short; the sizes straddle
+    # cpus * minimum, so the ranges differ in length and the worker count
+    # is cpus - 1 or cpus
+    minimum = 8
+    monkeypatch.setattr(analysis, "_QI_MIN_TRIALS_PER_WORKER", minimum)
+    for n in (cpus * minimum - 1, cpus * minimum + 1):
+        qi = make_qi_corpus(n, 100 + n)
+        for corpus in (qi, list(qi)):
+            serial, _ = _qi_with_cpus(monkeypatch, 1, corpus, 0.1, kind)
+            report, ran = _qi_with_cpus(monkeypatch, cpus, corpus, 0.1, kind)
+            k = max(1, min(cpus, n // minimum))
+            assert ran == [n // k]  # this process runs the first range
+            assert repr(report) == repr(serial)
+            assert multiprocessing.active_children() == []
+
+
+def test_qi_verify_splits_at_the_real_minimum(monkeypatch):
+    n = 2 * analysis._QI_MIN_TRIALS_PER_WORKER + 1
+    corpus = make_qi_corpus(n, 17)
+    serial, _ = _qi_with_cpus(monkeypatch, 1, corpus, 0.2, "D")
+    report, ran = _qi_with_cpus(monkeypatch, 2, corpus, 0.2, "D")
+    assert ran == [n // 2]
+    assert repr(report) == repr(serial)
+
+
+def test_a_serial_qi_verify_imports_no_multiprocessing():
+    # below twice the minimum nothing forks, on any host
+    code = ("import sys\n"
+            "from sodlab.analysis import _QI_MIN_TRIALS_PER_WORKER, make_qi_corpus, qi_verify\n"
+            "qi_verify(make_qi_corpus(2 * _QI_MIN_TRIALS_PER_WORKER - 1, 1), 0.2)\n"
+            "print('multiprocessing' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+def _walk_pair(seed, T=1.0):
+    return random_walk(T, seed, 12, 0.4), random_walk(T, seed + 1, 12, 0.4)
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("faults", [
+    {8: "unanchored"},                      # the last range only
+    {5: "T=2", 8: "T=3"},                   # two children's ranges: the earlier one's
+    {1: "T=3", 7: "unanchored"},            # this process's range and a child's
+    {6: "unanchored", 7: "T=2"},            # two faults in one range
+])
+def test_qi_verify_on_forked_workers_raises_the_serial_error(monkeypatch, faults):
+    # 9 pairs in three ranges of 3: [0, 3) here, [3, 6) and [6, 9) in children
+    monkeypatch.setattr(analysis, "_QI_MIN_TRIALS_PER_WORKER", 3)
+    unanchored = pwl_from_points(1.0, [0.0, 1.0], [0.25, 0.0])
+    corpus = [_walk_pair(2 * i) for i in range(9)]
+    for i, fault in faults.items():
+        f, g = corpus[i]
+        corpus[i] = ((unanchored, g) if fault == "unanchored"
+                     else (f, _walk_pair(2 * i, float(fault[2:]))[1]))
+    with pytest.raises(ValueError) as serial:
+        _qi_with_cpus(monkeypatch, 1, corpus, 0.1, "D")
+    with pytest.raises(ValueError) as forked:
+        _qi_with_cpus(monkeypatch, 3, corpus, 0.1, "D")
+    assert type(forked.value) is type(serial.value) and str(forked.value) == str(serial.value)
+    first = faults[min(faults)]
+    assert str(serial.value) == ("sampling requires f(0) = 0" if first == "unanchored"
+                                 else f"horizon mismatch: 1.0 vs {float(first[2:])!r}")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("message, silenced", [
+    ("This process (pid={}) is multi-threaded, use of fork() may lead to deadlocks "
+     "in the child.", True),
+    ("fork() is deprecated (pid={})", False),
+])
+def test_only_the_threaded_fork_warning_is_silenced(monkeypatch, message, silenced):
+    # os.fork on Python >= 3.12 warns with the first message in a process
+    # with threads; under -W error nothing else may be swallowed
+    monkeypatch.setattr(analysis, "_QI_MIN_TRIALS_PER_WORKER", 3)
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(message.format(os.getpid()), DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    corpus = [_walk_pair(2 * i) for i in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if silenced:
+            report, ran = _qi_with_cpus(monkeypatch, 2, corpus, 0.1, "D")
+            assert ran == [3] and report.trials == 6
+        else:
+            with pytest.raises(DeprecationWarning, match="is deprecated"):
+                _qi_with_cpus(monkeypatch, 2, corpus, 0.1, "D")
+    _assert_no_child_left()
+
+
+def test_a_worker_that_dies_is_reported_and_reaped(monkeypatch):
+    monkeypatch.setattr(analysis, "_QI_MIN_TRIALS_PER_WORKER", 3)
+    corpus = [_walk_pair(2 * i) for i in range(6)]
+    trials = analysis._qi_trials
+    parent = os.getpid()
+
+    def die_in_a_child(pairs, *args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return trials(pairs, *args)
+
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(analysis, "_qi_trials", die_in_a_child)
+    with pytest.raises(RuntimeError, match="exited with code 7 before sending its trials"):
+        qi_verify(corpus, 0.1, "D")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("build, name", [
