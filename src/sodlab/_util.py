@@ -1,11 +1,18 @@
-"""Small shared helpers (positive-number and integer checks, report JSON,
-atomic file output)."""
+"""Small shared helpers (positive-number and integer checks, float
+formatting, report JSON, atomic file output)."""
 
 import json
 import math
 import numbers
 import os
 import tempfile
+from itertools import islice
+
+import numpy as np
+
+# Rows or pieces that a file writer formats at a time: its memory is
+# O(CHUNK), not O(n), and one chunk's strings stay small.
+CHUNK = 4096
 
 
 def check_positive(x, name: str) -> float:
@@ -31,15 +38,38 @@ def check_integer(x, name: str, minimum: int) -> int:
     raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
 
 
+def float_reprs(col) -> list[str]:
+    """``list(map(repr, col))`` for a tuple or list of Python floats.
+
+    One orjson call writes every value by Ryu's shortest round-trip digits,
+    which are float.__repr__'s; only its layout differs, and only where repr
+    switches to an exponent: for nonzero |x| < 1e-4 and for |x| >= 1e16
+    (orjson writes 0.00001, 1e-7 and 1e16 where repr writes 1e-05, 1e-07
+    and 1e+16).  Those values, and inf and nan (orjson's null), are repr'd
+    one by one.
+    """
+    import orjson  # here, not at import: only writing a file pays for it
+
+    if not col:
+        return []
+    out = orjson.dumps(col)[1:-1].decode().split(",")
+    a = np.abs(np.fromiter(col, dtype=float, count=len(col)))
+    for i in np.flatnonzero((a != 0.0) & ~((a >= 1e-4) & (a < 1e16))).tolist():
+        out[i] = repr(col[i])
+    return out
+
+
 def write_text_atomic(path, text):
-    """Write `text` to `path` via a temp file + rename in the same directory.
-    A failure raises an OSError that names `path`, not the temp file."""
+    """Write `text`, a str or an iterable of str chunks, to `path` via a
+    temp file + rename in the same directory.  A failure, also one raised
+    while the chunks are made, leaves `path` as it was and removes the temp
+    file; an OSError is raised naming `path`, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -49,7 +79,7 @@ def write_text_atomic(path, text):
         raise
 
 
-# Types whose C-encoded JSON holds no ", " or "]" of its own.
+# Types whose C-encoded JSON holds no ", " of its own.
 _FLAT_SCALARS = (float, int, bool, type(None))
 # Longest inner list that a list of flat lists is encoded in one call for.
 # Short ones, like (x, y) pairs, cost more per list in the recursion than
@@ -57,6 +87,8 @@ _FLAT_SCALARS = (float, int, bool, type(None))
 # them all builds strings too large for the cache (15% slower on chain
 # stages of 2000 values).
 _SHORT = 16
+# How json writes the floats that repr writes as inf, -inf and nan.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def json_report(payload) -> str:
@@ -64,14 +96,26 @@ def json_report(payload) -> str:
     payloads built of dicts with string keys, lists, tuples and JSON scalars.
 
     json.dumps with an indent runs the pure-Python encoder.  Here a flat
-    list of numbers, or a list of short nonempty flat lists of numbers
-    (such as qi-check's envelope pairs), goes through the C encoder in one
-    call and only its separators are laid out again; dicts and other lists
-    recurse.
+    list of scalars, or a list of short nonempty flat lists of scalars
+    (such as qi-check's envelope pairs), is written in one call, by
+    `float_reprs` when it holds only floats and by the C encoder otherwise,
+    and laid out again; dicts and other lists recurse.
     """
     parts = []
     _encode(payload, "\n", parts)
     return "".join(parts)
+
+
+def _scalar_tokens(values) -> list[str]:
+    """The JSON of each value of a list of `_FLAT_SCALARS`, as json writes
+    it: a finite float as its repr."""
+    if not all(type(x) is float for x in values):
+        # no flat scalar's JSON holds ", ", so the separators are the only ones
+        return json.dumps(values)[1:-1].split(", ")
+    tokens = float_reprs(values)
+    if not math.isfinite(sum(values)):  # an inf or a nan, or a sum past the range
+        tokens = [_NON_FINITE.get(s, s) for s in tokens]
+    return tokens
 
 
 def _encode(obj, newline, parts) -> None:
@@ -94,16 +138,13 @@ def _encode(obj, newline, parts) -> None:
             parts.append("[]")
         elif all(type(x) in _FLAT_SCALARS for x in obj):
             # appended apart: joining them here would copy the body once more
-            body = json.dumps(obj)[1:-1].replace(", ", "," + inner)
-            parts.extend(("[", inner, body, newline, "]"))
+            parts.extend(("[", inner, ("," + inner).join(_scalar_tokens(obj)), newline, "]"))
         elif (all(isinstance(x, (list, tuple)) and 0 < len(x) <= _SHORT for x in obj)
               and all(type(y) in _FLAT_SCALARS for x in obj for y in x)):
-            # no scalar's JSON holds "]" or ", ", so the inner lists' own
-            # "], [" and ", " are the only ones
             deeper = inner + "  "
-            body = (json.dumps(obj)[2:-2]
-                    .replace("], [", f"{inner}],{inner}[{deeper}")
-                    .replace(", ", "," + deeper))
+            tokens = iter(_scalar_tokens([y for x in obj for y in x]))
+            rows = [("," + deeper).join(islice(tokens, len(x))) for x in obj]
+            body = f"{inner}],{inner}[{deeper}".join(rows)
             parts.extend(("[", inner, "[", deeper, body, inner, "]", newline, "]"))
         else:
             sep = "[" + inner

@@ -11,7 +11,7 @@ import click
 
 from . import (__version__, analysis, events, norms, sampler, signals,
                spike_metrics, structure)
-from ._util import check_integer, check_positive, json_report, write_text_atomic
+from ._util import check_integer, check_positive, float_reprs, json_report, write_text_atomic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -25,14 +25,17 @@ def _write_json(path, payload, omit=()) -> None:
     """Write a dict, or a report dataclass without its `omit` fields."""
     if dataclasses.is_dataclass(payload):
         payload = {k: v for k, v in vars(payload).items() if k not in omit}
-    write_text_atomic(path, json_report(payload) + "\n")
+    write_text_atomic(path, (json_report(payload), "\n"))
 
 
 def _write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
-                 for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """The rows under `header`; a column of floats only goes through
+    `float_reprs`, any other column through repr (floats) and str."""
+    columns = [float_reprs(col) if all(type(c) is float for c in col)
+               else [repr(c) if isinstance(c, float) else str(c) for c in col]
+               for col in zip(*rows)]
+    lines = map(",".join, zip(*columns))
+    write_text_atomic(path, "\n".join([",".join(header), *lines]) + "\n")
 
 
 def _csv_path(out_path) -> str:

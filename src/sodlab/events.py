@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._util import check_positive, write_text_atomic
+from ._util import CHUNK, check_positive, float_reprs, write_text_atomic
 
 
 def _check_grid(T, times, values, what: str):
@@ -147,14 +147,18 @@ def _sidecar_path(path) -> str:
 
 
 def write_events_csv(path, eta: EventSequence) -> None:
-    # every number as its float.__repr__: the times through one C-encoded
-    # json.dumps, which writes a finite float so, and each distinct
-    # amplitude (two, in a theta-pure sequence) once
-    times = json.dumps(eta.times)[1:-1].split(", ") if eta.times else []
-    amps = {v: repr(v) for v in set(eta.values)}
-    rows = map(",".join, zip(times, map(amps.__getitem__, eta.values)))
-    write_text_atomic(path, "\n".join(["t,v", *rows]) + "\n")
+    write_text_atomic(path, _events_csv(eta))
     write_text_atomic(_sidecar_path(path), json.dumps({"T": eta.T}) + "\n")
+
+
+def _events_csv(eta: EventSequence):
+    """The CSV text in chunks of `CHUNK` rows, every number as its
+    float.__repr__."""
+    yield "t,v\n"
+    times, values = eta.times, eta.values
+    for i in range(0, len(times), CHUNK):
+        rows = zip(float_reprs(times[i:i + CHUNK]), float_reprs(values[i:i + CHUNK]))
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _bad_row(path) -> ValueError:

@@ -14,11 +14,11 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, filterfalse, repeat
+from itertools import accumulate, chain
 
 import numpy as np
 
-from ._util import check_integer, check_positive, write_text_atomic
+from ._util import CHUNK, check_integer, check_positive, float_reprs, write_text_atomic
 
 # Tolerance for structural checks (continuity at segment joints), relative
 # to the size of the joint's terms once that exceeds 1: sampling is
@@ -381,30 +381,23 @@ def signal_from_dict(d: dict) -> Signal:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
 
-def _reprs(col):
-    """The repr of each value of a float column, computed once per distinct
-    value.  0.0 and -0.0 are one dict key, so a column holding both is
-    repr'd value by value."""
-    reprs = {v: repr(v) for v in set(col)}
-    if 0.0 in reprs and len(set(map(math.copysign, repeat(1.0), filterfalse(None, col)))) > 1:
-        return map(repr, col)
-    return map(reprs.__getitem__, col)
-
-
-def _signal_json(f: Signal) -> str:
-    """The JSON layout above, byte for byte as ``json.dumps(...,
-    indent=2, sort_keys=True) + "\\n"`` writes it, but built directly,
-    since with an indent json falls back to its pure-Python encoder.  The
-    columns are finite floats, which json writes by float.__repr__: one
-    repr per piece for the times, and one per distinct value for the
-    coefficients, which repeat (c2 is all 0.0 on a piecewise-linear signal,
-    and a reconstruction's levels and slopes recur)."""
-    body = ",\n".join(
-        f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
-        f'      "c2": {c2},\n      "t": {t}\n    }}'
-        for t, c0, c1, c2 in zip(map(repr, f.t0), _reprs(f.c0), _reprs(f.c1), _reprs(f.c2))
-    )
-    return f'{{\n  "T": {f.T!r},\n  "segments": [\n{body}\n  ]\n}}\n'
+def _signal_json(f: Signal):
+    """The JSON layout above in chunks of `CHUNK` pieces, byte for byte as
+    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` writes it, but
+    built directly, since with an indent json falls back to its pure-Python
+    encoder.  The columns are finite floats, which json writes by
+    float.__repr__."""
+    yield f'{{\n  "T": {f.T!r},\n  "segments": [\n'
+    sep = ""
+    for i in range(0, len(f.t0), CHUNK):
+        cols = (float_reprs(col[i:i + CHUNK]) for col in (f.t0, f.c0, f.c1, f.c2))
+        yield sep + ",\n".join(
+            f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
+            f'      "c2": {c2},\n      "t": {t}\n    }}'
+            for t, c0, c1, c2 in zip(*cols)
+        )
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def save_signal(path, f: Signal) -> None:
