@@ -16,11 +16,10 @@ import numpy as np
 
 from . import spike_metrics
 from ._util import check_integer, check_positive
-from .events import EventSequence, difference, empty, scale_events
+from .events import EventSequence, difference, empty
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
-from .sampler import reconstruct, sod_sample
+from .sampler import _sample, reconstruct, sod_sample
 from .signals import Signal, _check_walk, diameter_norm, random_walk, subtract
-from .spike_metrics import SchreiberParams, schreiber_distance, schreiber_similarity
 from .trains import (
     alternating_train,
     equidistant_alternating,
@@ -77,110 +76,52 @@ def make_metric(kind: str, **params) -> EventMetric:
 class PerThetaSweep:
     theta: float
     value: float
-    stabilized: bool
-    eps_used: float | None
+    # Not a field: the right limit is exact, so every value is final.  The
+    # benchmark's traced observer (bench/worker.py) still reads this name;
+    # ROADMAP item 1 retires it there.
+    stabilized = True
 
 
 @dataclass(frozen=True)
 class SweepResult:
     lambda_estimate: float
     theta_at_max: float
-    stabilized: bool
     per_theta: tuple[PerThetaSweep, ...]
 
 
-def _sign_struct(eta: EventSequence):
-    return tuple(1 if v > 0.0 else -1 for v in eta.values)
-
-
-def _right_limit_estimate(prev, cur, eta0: EventSequence, T: float) -> EventSequence:
-    """Linear eps -> 0 extrapolation of event times (structures must match),
-    snapped onto coinciding same-sign events of the reference sequence."""
-    eps_prev, eta_prev = prev
-    eps_cur, eta_cur = cur
-    factor = eps_cur / (eps_prev - eps_cur)
-    times = [tc - (tp - tc) * factor
-             for tp, tc in zip(eta_prev.times, eta_cur.times)]
-    tol = 1e-7 * T
-    snapped = []
-    i = 0
-    for t, v in zip(times, eta_cur.values):
-        while i < len(eta0.times) and eta0.times[i] < t - tol:
-            i += 1
-        t_out = t
-        j = i
-        while j < len(eta0.times) and eta0.times[j] <= t + tol:
-            if eta0.values[j] == v:
-                t_out = eta0.times[j]
-                i = j + 1
-                break
-            j += 1
-        snapped.append(t_out)
-    try:
-        return EventSequence(eta_cur.T, tuple(snapped), eta_cur.values)
-    except ValueError:  # pathological overlap: keep the raw grid point
-        return eta_cur
-
-
-# Descending eps/theta grid that `emdm_sweep` walks towards each right limit.
-EPS_RATIOS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# Two consecutive right-limit metric values count as stabilized when they
-# differ by at most this fraction of the theta-output's distance to zero.
-_VALUE_TOL = 1e-9
+def _emdm_metric(metric) -> EventMetric:
+    """The metric of an EMDM report, made from its name if given one.  The
+    Schreiber similarity is refused: it has no distance to the zero
+    sequence, the distance that both the sweep and the characterization
+    measure the threshold discontinuity against."""
+    if isinstance(metric, str):
+        metric = make_metric(metric)
+    if metric.kind == "schreiber":
+        raise ValueError("the Schreiber similarity has no distance to the zero "
+                         "sequence, so it has no threshold-discontinuity measure")
+    return metric
 
 
 def emdm_sweep(f: Signal, metric, theta_grid) -> SweepResult:
-    """Per-signal discontinuity estimate: the metric gap between the
-    normalized output at theta and its right limit in the threshold.
-
-    For each theta the sweep walks the descending eps grid `EPS_RATIOS`.  The
-    output structure (event count and sign pattern) is piecewise constant in
-    the threshold, so once consecutive grid points agree structurally the
-    event times are extrapolated linearly to eps = 0, events that converge
-    onto same-sign events of the theta-output are snapped to them, and the
-    metric value between the theta-output and this right-limit estimate is
-    recorded.  Two consecutive values count as stabilized when they differ by
-    at most 1e-9 times the theta-output's distance to the empty sequence, so
-    the verdict does not depend on the signal's time or amplitude scale.
-    The estimate is the maximum over the theta grid.  The Schreiber metric
-    has no distance to the empty sequence and raises ValueError.
+    """Per-signal discontinuity measure: for each theta of the grid, the
+    metric gap between the normalized output Phi_theta f / theta and its
+    right limit in the threshold, lim Phi_{theta + eps} f / (theta + eps)
+    as eps -> 0+, which `sampler._sample` computes exactly with
+    ``right=True``.  The estimate is the maximum over the grid.  The
+    Schreiber metric is refused with a ValueError.
     """
-    if isinstance(metric, str):
-        metric = make_metric(metric)
+    metric = _emdm_metric(metric)
     thetas = [check_positive(t, "threshold") for t in theta_grid]
     if not thetas:
         raise ValueError("theta grid must be nonempty")
     per = []
     for theta in thetas:
-        eta0 = scale_events(sod_sample(f, theta), 1.0 / theta)
-        tol = _VALUE_TOL * metric(eta0, empty(f.T))
-        prev = None
-        values = []
-        stabilized = False
-        eps_used = None
-        value = 0.0
-        for ratio in EPS_RATIOS:
-            eps = theta * ratio
-            eta = scale_events(sod_sample(f, theta + eps), 1.0 / (theta + eps))
-            if prev is not None and _sign_struct(eta) == _sign_struct(prev[1]):
-                limit = _right_limit_estimate(prev, (eps, eta), eta0, f.T)
-                values.append(metric(eta0, limit))
-                if len(values) >= 2 and abs(values[-1] - values[-2]) <= tol:
-                    stabilized = True
-                    eps_used = eps
-                    value = values[-1]
-                    break
-            prev = (eps, eta)
-        if not stabilized:
-            if values:
-                value = values[-1]
-            else:
-                value = metric(eta0, prev[1])
-            eps_used = prev[0]
-        per.append(PerThetaSweep(theta, value, stabilized, eps_used))
+        # v / theta is +-1.0 exactly, where v * (1 / theta) can miss it by an ulp
+        at, limit = (EventSequence(f.T, eta.times, tuple(v / theta for v in eta.values))
+                     for eta in (_sample(f, theta), _sample(f, theta, right=True)))
+        per.append(PerThetaSweep(theta, metric(at, limit)))
     best = max(per, key=lambda p: p.value)
-    return SweepResult(best.value, best.theta, all(p.stabilized for p in per),
-                       tuple(per))
+    return SweepResult(best.value, best.theta, tuple(per))
 
 
 @dataclass(frozen=True)
@@ -200,8 +141,7 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
     carries the squared distance (the energy the threshold-discontinuity
     bounds are stated for) and the reported value is its maximum.
     """
-    if isinstance(metric, str):
-        metric = make_metric(metric)
+    metric = _emdm_metric(metric)
     n_max = check_integer(n_max, "n_max", 1)
     if metric.is_norm:
         normf = norm_by_kind(metric.kind)
@@ -214,9 +154,6 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
             for start in (1, -1):
                 best = max(best, normf(alternating_train(n, T, start)))
         return CharacterizeResult(best, None)
-    if metric.kind == "schreiber":
-        raise ValueError("the Schreiber similarity has no distance to the zero "
-                         "sequence; see schreiber_conflation_witness")
     zero_train = empty(T)  # checks the horizon
     if deltas is None:
         deltas = (T / 8.0, T / 16.0, T / 32.0)
@@ -250,7 +187,6 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
 class EmdmReport:
     metric: str
     theta_grid: tuple[float, ...]
-    eps_ratios: tuple[float, ...]
     per_signal: tuple[dict, ...]
     characterization: float
     growth_table: tuple[dict, ...] | None
@@ -531,7 +467,6 @@ class LeftContinuityReport:
     stabilized_at: int | None
     monotone: bool
     directions: tuple[str, ...]
-    control_theta: float
     control_count: int
     control_times: tuple[float, ...]
 
@@ -546,8 +481,10 @@ def left_continuity_probe(f: Signal, theta0: float,
     crossings after a direction reversal may approach from above ("down")
     since their target level rises with the threshold.  A count that never
     stabilizes within n_steps is reported (stabilized_at = None), not raised.
-    The control run at a threshold slightly above theta0 exposes the
-    right-discontinuity (event-count drop) when theta0 is critical for f.
+    The control run is the right limit at theta0, lim Phi_{theta0 + eps} f
+    as eps -> 0+, computed exactly: it drops the events of the levels f
+    only touches, so its count falls below theta0's exactly when theta0
+    is critical for f.
     """
     theta0 = check_positive(theta0, "threshold")
     n_steps = check_integer(n_steps, "n_steps", 1)
@@ -592,8 +529,7 @@ def left_continuity_probe(f: Signal, theta0: float,
                 directions.append("flat")
             else:
                 directions.append("up" if nondec else "down")
-    control_theta = theta0 * (1.0 + 2.0 ** (-10))
-    control = sod_sample(f, control_theta)
+    control = _sample(f, theta0, right=True)
     return LeftContinuityReport(
         theta0=theta0,
         reference_times=ref_times,
@@ -601,7 +537,6 @@ def left_continuity_probe(f: Signal, theta0: float,
         stabilized_at=stabilized_at,
         monotone=monotone,
         directions=tuple(directions),
-        control_theta=control_theta,
         control_count=len(control),
         control_times=control.times,
     )
@@ -716,30 +651,3 @@ def certify_norm(kind: str) -> CertificationReport:
         sweep_table=tuple(sweep_table),
         verdict=verdict,
     )
-
-
-# --- Schreiber conflation witness ---------------------------------------------
-
-def schreiber_conflation_witness(n: int = 8, T: float = 1.0,
-                                 params: SchreiberParams | None = None) -> dict:
-    """The four-train construction: a half-up/half-down train against its
-    negation and an alternating train against its negation both have
-    similarity -1, hence equal Schreiber distance, although the discrepancy
-    norms of the pair differences are n vs 2."""
-    if params is None:
-        params = SchreiberParams()
-    eta1 = mmsn_train(n, T)
-    eta2 = scale_events(eta1, -1.0)
-    eta3 = alternating_train(n, T, start=-1)
-    eta4 = scale_events(eta3, -1.0)
-    s12 = schreiber_similarity(eta1, eta2, params)
-    s34 = schreiber_similarity(eta3, eta4, params)
-    return {
-        "similarity_12": s12,
-        "similarity_34": s34,
-        "distance_12": schreiber_distance(eta1, eta2, params),
-        "distance_34": schreiber_distance(eta3, eta4, params),
-        "discrepancy_12": discrepancy_norm(difference(eta1, eta2)),
-        "discrepancy_34": discrepancy_norm(difference(eta3, eta4)),
-        "trains": [_eta_payload(e) for e in (eta1, eta2, eta3, eta4)],
-    }

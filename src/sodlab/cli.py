@@ -273,12 +273,10 @@ def emdm(metric, alpha, input_path, theta_grid, n_max, horizon, out, csv_path):
             "signal": str(input_path),
             "lambda": sweep.lambda_estimate,
             "theta_at_max": sweep.theta_at_max,
-            "stabilized": sweep.stabilized,
         })
     report = analysis.EmdmReport(
         metric=m.kind,
         theta_grid=tuple(thetas),
-        eps_ratios=analysis.EPS_RATIOS,
         per_signal=tuple(per_signal),
         characterization=char.value,
         growth_table=char.growth_table,
@@ -343,7 +341,7 @@ def certify(kind, out, csv_path):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def probe_continuity(input_path, theta0, steps, out, csv_path):
-    """Left-continuity probe with a control run from above."""
+    """Left-continuity probe with the right limit at theta0 as control."""
     report = analysis.left_continuity_probe(signals.load_signal(input_path),
                                             theta0, steps)
     _write_json(out, report)

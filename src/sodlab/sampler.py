@@ -44,7 +44,19 @@ def _quadratic_roots(a: float, b: float, c: float):
     return (r1, r2)
 
 
-def _sample(f: Signal, theta: float) -> EventSequence:
+def _passing_root(roots, a: float, b: float, sign: float):
+    """Of ``roots = _quadratic_roots(a, b, c)``, the root after which the
+    polynomial a*u^2 + b*u + c takes the sign of `sign`, as a tuple of at
+    most one.  Of two roots the slope is -sqrt(disc) at the first and
+    +sqrt(disc) at the second when b >= 0, and the reverse when b < 0, so
+    the choice needs no arithmetic near a tangency.  A double root is kept
+    when the parabola opens to `sign`'s side, where it leaves the zero."""
+    if len(roots) == 2:
+        return roots[1:] if (b >= 0.0) == (sign > 0.0) else roots[:1]
+    return roots if sign * a > 0.0 else ()
+
+
+def _sample(f: Signal, theta: float, right: bool = False) -> EventSequence:
     """The first-crossing recursion: after events of net signed count `k`, 0
     at the start, the next event is the first hit of one of the levels
     ``(up, down) = ((k + 1) * theta, (k - 1) * theta)``, carrying +-theta;
@@ -91,6 +103,22 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     not after the last event.  The last stop also covers the walk leaving a
     piece whose end the last event reached, since no root lies past hi.
 
+    With ``right=True`` the result is the right limit in the threshold,
+    lim Phi_{theta + eps} f as eps -> 0+: every nonzero level m * theta
+    moves away from 0 as theta grows, so an outward level, the up level
+    above 0 or the down level below 0, fires only where f passes it, not
+    where f touches it and turns back.  The outward up (down) level's gate
+    `up_gate` (`down_gate`) is the level itself, else -inf (inf), so a
+    comparison with a gate is true for every other level and in the
+    normal mode.  A gated level never takes the stored end-joint hit; a
+    linear root counts only when the piece ends past the level, and a
+    quadratic one only when it is the root where f rises (falls) past the
+    level, and when it lies at the piece's end only if the piece ends past
+    the level.  A level that f reaches at a joint and passes after it is
+    then hit at the start of the piece that passes it.  Inward levels,
+    level 0 and the run-on keep the normal rule: the run-on stops short of
+    a level equal to the end value.
+
     The events are stored without the checks of `EventSequence` that hold
     by construction: T is f's horizon; each time is appended only when it
     lies after the last one (``t > t_cur``, or the guard ``hi > t_cur``
@@ -104,6 +132,7 @@ def _sample(f: Signal, theta: float) -> EventSequence:
     his = t0[1:] + (T,)
     ends = c0s[1:] + (c0s[-1] + u * (c1s[-1] + u * c2s[-1]),)
     inf = math.inf
+    up_gate, down_gate = (theta, -theta) if right else (-inf, inf)
     k = 0.0  # the net count: a float is exact below 2**53 and multiplies faster
     t_cur = 0.0
     times, values = [], []
@@ -115,29 +144,37 @@ def _sample(f: Signal, theta: float) -> EventSequence:
         u_max = seg_len + slack
         linear = c2 == 0.0
         while hi > t_cur:
-            t_up = hi if end_value == up else inf
-            t_down = hi if end_value == down else inf
+            t_up = hi if end_value == up > up_gate else inf
+            t_down = hi if end_value == down < down_gate else inf
             if not linear:
-                for u in _quadratic_roots(c2, c1, c0 - up):
+                roots = _quadratic_roots(c2, c1, c0 - up)
+                if up == up_gate:
+                    roots = _passing_root(roots, c2, c1, 1.0)
+                for u in roots:
                     if -slack <= u <= u_max:
                         t = lo if u < 0.0 else hi if u >= seg_len else lo + u
-                        if t > t_cur and t_up - t > snap:
+                        if t > t_cur and t_up - t > snap and (
+                                u < seg_len or end_value > up_gate):
                             t_up = t
-                for u in _quadratic_roots(c2, c1, c0 - down):
+                roots = _quadratic_roots(c2, c1, c0 - down)
+                if down == down_gate:
+                    roots = _passing_root(roots, c2, c1, -1.0)
+                for u in roots:
                     if -slack <= u <= u_max:
                         t = lo if u < 0.0 else hi if u >= seg_len else lo + u
-                        if t > t_cur and t_down - t > snap:
+                        if t > t_cur and t_down - t > snap and (
+                                u < seg_len or end_value < down_gate):
                             t_down = t
             elif c1 != 0.0:
                 u = (up - c0) / c1
                 if -slack <= u <= u_max:
                     t = lo if u < 0.0 else hi if u >= seg_len else lo + u
-                    if t > t_cur and t_up - t > snap:
+                    if t > t_cur and t_up - t > snap and end_value > up_gate:
                         t_up = t
                 u = (down - c0) / c1
                 if -slack <= u <= u_max:
                     t = lo if u < 0.0 else hi if u >= seg_len else lo + u
-                    if t > t_cur and t_down - t > snap:
+                    if t > t_cur and t_down - t > snap and end_value < down_gate:
                         t_down = t
             if t_up <= t_down:
                 if t_up == inf:
@@ -165,6 +202,9 @@ def _sample(f: Signal, theta: float) -> EventSequence:
                     values.append(amp)
                     k += sign
             up, down = (k + 1.0) * theta, (k - 1.0) * theta
+            if right:
+                up_gate = up if k >= 0.0 else -inf
+                down_gate = down if k <= 0.0 else inf
     return EventSequence._from_columns(T, tuple(times), tuple(values))
 
 

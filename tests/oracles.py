@@ -6,24 +6,29 @@ O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
 search and chain, transcription on the dense grid and its sign-list sweep,
 the row-by-row Victor-Purpura program, the signal operations piece by piece
 on `Segment`s, the f-string event CSV, the event difference and the
-quasi-isometry fit one trial at a time, the qi corpus built as one list),
-seeded train generators, and curated adversarial signals.
+quasi-isometry fit one trial at a time, the qi corpus built as one list,
+send-on-delta and its right limit in the threshold in exact rational
+arithmetic), seeded train generators, curated adversarial signals, and the
+Schreiber conflation witness.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
 
 from sodlab._util import check_integer
-from sodlab.events import EventSequence, from_pairs
-from sodlab.norms import _amplitudes, norm_by_kind
+from sodlab.analysis import _eta_payload
+from sodlab.events import EventSequence, difference, from_pairs, scale_events
+from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk
+from sodlab.spike_metrics import SchreiberParams, schreiber_distance, schreiber_similarity
 from sodlab.structure import DenseEvents
-from sodlab.trains import _random_times
+from sodlab.trains import _random_times, alternating_train, mmsn_train
 
 # --- oracles --------------------------------------------------------------
 
@@ -400,6 +405,107 @@ def random_nonnegative_train(seed: int, n: int, T: float = 1.0) -> EventSequence
     return from_pairs(T, [(t, 1.0) for t in _random_times(rng, n, T)])
 
 
+# --- exact sampling -----------------------------------------------------------
+# Phi_theta and its right limit in rational arithmetic, for piecewise-linear
+# signals: the operator whose crossings the float sampler's root tolerances
+# approximate.
+
+
+def exact_knots(f: Signal) -> list[tuple[Fraction, Fraction]]:
+    """The knots of a piecewise-linear f as exact rationals: (t0[i], c0[i])
+    and (T, f(T)), with f(T) the float that the sampler computes for the
+    last piece's end.  The signal they define is their linear interpolant."""
+    if any(f.c2):
+        raise ValueError("the exact sampler takes piecewise-linear signals only")
+    u = f.T - f.t0[-1]
+    end = f.c0[-1] + u * (f.c1[-1] + u * f.c2[-1])
+    return [(Fraction(t), Fraction(v)) for t, v in zip((*f.t0, f.T), (*f.c0, end))]
+
+
+def _exact_first_time(knots, i, t_cur, level, s, strict):
+    """(t, j): the first time after t_cur, on piece j >= i, at which f
+    reaches `level` from below (s = 1) or from above (s = -1); with
+    `strict`, the first time after which f lies strictly past it.  (None,
+    None) when there is none.  f(t_cur) must lie short of the level."""
+    for j in range(i, len(knots) - 1):
+        (ta, va), (tb, vb) = knots[j], knots[j + 1]
+        if (vb > level if s > 0 else vb < level) or (vb == level and not strict):
+            if ta < t_cur:
+                va += (vb - va) * (t_cur - ta) / (tb - ta)
+                ta = t_cur
+            return ta + (level - va) / (vb - va) * (tb - ta), j
+    return None, None
+
+
+def exact_sample(f: Signal, theta: float, right: bool = False,
+                 eps: Fraction = Fraction(0)) -> list[tuple[Fraction, int]]:
+    """Phi_theta f as (time, sign) pairs, in exact arithmetic on the
+    interpolant of `exact_knots(f)`.
+
+    Level m is the sampler's float product m * theta, read exactly, plus
+    m * eps: the oracle checks the search, not the rounding of the levels,
+    and eps > 0 gives Phi at theta + eps on that lattice.  After events of
+    net count k the next event is the first time f reaches level k + 1 from
+    below or level k - 1 from above, up first on a tie.  With `right`, an
+    outward level, up with k + 1 > 0 or down with k - 1 < 0, fires instead
+    at the first time after which f lies strictly past it: the pass rule,
+    which `exact_right_limit_check` confirms is the limit eps -> 0+."""
+    knots = exact_knots(f)
+    k, t_cur, i, events = 0, Fraction(0), 0, []
+    while True:
+        hit = None
+        for s in (1, -1):
+            m = k + s
+            level = Fraction(m * theta) + m * eps
+            t, j = _exact_first_time(knots, i, t_cur, level, s, right and m * s > 0)
+            if t is not None and (hit is None or t < hit[0]):
+                hit = (t, j, s)
+        if hit is None:
+            return events
+        t_cur, i, s = hit
+        k += s
+        events.append((t_cur, s))
+
+
+def exact_right_limit_check(f: Signal, theta: float) -> None:
+    """Check the pass rule against Phi at theta + eps, for a rational eps
+    so small that no level m * theta + m * eps crosses a knot value it
+    misses at eps = 0: the same signs and, on a piece of slope at least
+    sigma, times within max |m| * eps / sigma, the most that a level
+    shifted by m * eps moves its crossing."""
+    knots = exact_knots(f)
+    nearest = [round(v / Fraction(theta)) for _, v in knots]
+    top = max(map(abs, nearest)) + 2
+    margins = [abs(v - Fraction(n * theta))
+               for (_, v), m in zip(knots, nearest) for n in (m - 1, m, m + 1)]
+    bound = min([Fraction(theta), *filter(None, margins)]) / (4 * top)
+    # the power of two at or below the bound keeps every level dyadic
+    eps = Fraction(2) ** (bound.numerator.bit_length() - bound.denominator.bit_length() - 1)
+    slopes = [abs((vb - va) / (tb - ta)) for (ta, va), (tb, vb) in zip(knots, knots[1:])]
+    sigma = min(filter(None, slopes), default=1)
+    limit, shifted = exact_sample(f, theta, right=True), exact_sample(f, theta, eps=eps)
+    assert [s for _, s in limit] == [s for _, s in shifted]
+    assert all(abs(a - b) <= top * eps / sigma for (a, _), (b, _) in zip(limit, shifted))
+
+
+def knot_in_slack_band(f: Signal, theta: float) -> bool:
+    """True when a knot value of the piecewise-linear f misses a level
+    m * theta by a nonzero amount of at most 2e-12 of an adjacent piece's
+    rise: the float sampler's root for that level then lies within its
+    slack band, 1e-12 of the piece's length, past the joint, and is clamped
+    onto it.  So the float sampler fires at the joint where f turns back
+    short of the level, or where it passes the level a little later.  On
+    other inputs it agrees with `exact_sample`."""
+    knots = exact_knots(f)
+    rises = [abs(vb - va) for (_, va), (_, vb) in zip(knots, knots[1:])]
+    for j, (_, v) in enumerate(knots):
+        band = Fraction(2, 10 ** 12) * max(rises[max(j - 1, 0):j + 1])
+        m = round(v / Fraction(theta))
+        if any(0 < abs(v - Fraction(n * theta)) <= band for n in (m - 1, m, m + 1)):
+            return True
+    return False
+
+
 # --- curated adversarial signals --------------------------------------------
 
 
@@ -520,3 +626,30 @@ def transcription_sweep_compact(eta: EventSequence, kind: str) -> float:
                     if v > best:
                         best = v
     return best
+
+
+# --- Schreiber conflation witness ---------------------------------------------
+
+def schreiber_conflation_witness(n: int = 8, T: float = 1.0,
+                                 params: SchreiberParams | None = None) -> dict:
+    """The four-train construction: a half-up/half-down train against its
+    negation and an alternating train against its negation both have
+    similarity -1, hence equal Schreiber distance, although the discrepancy
+    norms of the pair differences are n vs 2."""
+    if params is None:
+        params = SchreiberParams()
+    eta1 = mmsn_train(n, T)
+    eta2 = scale_events(eta1, -1.0)
+    eta3 = alternating_train(n, T, start=-1)
+    eta4 = scale_events(eta3, -1.0)
+    s12 = schreiber_similarity(eta1, eta2, params)
+    s34 = schreiber_similarity(eta3, eta4, params)
+    return {
+        "similarity_12": s12,
+        "similarity_34": s34,
+        "distance_12": schreiber_distance(eta1, eta2, params),
+        "distance_34": schreiber_distance(eta3, eta4, params),
+        "discrepancy_12": discrepancy_norm(difference(eta1, eta2)),
+        "discrepancy_34": discrepancy_norm(difference(eta3, eta4)),
+        "trains": [_eta_payload(e) for e in (eta1, eta2, eta3, eta4)],
+    }

@@ -16,7 +16,6 @@ from sodlab.analysis import (
     left_continuity_probe,
     make_metric,
     make_qi_corpus,
-    schreiber_conflation_witness,
 )
 from sodlab.events import difference, from_pairs, split_signs
 from sodlab.norms import (
@@ -47,6 +46,7 @@ from oracles import (
     local_max_signal,
     random_nonnegative_train,
     random_pure_train,
+    schreiber_conflation_witness,
     signal_of,
 )
 

@@ -24,13 +24,14 @@ from sodlab.analysis import (
     make_metric,
     make_qi_corpus,
     qi_verify,
-    schreiber_conflation_witness,
 )
 from sodlab.events import difference, from_pairs
 from sodlab.cli import distance, emdm
 from sodlab.norms import NORM_KINDS, norm_by_kind
+from sodlab.sampler import reconstruct, sod_sample
 from sodlab.signals import (
     Segment,
+    Signal,
     diameter_norm,
     pwl_from_points,
     random_walk,
@@ -52,6 +53,7 @@ from oracles import (
     local_max_signal,
     qi_corpus_eager,
     qi_fit_loop,
+    schreiber_conflation_witness,
     signal_of,
     transcription_sweep_compact,
 )
@@ -133,7 +135,6 @@ class TestEmdmSweep:
         for kind in ("D", "A", "M"):
             res = emdm_sweep(f, kind, [0.3, 0.22])
             assert res.lambda_estimate == 0.0
-            assert res.stabilized
         res = emdm_sweep(f, make_metric("vr", alpha=1.0), [0.3])
         assert res.lambda_estimate == 0.0
 
@@ -141,7 +142,6 @@ class TestEmdmSweep:
         f = local_max_signal(0.25)
         res = emdm_sweep(f, "D", [0.25])
         assert res.lambda_estimate == 1.0
-        assert res.stabilized
 
     def test_local_max_van_rossum_positive_bounded(self):
         f = local_max_signal(0.25)
@@ -171,18 +171,57 @@ class TestEmdmSweep:
 
 
     @pytest.mark.parametrize("seed", range(1, 6))
-    def test_stabilized_flags_do_not_depend_on_time_scale(self, seed):
-        # the van Rossum gap shrinks like sqrt(s) at alpha = 1/s, so an
-        # absolute value tolerance would flip flags at small s
-        flags = []
-        for s in (1.0, 2.0 ** 20, 2.0 ** -20):
-            res = emdm_sweep(random_walk(s, seed, 40, 0.4),
-                             make_metric("vr", alpha=1.0 / s), (0.2, 0.25, 0.3))
-            flags.append(tuple(p.stabilized for p in res.per_theta))
-        assert flags[1] == flags[0] and flags[2] == flags[0]
+    def test_values_scale_exactly_with_time(self, seed):
+        # on a horizon s = 4^j both samples are the unit horizon's times s,
+        # so van Rossum at alpha = 1/s is sqrt(s) times its unit value and
+        # D is unchanged, exactly.  A walk passes every level it reaches,
+        # so its gaps are 0; the reconstruction of its sample at 0.25 has
+        # every extremum on a level, so its gaps are not.
+        grid = (0.2, 0.25, 0.3)
+
+        def signals(s):
+            walk = random_walk(s, seed, 40, 0.4)
+            return walk, reconstruct(sod_sample(walk, 0.25))
+
+        for k, unit in enumerate(signals(1.0)):
+            unit_vr = emdm_sweep(unit, make_metric("vr"), grid).per_theta
+            unit_d = emdm_sweep(unit, "D", grid).per_theta
+            assert (unit_vr[1].value > 0.0) == (k == 1)
+            for s in (2.0 ** 20, 2.0 ** -20):
+                f = signals(s)[k]
+                vr = emdm_sweep(f, make_metric("vr", alpha=1.0 / s), grid).per_theta
+                assert [p.value for p in vr] == [math.sqrt(s) * p.value for p in unit_vr]
+                assert emdm_sweep(f, "D", grid).per_theta == unit_d
+
+    @pytest.mark.parametrize("metric", ["vr", "D"])
+    def test_a_walk_passing_a_level_by_6e_6_theta_has_no_gap(self, metric):
+        # the walk's minimum -0.30000062 passes the level -3 theta = -0.3
+        # strictly, so the right limit keeps that event: the gap is 0
+        f = random_walk(1.0, 6, 12, 0.4)
+        res = emdm_sweep(f, make_metric(metric), [0.1, 0.05])
+        assert [p.value for p in res.per_theta] == [0.0, 0.0]
+        assert res.lambda_estimate == 0.0
+
+    def test_integrate_and_fire_vertex_touch_is_one(self):
+        # t - t^2 / 2 touches its maximum 0.5 = 2 * 0.25 = 4 * 0.125 at its
+        # vertex t = 1: the right limit drops that event and one after it,
+        # which are one unit of D apart, the unit sphere's sup
+        f = Signal(2.0, (0.0,), (0.0,), (1.0,), (-0.5,))
+        res = emdm_sweep(f, "D", [0.25, 0.125])
+        assert [p.value for p in res.per_theta] == [1.0, 1.0]
+
+    def test_touches_on_both_sides_put_d_at_two(self):
+        # each touch of an outward level drops that event and the one that
+        # returns to the level before it, an adjacent pair (+, -) for an up
+        # level and (-, +) for a down level; with both kinds the prefix
+        # walk of the difference spans 2.  f touches 0.5 and then -0.5.
+        f = pwl_from_points(4.0, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5],
+                            [0.0, 0.25, 0.5, 0.25, 0.0, -0.25, -0.5, -0.25])
+        assert emdm_sweep(f, "D", [0.25]).lambda_estimate == 2.0
+        assert emdm_sweep(f, "D", [0.125]).lambda_estimate == 2.0
 
     def test_schreiber_is_refused(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the Schreiber similarity has no distance"):
             emdm_sweep(random_walk(1.0, 3, 40, 0.4), "schreiber", [0.2])
 
 
@@ -246,7 +285,7 @@ class TestEmdmCharacterize:
             emdm_characterize(make_metric("vr"), T=1.0, deltas=deltas)
 
     def test_schreiber_has_no_characterization(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the Schreiber similarity has no distance"):
             emdm_characterize(make_metric("schreiber"))
 
 
@@ -633,6 +672,15 @@ class TestLeftContinuityProbe:
         assert rep.stabilized_at is not None
         assert rep.monotone
         assert rep.control_count < len(rep.reference_times)
+
+    def test_control_keeps_an_event_whose_level_the_walk_passes(self):
+        # the minimum passes -3 theta by 6.2e-6 theta: the right limit keeps
+        # all 19 events, where theta0 (1 + 2^-10) had lost two
+        f = random_walk(1.0, 6, 12, 0.4)
+        rep = left_continuity_probe(f, 0.1)
+        assert len(rep.reference_times) == 19
+        assert rep.control_count == 19
+        assert rep.control_times == rep.reference_times
 
     def test_zero_signal(self):
         rep = left_continuity_probe(zero(1.0), 0.2, 4)

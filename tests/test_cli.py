@@ -144,10 +144,22 @@ def test_emdm_command(runner, tmp_path):
                  "--theta-grid", "0.25", "--out", str(out))
     assert res.exit_code == 0
     report = json.loads(out.read_text())
-    assert set(report) == {"metric", "theta_grid", "eps_ratios", "per_signal",
+    assert set(report) == {"metric", "theta_grid", "per_signal",
                            "characterization", "growth_table"}
+    assert set(report["per_signal"][0]) == {"signal", "lambda", "theta_at_max"}
     assert report["characterization"] == 1.0
     assert report["per_signal"][0]["lambda"] == 1.0
+
+
+def test_emdm_walk_passing_a_level_by_6e_6_theta_reports_no_gap(runner, tmp_path):
+    # the walk's minimum passes the level -0.3 by 6.2e-7: no discontinuity
+    walk, out = tmp_path / "w.json", tmp_path / "e.json"
+    invoke(runner, "generate", "--kind", "random_walk", "--seed", "6", "--n-breaks", "12",
+           "--amplitude", "0.4", "--out", str(walk))
+    res = invoke(runner, "emdm", "--metric", "vr", "--input", str(walk),
+                 "--theta-grid", "0.1", "--out", str(out))
+    assert res.exit_code == 0
+    assert json.loads(out.read_text())["per_signal"][0]["lambda"] == 0.0
 
 
 def test_emdm_vr_records_alpha(runner, tmp_path):
@@ -328,7 +340,7 @@ def test_probe_continuity_command(runner, tmp_path):
     report = json.loads(out.read_text())
     assert set(report) == {
         "theta0", "reference_times", "steps", "stabilized_at", "monotone",
-        "directions", "control_theta", "control_count", "control_times"}
+        "directions", "control_count", "control_times"}
     assert report["control_count"] < len(report["reference_times"])
 
 

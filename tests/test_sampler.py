@@ -1,12 +1,14 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sodlab.analysis import qi_verify
+from sodlab import sampler
+from sodlab.analysis import emdm_sweep, qi_verify
 from sodlab.events import EventSequence, from_pairs
 from sodlab.sampler import (
     _check_anchored,
@@ -29,7 +31,15 @@ from sodlab.signals import (
     zero,
 )
 
-from oracles import random_pure_train, signal_of
+from oracles import (
+    comb_signal,
+    exact_right_limit_check,
+    exact_sample,
+    knot_in_slack_band,
+    local_max_signal,
+    random_pure_train,
+    signal_of,
+)
 
 
 def ramp(T=1.0, slope=1.0):
@@ -593,3 +603,90 @@ def test_sampling_invariants_hold_across_scales(case):
         rep = qi_verify([(f, g)], theta, kind)
         assert rep.violations == 0
         assert rep.reconstruction_failures == 0
+
+
+# --- the exact operator and its right limit in theta -------------------------
+
+@st.composite
+def exact_inputs(draw):
+    """(f, theta) with f piecewise linear: a random walk over horizons
+    2^-30..2^20 and amplitudes 1e-9..1e9, with theta a power of two or not;
+    the reconstruction of its sample at theta, where every joint lies on a
+    level, so every extremum touches one; or a curated critical signal at
+    its critical threshold or a power-of-two fraction of it."""
+    if draw(st.integers(0, 4)) == 0:
+        theta = draw(st.sampled_from((0.25, 0.1, 0.3)))
+        f = local_max_signal(theta) if draw(st.booleans()) else comb_signal(3, theta)
+        return f, theta / 2.0 ** draw(st.integers(0, 2))
+    T = 2.0 ** draw(st.integers(-30, 20))
+    amplitude = 10.0 ** draw(st.floats(-9.0, 9.0))
+    if draw(st.booleans()):
+        theta = 2.0 ** (math.floor(math.log2(amplitude)) - draw(st.integers(0, 6)))
+    else:
+        theta = amplitude * draw(st.floats(1.0 / 64.0, 1.0))
+    f = random_walk(T, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)), amplitude)
+    return (reconstruct(sod_sample(f, theta)) if draw(st.booleans()) else f), theta
+
+
+@given(exact_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_pass_rule_is_the_limit_of_exact_samples_above_theta(case):
+    exact_right_limit_check(*case)
+
+
+@given(exact_inputs())
+@settings(max_examples=200, deadline=None)
+@example((local_max_signal(0.25), 0.25))
+@example((reconstruct(sod_sample(random_walk(1.0, 6, 12, 0.4), 0.1)), 0.1))
+def test_sampler_matches_the_exact_operator_in_both_modes(case):
+    # outside the slack band the float sampler has the exact operator's
+    # events, at times within one ulp of T (0.64 at most on 4,409 inputs)
+    f, theta = case
+    assume(not knot_in_slack_band(f, theta))
+    for right in (False, True):
+        eta, exact = sampler._sample(f, theta, right), exact_sample(f, theta, right)
+        assert eta.values == tuple(s * theta for _, s in exact)
+        ulp = Fraction(math.ulp(f.T))
+        assert all(abs(t - e) <= ulp for t, (e, _) in zip(eta.times, exact))
+
+
+@given(exact_inputs())
+@settings(max_examples=100, deadline=None)
+def test_the_right_limit_is_at_most_two_discrepancy_units_away(case):
+    # each touch of an outward level leaves in Phi - Phi+ an adjacent pair
+    # of opposite signs, (+, -) for an up level and (-, +) for a down one,
+    # or one event at T; so the normalized gap under D is 0, 1 or 2
+    f, theta = case
+    assert emdm_sweep(f, "D", [theta]).lambda_estimate in (0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("miss, in_band, at_theta", [(1e-13, True, 6), (1e-11, False, 4)])
+def test_a_near_touch_in_the_slack_band_fires_only_at_theta(miss, in_band, at_theta):
+    # a peak `miss` short of 3 * 0.25: within 1e-12 of the rise the root is
+    # clamped onto the joint and fires at theta, though exact Phi has 4
+    # events; the right limit needs a pass, so it has 4 either way
+    f = pwl_from_points(2.0, [0.0, 1.0, 2.0], [0.0, 0.75 - miss, 0.0])
+    assert knot_in_slack_band(f, 0.25) == in_band
+    assert len(sampler._sample(f, 0.25)) == at_theta
+    assert len(exact_sample(f, 0.25)) == len(sampler._sample(f, 0.25, right=True)) == 4
+
+
+def test_right_limit_keeps_a_quadratic_pass_at_a_joint_with_zero_slope():
+    # integrate-and-fire of |1 - t| is t - t^2 / 2, then 1/2 + (t - 1)^2 / 2:
+    # it reaches 0.5 at the joint t = 1 with zero slope and rises past it,
+    # while it ends on 1.0 = 2 * 0.5 and stops there
+    f = integrate(pwl_from_points(2.0, [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]))
+    assert sampler._sample(f, 0.5).pairs() == [(1.0, 0.5), (2.0, 0.5)]
+    assert sampler._sample(f, 0.5, right=True).pairs() == [(1.0, 0.5)]
+
+
+@given(cross_scale_inputs())
+@settings(max_examples=100, deadline=None)
+def test_right_limit_has_the_signs_of_a_slightly_larger_threshold(case):
+    # walks and their antiderivatives: no level is touched at random, so the
+    # right limit is theta's output, and a threshold 2^-30 above it has the
+    # same event signs
+    f, _, theta = case
+    limit = sampler._sample(f, theta, right=True)
+    above = sod_sample(f, theta * (1.0 + 2.0 ** -30))
+    assert [v > 0.0 for v in limit.values] == [v > 0.0 for v in above.values]
