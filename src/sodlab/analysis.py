@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spike_metrics
 from ._util import check_integer, check_positive
-from .events import EventSequence, difference, empty
+from .events import EventSequence, _unit_normalized, difference, empty
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
 from .sampler import _sample, reconstruct, sod_sample
 from .signals import Signal, _check_walk, diameter_norm, random_walk, subtract
@@ -116,9 +116,7 @@ def emdm_sweep(f: Signal, metric, theta_grid) -> SweepResult:
         raise ValueError("theta grid must be nonempty")
     per = []
     for theta in thetas:
-        # v / theta is +-1.0 exactly, where v * (1 / theta) can miss it by an ulp
-        at, limit = (EventSequence(f.T, eta.times, tuple(v / theta for v in eta.values))
-                     for eta in (_sample(f, theta), _sample(f, theta, right=True)))
+        at, limit = (_unit_normalized(_sample(f, theta, right=r))[0] for r in (False, True))
         per.append(PerThetaSweep(theta, metric(at, limit)))
     best = max(per, key=lambda p: p.value)
     return SweepResult(best.value, best.theta, tuple(per))

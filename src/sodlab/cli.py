@@ -149,8 +149,8 @@ def distance(path_a, path_b, metric, horizon, **options):
     if m.kind == "victor_purpura":
         # the edit distance counts unit spikes: map a theta-pure pair
         # with one shared magnitude onto unit amplitudes
-        eta1, m1 = _unit_normalized(eta1)
-        eta2, m2 = _unit_normalized(eta2)
+        eta1, m1 = events._unit_normalized(eta1)
+        eta2, m2 = events._unit_normalized(eta2)
         if m1 is not None and m2 is not None and m1 != m2:
             raise ValueError(f"theta-pure trains with different magnitudes "
                              f"({m1!r} vs {m2!r}); normalize them first")
@@ -177,16 +177,6 @@ def _metric_params(metric, options) -> dict:
     return {name: options[name] for name in fields}
 
 
-def _unit_normalized(eta):
-    """Scale a theta-pure sequence to unit amplitudes; returns (eta, theta)."""
-    if not eta.times:
-        return eta, None
-    mag = abs(eta.values[0])
-    if mag != 1.0 and eta.is_pure():
-        return events.scale_events(eta, 1.0 / mag), mag
-    return eta, None
-
-
 # Largest dense chain payload `decompose --what chain` writes, in cells
 # (r + 1) * n: the stage lists and their JSON text take about 35 bytes a
 # cell, so a run peaks near 100 MB RSS at this size (98 MB measured at
@@ -195,8 +185,9 @@ _CHAIN_MAX_CELLS = 2_000_000
 
 
 def _chain_payload(eta) -> dict:
-    """The r + 1 dense chain stages on the event grid; refuses a payload
-    above `_CHAIN_MAX_CELLS` cells before building anything."""
+    """The r + 1 dense chain stages on the event grid; refuses non-unit
+    amplitudes and a payload above `_CHAIN_MAX_CELLS` cells up front."""
+    structure._require_unit(eta.values)
     n, r = len(eta), int(norms.discrepancy_norm(eta))
     if (r + 1) * n > _CHAIN_MAX_CELLS:
         raise ValueError(f"decompose --what chain refuses n={n} events with r={r}: "
@@ -225,7 +216,7 @@ def decompose(events_path, what, horizon, out):
     eta = events.read_events_csv(events_path, horizon)
     theta = None
     if what in ("chain", "pi"):
-        eta, theta = _unit_normalized(eta)
+        eta, theta = events._unit_normalized(eta)
     if what == "mmd":
         dec = structure.mmd_intervals(eta)
         payload = {

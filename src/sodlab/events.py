@@ -130,6 +130,16 @@ def difference(eta1: EventSequence, eta2: EventSequence) -> EventSequence:
     return EventSequence(eta1.T, tuple(times), tuple(values))
 
 
+def _unit_normalized(eta: EventSequence) -> tuple[EventSequence, float | None]:
+    """(eta / theta, theta) for a theta-pure eta with theta != 1, else (eta, None).
+    Stored unchecked: the times are eta's and each v / theta is exactly +-1.0."""
+    theta = abs(eta.values[0]) if eta.values else 1.0
+    if theta == 1.0 or not eta.is_pure():
+        return eta, None
+    units = tuple(v / theta for v in eta.values)
+    return EventSequence._from_columns(eta.T, eta.times, units), theta
+
+
 def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
     """(positive part, negated negative part); both carry amplitudes > 0 and
     eta reconstructs as plus - minus on the merged grid."""

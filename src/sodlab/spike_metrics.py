@@ -10,7 +10,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .events import EventSequence, difference, scale_events, split_signs
+from .events import EventSequence, difference
 
 # Valid Params names, in the order the CLI lists them.
 VP_MODES = ("combined", "separate")
@@ -171,16 +171,16 @@ def schreiber_distance(eta1: EventSequence, eta2: EventSequence,
     return math.acos(min(max(s, -1.0), 1.0))
 
 
-def _spike_times(eta: EventSequence) -> list[float]:
-    """Expand a nonnegative train into unit spikes (integer multiplicities)."""
+def _spike_times(eta: EventSequence, sign: float) -> list[float]:
+    """The unit spikes of eta's events of one sign: each time t repeated
+    sign*v times, which must be an exact integer."""
     out = []
     for t, v in zip(eta.times, eta.values):
-        m = round(v)
-        if m < 1 or abs(v - m) > 1e-9:
-            raise ValueError(
-                f"Victor-Purpura needs unit (integer-multiplicity) events, got {v!r}"
-            )
-        out.extend([t] * m)
+        if sign * v > 0.0:
+            if not v.is_integer():
+                raise ValueError(
+                    f"Victor-Purpura needs unit (integer-multiplicity) events, got {v!r}")
+            out += [t] * int(sign * v)
     return out
 
 
@@ -228,18 +228,15 @@ def victor_purpura(eta1: EventSequence, eta2: EventSequence,
                    params: VictorPurpuraParams) -> float:
     """Victor-Purpura editing distance extended to signed trains.
 
-    Each train splits into nonnegative parts; the default combines them
-    crosswise into a = eta1+ + eta2- and b = eta1- + eta2+ and runs one edit
-    distance between a and b.  mode "separate" instead sums the edit
-    distances of the positive parts and of the negative parts.
+    Each train expands into unit spikes of each sign; the default combines
+    them crosswise into a = eta1+ + eta2- and b = eta1- + eta2+ and runs one
+    edit distance between a and b.  mode "separate" instead sums the edit
+    distances of the positive spikes and of the negative spikes.
     """
     if eta1.T != eta2.T:
         raise ValueError(f"horizon mismatch: {eta1.T!r} vs {eta2.T!r}")
-    p1, m1 = split_signs(eta1)
-    p2, m2 = split_signs(eta2)
+    up1, down1 = _spike_times(eta1, 1.0), _spike_times(eta1, -1.0)
+    up2, down2 = _spike_times(eta2, 1.0), _spike_times(eta2, -1.0)
     if params.mode == "separate":
-        return (_vp_dp(_spike_times(p1), _spike_times(p2), params.s)
-                + _vp_dp(_spike_times(m1), _spike_times(m2), params.s))
-    a = difference(p1, scale_events(m2, -1.0))
-    b = difference(m1, scale_events(p2, -1.0))
-    return _vp_dp(_spike_times(a), _spike_times(b), params.s)
+        return _vp_dp(up1, up2, params.s) + _vp_dp(down1, down2, params.s)
+    return _vp_dp(sorted(up1 + down2), sorted(down1 + up2), params.s)

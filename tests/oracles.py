@@ -4,9 +4,10 @@ Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
 O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
 search and chain, transcription on the dense grid and its sign-list sweep,
-the row-by-row Victor-Purpura program, the signal operations piece by piece
-on `Segment`s, the f-string event CSV, the event difference and the
-quasi-isometry fit one trial at a time, the qi corpus built as one list,
+the row-by-row Victor-Purpura program and its split/merge form on signed
+trains, the signal operations piece by piece on `Segment`s, the f-string
+event CSV, the event difference and the quasi-isometry fit one trial at a
+time, the qi corpus built as one list,
 send-on-delta and its right limit in the threshold in exact rational
 arithmetic), seeded train generators, curated adversarial signals, and the
 Schreiber conflation witness.
@@ -23,10 +24,16 @@ import numpy as np
 
 from sodlab._util import check_integer
 from sodlab.analysis import _eta_payload
-from sodlab.events import EventSequence, difference, from_pairs, scale_events
+from sodlab.events import EventSequence, difference, from_pairs, scale_events, split_signs
 from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk
-from sodlab.spike_metrics import SchreiberParams, schreiber_distance, schreiber_similarity
+from sodlab.spike_metrics import (
+    SchreiberParams,
+    VictorPurpuraParams,
+    _vp_dp,
+    schreiber_distance,
+    schreiber_similarity,
+)
 from sodlab.structure import DenseEvents
 from sodlab.trains import _random_times, alternating_train, mmsn_train
 
@@ -128,6 +135,36 @@ def vp_dp_rowwise(ta, tb, s: float) -> float:
             cur[j] = min(prev[j] + 1.0, cur[j - 1] + 1.0, shift)
         prev = cur
     return prev[m]
+
+
+def _nonnegative_spike_times(eta: EventSequence) -> list[float]:
+    """Each time of a nonnegative train repeated round(v) times, with v
+    allowed 1e-9 off that integer."""
+    out = []
+    for t, v in zip(eta.times, eta.values):
+        m = round(v)
+        if m < 1 or abs(v - m) > 1e-9:
+            raise ValueError(
+                f"Victor-Purpura needs unit (integer-multiplicity) events, got {v!r}")
+        out.extend([t] * m)
+    return out
+
+
+def victor_purpura_split_merge(eta1: EventSequence, eta2: EventSequence,
+                               params: VictorPurpuraParams) -> float:
+    """Victor-Purpura on signed trains through event sequences: each train
+    splits into its positive and negated negative parts, and the combined
+    mode merges them crosswise as eta1+ - (-eta2-) and eta1- - (-eta2+) on
+    the merged grid before expanding unit spikes."""
+    p1, m1 = split_signs(eta1)
+    p2, m2 = split_signs(eta2)
+    spikes = _nonnegative_spike_times
+    if params.mode == "separate":
+        return (_vp_dp(spikes(p1), spikes(p2), params.s)
+                + _vp_dp(spikes(m1), spikes(m2), params.s))
+    a = difference(p1, scale_events(m2, -1.0))
+    b = difference(m1, scale_events(p2, -1.0))
+    return _vp_dp(spikes(a), spikes(b), params.s)
 
 
 def difference_stepwise(eta1: EventSequence, eta2: EventSequence) -> EventSequence:

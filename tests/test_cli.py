@@ -116,6 +116,36 @@ def test_decompose_and_vp_normalize_pure_sampler_output(runner, tmp_path):
     assert res.exit_code == 0 and float(res.output) == 0.0
 
 
+def test_decompose_and_vp_where_theta_times_its_reciprocal_is_not_one(runner, tmp_path,
+                                                                     monkeypatch):
+    # 3925.5014268912773 * (1 / 3925.5014268912773) is 0.9999999999999999
+    theta = 3925.5014268912773
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, "generate", "--kind", "random_walk", "--seed", "5", "--n-breaks", "40",
+           "--amplitude", "20000", "--out", "w.json")
+    invoke(runner, "sample", "--input", "w.json", "--theta", repr(theta), "--out", "ev.csv")
+    for what in ("chain", "pi"):
+        res = invoke(runner, "decompose", "--events", "ev.csv", "--what", what,
+                     "--out", f"{what}.json")
+        assert res.exit_code == 0, res.output
+        assert json.loads((tmp_path / f"{what}.json").read_text())["theta"] == theta
+    res = invoke(runner, "distance", "--a", "ev.csv", "--b", "ev.csv", "--metric", "vp")
+    assert res.exit_code == 0 and float(res.output) == 0.0
+
+
+def test_decompose_refuses_non_unit_amplitudes_by_name(runner, tmp_path, monkeypatch):
+    # the chain's cell count of this input is over the limit, but the fault
+    # to report is its amplitudes
+    monkeypatch.chdir(tmp_path)
+    write_events_csv("eta.csv", from_pairs(1.0, [(0.25, 1e6), (0.5, 1.0)]))
+    for what in ("chain", "pi"):
+        res = invoke(runner, "decompose", "--events", "eta.csv", "--what", what,
+                     "--out", "d.json")
+        assert res.exit_code == 1
+        assert "needs unit amplitudes, got 1000000.0" in res.output
+        assert not (tmp_path / "d.json").exists()
+
+
 def test_qi_check_success_and_determinism(runner, tmp_path):
     out1 = tmp_path / "qi1.json"
     out2 = tmp_path / "qi2.json"

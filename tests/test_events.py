@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sodlab.events import (
     EventSequence,
+    _unit_normalized,
     difference,
     empty,
     from_pairs,
@@ -17,7 +18,7 @@ from sodlab.events import (
 )
 from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points, random_walk
-from sodlab.structure import DenseEvents
+from sodlab.structure import DenseEvents, chain_decompose
 
 from oracles import difference_stepwise, events_csv_text, is_alternating, random_signed_train
 
@@ -121,6 +122,26 @@ def test_split_signs_recombination(s):
     plus, minus = split_signs(eta)
     back = difference(plus, minus)
     assert back.pairs() == eta.pairs()
+
+
+def test_unit_normalized_keeps_empty_impure_and_unit_sequences():
+    for eta in (empty(1.0), seq((1.0, 2.0), (2.0, -1.0)), seq((1.0, 1.0), (2.0, -1.0))):
+        got, theta = _unit_normalized(eta)
+        assert got is eta and theta is None
+
+
+@given(st.integers(0, 2**31 - 1), st.floats(-6.0, 6.0), st.floats(1 / 64, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_unit_normalized_sampler_output_is_exactly_unit(seed, u, v):
+    # theta * (1 / theta) is 0.9999999999999999 for about 14% of these thresholds
+    theta = 10.0 ** u * v
+    eta = sod_sample(random_walk(1.0, seed, 12, 8.0 * theta), theta)
+    units, got = _unit_normalized(eta)
+    assert units.times == eta.times
+    assert all(x in (-1.0, 1.0) for x in units.values)
+    assert got == (theta if eta.times and theta != 1.0 else None)
+    if eta.times:
+        chain_decompose(units)
 
 
 def test_is_alternating_examples():

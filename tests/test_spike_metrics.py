@@ -33,6 +33,7 @@ from oracles import (
     exp_response,
     random_nonnegative_train,
     random_signed_train,
+    victor_purpura_split_merge,
     vp_dp_rowwise,
 )
 
@@ -390,6 +391,15 @@ class TestVictorPurpura:
         with pytest.raises(ValueError):
             victor_purpura(a, empty(1.0), VictorPurpuraParams(1.0))
 
+    @pytest.mark.parametrize("v", [0.9999999999999999, 1.0 + 2.0 ** -40, -1.0 - 2.0 ** -40])
+    @pytest.mark.parametrize("mode", VP_MODES)
+    def test_near_integer_amplitude_rejected(self, v, mode):
+        # a multiplicity is an exact integer: no tolerance counts v as one spike
+        a = from_pairs(1.0, [(0.5, v)])
+        b = from_pairs(1.0, [(0.5, math.copysign(1.0, v))])
+        with pytest.raises(ValueError, match=f"got {v!r}"):
+            victor_purpura(a, b, VictorPurpuraParams(1.0, mode))
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             VictorPurpuraParams(-0.5)
@@ -449,6 +459,33 @@ def test_victor_purpura_equals_the_rowwise_oracle_in_both_modes(pair, s, mode):
     with patch.object(spike_metrics, "_vp_dp", vp_dp_rowwise):
         expected = victor_purpura(a, b, params)
     assert got == expected
+
+
+@st.composite
+def signed_multiplicity_pairs(draw):
+    """Two signed trains with multiplicities 1..3, either possibly empty, on
+    one horizon with times from one pool, so that times are shared within a
+    sign and collide across signs and trains; either train may hold time 0
+    as 0.0 or as -0.0."""
+    T = draw(st.sampled_from((1.0, 2.0 ** -20, 1e6)))
+    pool = draw(st.lists(st.floats(0.0, 1.0).map(lambda u: T * u), min_size=1, max_size=12))
+    pool += draw(st.sampled_from(([], [0.0, -0.0])))
+
+    def train():
+        times = draw(st.lists(st.sampled_from(pool), max_size=15))
+        events = {t: draw(st.sampled_from((-3.0, -2.0, -1.0, 1.0, 2.0, 3.0))) for t in times}
+        return from_pairs(T, sorted(events.items()))
+
+    return train(), train()
+
+
+@given(signed_multiplicity_pairs(), st.sampled_from((0.5, 7.0, *VP_COSTS)),
+       st.sampled_from(VP_MODES))
+@settings(max_examples=400, deadline=None)
+def test_victor_purpura_equals_the_split_merge_form_by_repr(pair, s, mode):
+    a, b = pair
+    params = VictorPurpuraParams(s, mode)
+    assert repr(victor_purpura(a, b, params)) == repr(victor_purpura_split_merge(a, b, params))
 
 
 def test_victor_purpura_at_2000_events_equals_the_oracle():
