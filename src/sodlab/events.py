@@ -149,8 +149,13 @@ def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
 
 
 # --- CSV interface ---------------------------------------------------------
-# Header `t,v`, one event per row, times ascending, full decimal precision.
+# Header `t,v`, one event per row, times ascending, full decimal precision;
+# every cell is a JSON number.
 # The horizon travels in a sidecar JSON (or a CLI flag).
+
+# The types orjson reads a JSON number as (bool is not one of them).
+_NUMBER_TYPES = {float, int}
+
 
 def _sidecar_path(path) -> str:
     return f"{path}.meta.json"
@@ -173,17 +178,24 @@ def _events_csv(eta: EventSequence):
 
 def _bad_row(path) -> ValueError:
     """The error for the first malformed data row of the CSV at `path`,
-    numbered by its physical line."""
+    numbered by its physical line: each cell is read by the rule of
+    `read_events_csv`, so this finds a row whenever that refuses one."""
+    import orjson
+
     with open(path) as handle:
         rows = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
     for lineno, row in rows[1:]:  # after the header
         cells = row.split(",")
         if len(cells) != 2:
             return ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
-        try:
-            float(cells[0]), float(cells[1])
-        except ValueError as exc:
-            return ValueError(f"{path}:{lineno}: {exc}")
+        for cell in cells:
+            try:
+                number = type(orjson.loads(cell)) in _NUMBER_TYPES
+            except orjson.JSONDecodeError:
+                number = False
+            if not number:
+                return ValueError(
+                    f"{path}:{lineno}: could not convert {cell!r}: expected a JSON number")
     raise AssertionError("no malformed row")
 
 
@@ -207,7 +219,14 @@ def _read_sidecar(path) -> float:
 def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     """Read an event CSV; blank lines are skipped, a malformed row raises
     a ValueError that starts with ``path:line:``, and events the horizon
-    refuses raise one that starts with ``path:``."""
+    refuses raise one that starts with ``path:``.
+
+    Every cell must be a JSON number, which is what `write_events_csv`
+    writes.  They are parsed by one orjson call per `CHUNK` rows, which
+    reads each exactly as float() does and holds one chunk's list at a
+    time."""
+    import orjson  # here, not at import: only reading a file pays for it
+
     if horizon is not None:
         horizon = check_positive(horizon, "horizon")
     with open(path) as handle:
@@ -215,14 +234,20 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     if not rows or rows[0] != "t,v":
         raise ValueError(f"{path}: expected header 't,v'")
     del rows[0]
+    times, values = [], []
     try:
         if set(map(str.count, rows, repeat(","))) - {1}:
             raise ValueError("a row without exactly two columns")
-        cells = ",".join(rows).split(",") if rows else []
-        del rows  # freed before the floats are built, to lower the peak
-        times = list(map(float, cells[0::2]))
-        values = list(map(float, cells[1::2]))
-    except ValueError as exc:
+        for i in range(0, len(rows), CHUNK):
+            chunk = rows[i:i + CHUNK]
+            cells = orjson.loads("[" + ",".join(chunk) + "]")
+            # numbers hold no comma: 2 numbers a row means each cell is one
+            if len(cells) != 2 * len(chunk) or not set(map(type, cells)) <= _NUMBER_TYPES:
+                raise ValueError("a cell that is not a JSON number")
+            times += cells[0::2]
+            values += cells[1::2]
+        del rows  # freed before the validator copies the columns, to lower the peak
+    except ValueError as exc:  # orjson.JSONDecodeError is a ValueError
         raise _bad_row(path) from exc
     if horizon is None:
         horizon = _read_sidecar(path)

@@ -397,6 +397,25 @@ def test_malformed_input_exits_one(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("token", ["+1.0", ".5", "1.", "inf", "nan", "1_0", "true",
+                                   "null", '"1"', "[1", "1e400"])
+def test_csv_cell_that_is_not_a_json_number_exits_one_naming_its_line(
+        runner, tmp_path, token, column):
+    # float() reads the first six; a cell must be a JSON number, which is
+    # what the writer writes, and the error names the physical line
+    path = tmp_path / "bad.csv"
+    row = ("0.5," + token) if column else (token + ",0.5")
+    path.write_text(f"t,v\n0.25,1.0\n\n{row}\n0.75,1.0\n")
+    with pytest.raises(ValueError, match=r"bad.csv:4: could not convert"):
+        read_events_csv(path, horizon=1.0)
+    res = runner.invoke(main, ["norm", "--events", str(path), "--kind", "D",
+                               "--horizon", "1.0"])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: {path}:4: could not convert")
+    assert res.output.count("\n") == 1 and "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("field, value", [("T", "true"), ("t", '"0"'),
                                           ("c1", '" 1e0 "'), ("c2", "false")])
 def test_signal_field_that_is_not_a_json_number_exits_one(runner, tmp_path, field, value):

@@ -1,10 +1,15 @@
 import math
+import operator
+import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sodlab._util import CHUNK
 from sodlab.events import (
     EventSequence,
     _unit_normalized,
@@ -285,3 +290,103 @@ def test_csv_malformed(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match="header"):
         read_events_csv(path, horizon=1.0)
+
+
+def test_csv_rows_whose_cells_balance_across_lines_are_refused(tmp_path):
+    # joined into one list, 3 cells and 1 cell make two rows' worth of
+    # numbers: the comma count of each row is what refuses them
+    path = tmp_path / "bad.csv"
+    path.write_text("t,v\n0.1,0.5,1.0\n0.3\n")
+    with pytest.raises(ValueError, match="bad.csv:2: expected two columns"):
+        read_events_csv(path, horizon=1.0)
+
+
+def _bits(xs):
+    return struct.pack(f"<{len(xs)}d", *xs)
+
+
+@pytest.mark.parametrize("text, pairs", [
+    ("t,v\n1,1\n", [(1.0, 1.0)]),
+    ("t,v\n0.25,1e+16\n", [(0.25, 1e16)]),
+    ("t,v\n 0.25 , 0.25 \n", [(0.25, 0.25)]),
+    ("t,v\n-0.0,-0.5\n", [(-0.0, -0.5)]),
+    ("t,v\n5e-324,5e-324\n", [(5e-324, 5e-324)]),
+    ("t,v\r\n0.25,1.0\r\n0.5,-1.0\r\n", [(0.25, 1.0), (0.5, -1.0)]),
+    # -0 is JSON's integer 0: it reads as 0.0, not -0.0
+    ("t,v\n-0,1.0\n", [(0.0, 1.0)]),
+])
+def test_csv_accepted_json_numbers(tmp_path, text, pairs):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode())
+    eta = read_events_csv(path, horizon=1.0)
+    assert all(type(x) is float for x in eta.times + eta.values)
+    assert _bits(eta.times) == _bits([t for t, _ in pairs])
+    assert _bits(eta.values) == _bits([v for _, v in pairs])
+
+
+_times = st.lists(st.floats(min_value=0.0, max_value=1e300), unique=True, max_size=40)
+_amplitudes = st.builds(
+    operator.mul, st.sampled_from([1.0, -1.0]), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@st.composite
+def _wide_sequences(draw):
+    times = sorted(draw(_times))
+    if times and times[0] == 0.0 and draw(st.booleans()):
+        times[0] = -0.0
+    values = draw(st.lists(_amplitudes, min_size=len(times), max_size=len(times)))
+    T = max(times[-1:] + [draw(st.floats(min_value=5e-324, max_value=1e300))])
+    return EventSequence(T, times, values)
+
+
+def _assert_csv_round_trip(path, eta):
+    write_events_csv(path, eta)
+    back = read_events_csv(path)
+    assert back.T == eta.T
+    assert _bits(back.times) == _bits(eta.times)
+    assert _bits(back.values) == _bits(eta.values)
+
+
+@given(_wide_sequences())
+@settings(max_examples=200, deadline=None)
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, eta):
+    _assert_csv_round_trip(tmp_path_factory.mktemp("csv") / "events.csv", eta)
+
+
+def test_csv_round_trip_across_chunk_borders(tmp_path):
+    # three full chunks of rows and a one-row last chunk
+    n = 3 * CHUNK + 1
+    rng = np.random.default_rng(25)
+    times = np.sort(rng.uniform(0.0, 1.0, n)).tolist()
+    values = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)).tolist()
+    path = tmp_path / "events.csv"
+    _assert_csv_round_trip(path, EventSequence(1.0, times, values))
+    # a bad cell in the third chunk is named by its line in the file
+    lines = path.read_text().splitlines()
+    lines[2 * CHUNK + 5] = "+" + lines[2 * CHUNK + 5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"events.csv:{2 * CHUNK + 6}: could not convert '[+]"):
+        read_events_csv(path)
+
+
+def test_csv_read_peak_memory_is_a_few_times_the_sequence(tmp_path):
+    # the numbers are parsed one chunk of rows at a time and the row strings
+    # are freed before the validator copies the columns; a whole-file split
+    # into cell strings peaks at about 4x what the sequence holds
+    n = 100_000
+    rng = np.random.default_rng(5)
+    eta = EventSequence(1.0, np.sort(rng.uniform(0.0, 1.0, n)).tolist(),
+                        rng.choice([-0.0078125, 0.0078125], n).tolist())
+    path = tmp_path / "events.csv"
+    write_events_csv(path, eta)
+    tracemalloc.start()
+    try:
+        back = read_events_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = {id(x): x for x in back.times + back.values}.values()
+    held = (sys.getsizeof(back.times) + sys.getsizeof(back.values)
+            + sum(map(sys.getsizeof, floats)))
+    assert len(back) == n
+    assert peak < 3 * held, f"peak {peak / 1e6:.1f} MB, sequence {held / 1e6:.1f} MB"
