@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -358,8 +359,10 @@ def generate(kind: str, T: float, **params) -> Signal:
 # {"T": number, "segments": [{"t": .., "c0": .., "c1": .., "c2": ..}, ...]}
 # Round-trips bit-faithfully: json emits shortest round-tripping decimals.
 
-# The types json.load gives a number; a bool, though an int, is not one.
+# The types json.load and orjson read a JSON number as; a bool, though an
+# int, is not one.
 _JSON_NUMBERS = frozenset((float, int))
+_KEYS = ("t", "c0", "c1", "c2")
 
 
 def signal_from_dict(d: dict) -> Signal:
@@ -368,15 +371,21 @@ def signal_from_dict(d: dict) -> Signal:
     raises a ValueError that names its field."""
     try:
         T, segs = d["T"], d["segments"]
-        cols = {key: [s[key] for s in segs] for key in ("t", "c0", "c1", "c2")}
+        cols = [[s[key] for s in segs] for key in _KEYS]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
-    for key, col in (("T", (T,)), *cols.items()):
+    return _signal_of_json(T, *cols)
+
+
+def _signal_of_json(T, t, c0, c1, c2) -> Signal:
+    """The step both JSON readers end in: the signal of the values read
+    under "T" and the piece keys, each checked to be a JSON number first."""
+    for key, col in zip(("T", *_KEYS), ((T,), t, c0, c1, c2)):
         if not _JSON_NUMBERS.issuperset(map(type, col)):
             bad = next(v for v in col if type(v) not in _JSON_NUMBERS)
             raise ValueError(f'signal JSON field "{key}" must be a number, got {json.dumps(bad)}')
     try:
-        return Signal(T, *cols.values())
+        return Signal(T, t, c0, c1, c2)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
@@ -406,9 +415,98 @@ def save_signal(path, f: Signal) -> None:
 
 def load_signal(path) -> Signal:
     """Read a signal JSON file; a malformed file raises a ValueError that
-    names `path`."""
+    names `path`.
+
+    A file in the layout that `save_signal` writes is read by
+    `_chunked_columns`, in memory near the signal's own size.  Any other
+    JSON, and a file that reader leaves, is read again by json.load.  Both
+    end in `_signal_of_json`, so a file reads to the same bits, or fails with
+    the same message, either way."""
     with open(path) as handle:
+        cols = None
+        if handle.seekable():  # the fallback reads the file from its start
+            try:
+                cols = _chunked_columns(handle)
+            except (KeyError, TypeError, ValueError):  # orjson's errors are ValueErrors
+                pass
+            handle.seek(0)
         try:
-            return signal_from_dict(json.load(handle))
+            return signal_from_dict(json.load(handle)) if cols is None else _signal_of_json(*cols)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+
+
+# The text of `_signal_json` around its values: before T, between T and the
+# first piece, at the end of each piece, between two pieces, and at the end
+# of the last piece and the file.
+_HEAD = '{\n  "T": '
+_FIRST = ',\n  "segments": [\n'
+_END = "\n    }"
+_NEXT = _END + ",\n"
+_TAIL = _END + "\n  ]\n}\n"
+# Characters read at a time, about 500 pieces of that layout: a block's text,
+# its copies and its dicts are the reader's transient memory, about 0.4 MB.
+_BLOCK = 1 << 16
+# An integer literal of 19 digits or more: orjson reads one beyond 64 bits
+# as a float, json as an int.  (Its digits follow no "." or digit and are
+# followed by no ".", "e" or digit.)
+_LONG_INTEGER = re.compile("(?<![.0-9])[0-9]{19,}(?![.eE0-9])")
+
+
+def _chunked_columns(handle):
+    """T, t, c0, c1, c2 of the signal JSON in `handle`, for a file laid out
+    as `_signal_json` writes it (with the piece keys in any order).  None, or
+    a KeyError, TypeError or ValueError, where the text departs from that
+    layout or holds a value that orjson and json.load could read apart:
+    anything but a JSON number, or an integer beyond 64 bits.
+
+    The text is read `_BLOCK` characters at a time, and the whole pieces in
+    the buffer are parsed by one orjson call into a list of dicts, which is
+    dropped once its numbers are appended to the columns.  Only the text
+    around T and between pieces is matched; every run of pieces between two
+    matches parses as a nonempty JSON list, so the file is valid JSON and
+    json.load finds the same pieces in it.  Each piece holds exactly the
+    four keys, each a number that orjson reads as json does.
+    """
+    if handle.read(len(_HEAD)) != _HEAD:
+        return None
+    import orjson  # here, not at import: only reading a file pays for it
+
+    head, found, buf = handle.read(_BLOCK).partition(_FIRST)
+    if not found:
+        return None
+    T = orjson.loads(head)
+    if not _numbers_as_json(head, [T]):
+        return None
+    cols = ([], [], [], [])
+    while True:
+        more = handle.read(_BLOCK)
+        if more:  # the whole pieces read so far; the text after them waits
+            text, found, buf = buf.rpartition(_NEXT)
+            buf += more
+            if not found:
+                if len(buf) > 2 * _BLOCK:  # no piece ends within a block: not this layout
+                    return None
+                continue
+        elif buf.endswith(_TAIL):
+            text = buf[:-len(_TAIL)]
+        else:
+            return None
+        pieces = orjson.loads(f"[{text}{_END}]")
+        part = [list(map(operator.itemgetter(key), pieces)) for key in _KEYS]
+        # every key has two quotes: a fifth key, or a string, adds more
+        if text.count('"') != 8 * len(pieces) or not _numbers_as_json(text, *part):
+            return None
+        for col, values in zip(cols, part):
+            col += values
+        if not more:
+            return T, *cols
+
+
+def _numbers_as_json(text, *cols) -> bool:
+    """Whether every value of `cols`, which orjson read from `text`, is a
+    JSON number that json.load reads the same."""
+    if not all(_JSON_NUMBERS.issuperset(map(type, col)) for col in cols):
+        return False
+    big = any(max(col) >= 2.0 ** 63 or min(col) <= -2.0 ** 63 for col in cols)
+    return not (big and _LONG_INTEGER.search(text))

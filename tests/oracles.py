@@ -2,12 +2,12 @@
 
 Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
-O(n*|t|) smoothed train, the sorted-key signal JSON, the scanning MMD
-search and chain, transcription on the dense grid and its sign-list sweep,
-the row-by-row Victor-Purpura program and its split/merge form on signed
-trains, the signal operations piece by piece on `Segment`s, the f-string
-event CSV, the event difference and the quasi-isometry fit one trial at a
-time, the qi corpus built as one list,
+O(n*|t|) smoothed train, the sorted-key signal JSON and its reader by
+json.load alone, the scanning MMD search and chain, transcription on the
+dense grid and its sign-list sweep, the row-by-row Victor-Purpura program
+and its split/merge form on signed trains, the signal operations piece by
+piece on `Segment`s, the f-string event CSV, the event difference and the
+quasi-isometry fit one trial at a time, the qi corpus built as one list,
 send-on-delta and its right limit in the threshold in exact rational
 arithmetic), seeded train generators, curated adversarial signals, and the
 Schreiber conflation witness.
@@ -15,6 +15,7 @@ Schreiber conflation witness.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
@@ -26,7 +27,7 @@ from sodlab._util import check_integer
 from sodlab.analysis import _eta_payload
 from sodlab.events import EventSequence, difference, from_pairs, scale_events, split_signs
 from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
-from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk
+from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk, signal_from_dict
 from sodlab.spike_metrics import (
     SchreiberParams,
     VictorPurpuraParams,
@@ -395,6 +396,16 @@ def signal_to_dict(f: Signal) -> dict:
             {"t": s.t0, "c0": s.c0, "c1": s.c1, "c2": s.c2} for s in f.segments
         ],
     }
+
+
+def json_load_signal(path) -> Signal:
+    """`signals.load_signal` as json.load alone reads a file: the whole text,
+    then one dict per piece, then `signal_from_dict`."""
+    with open(path) as handle:
+        try:
+            return signal_from_dict(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def differentiate(f: Signal) -> Signal:

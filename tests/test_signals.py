@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -333,15 +334,23 @@ def test_pwl_from_points_validation():
         pwl_from_points(1.0, [0.0, 0.5, 0.5], [0.0, 1.0, 2.0])
 
 
+def _packed(f):
+    """T and the four columns as their doubles' bytes."""
+    return struct.pack(f"<{1 + 4 * len(f.t0)}d", f.T, *f.t0, *f.c0, *f.c1, *f.c2)
+
+
 def test_json_roundtrip_bit_faithful(tmp_path):
-    f = random_walk(1.0, 99, 11, 0.37)
-    path = tmp_path / "sig.json"
-    save_signal(path, f)
-    g = load_signal(path)
-    assert g.T == f.T and g.segments == f.segments
-    # a second dump is byte-identical
-    text = json.dumps(signal_to_dict(g), indent=2, sort_keys=True) + "\n"
-    assert path.read_text() == text
+    # == takes -0.0 for 0.0: the second signal's bits tell them apart
+    for f in (random_walk(1.0, 99, 11, 0.37),
+              signal_of(1.0, Segment(0.0, -0.0, 4e-320, -0.0), Segment(0.5, 2e-320, -5e-324))):
+        path = tmp_path / "sig.json"
+        save_signal(path, f)
+        g = load_signal(path)
+        assert g.T == f.T and g.segments == f.segments
+        assert _packed(g) == _packed(f)
+        # a second dump is byte-identical
+        text = json.dumps(signal_to_dict(g), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == text
 
 
 def _assert_saved_as_json_dumps(tmp_path, f):
