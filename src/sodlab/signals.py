@@ -21,9 +21,8 @@ import numpy as np
 
 from ._util import CHUNK, check_integer, check_positive, float_reprs, write_text_atomic
 
-# Tolerance for structural checks (continuity at segment joints), relative
-# to the size of the joint's terms once that exceeds 1: sampling is
-# homogeneous, so a signal scaled by 1e6 must pass as the unscaled one does.
+# Joint tolerance, relative to the joint's largest term (floored only below
+# 2^-1022, where floats round absolutely): f and 2^j * f get one verdict.
 STRUCT_TOL = 1e-12
 
 
@@ -71,10 +70,10 @@ class Signal:
     up to the next start (or T).  The four columns are float tuples of one
     length, at least 1.  Starts increase strictly from t0[0] = 0 and stay
     below T, every coefficient is finite, and consecutive pieces agree at
-    the joints (within ``STRUCT_TOL`` times the largest of 1, the joint
-    values and the terms c0, c1*u, c2*u^2 that evaluate the left piece
-    there).  The horizon is stored as a float.  Signals are immutable and
-    safe to share.
+    the joints (within ``STRUCT_TOL`` times the largest of the joint values,
+    the terms c0, c1*u, c2*u^2 that evaluate the left piece there, and
+    2^-1022 (1 + u)^2).  The horizon is stored as a float.  Signals are
+    immutable and safe to share.
     """
 
     T: float
@@ -147,11 +146,11 @@ def _check_joints(t0, c0, c1, c2) -> None:
     for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
         u = t - lo
         left = a + u * (b + u * c)
-        if abs(left - v) > STRUCT_TOL:
-            # above magnitude 1 the bound is relative to the largest
-            # term of the sum that evaluates the joint
+        if left != v and abs(left - v) > STRUCT_TOL * abs(v):  # filters: size >= |v|
             size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
-            if abs(left - v) > STRUCT_TOL * size:
+            # floats round absolutely below 2^-1022: 1, u and u^2 units of c0, c1, c2
+            floor = STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u)
+            if abs(left - v) > max(STRUCT_TOL * size, floor):
                 raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
 
 
@@ -197,6 +196,7 @@ def _merged_sum(f: Signal, g: Signal, gc0, gc1, gc2) -> Signal:
     The sum runs the checks of `Signal` that the arithmetic can fail, with
     their messages: finite coefficients (a sum can overflow) and the joints
     (a sum can cancel the terms that a joint's tolerance is relative to).
+    Such a sum is refused, not closed: every sum returned passes `Signal`.
     It skips the start checks and the float conversion: the starts are the
     sorted set of two valid start columns on one horizon T, so the first
     is 0 (or -0.0, as given), they increase strictly and stay below T, and

@@ -266,15 +266,13 @@ def validate_segmentwise(T: float, segs) -> None:
             raise ValueError("segment start times must be strictly increasing")
         if not seg.t0 < T:
             raise ValueError("segment start times must lie in [0, T)")
-        if abs(prev.value(seg.t0) - seg.c0) > STRUCT_TOL:
-            u = seg.t0 - prev.t0
-            left = prev.value(seg.t0)
-            size = max(abs(left), abs(seg.c0), abs(prev.c0),
-                       abs(prev.c1 * u), abs(prev.c2 * u * u))
-            if abs(left - seg.c0) > STRUCT_TOL * size:
-                raise ValueError(
-                    f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}"
-                )
+        u = seg.t0 - prev.t0
+        left = prev.value(seg.t0)
+        size = max(abs(left), abs(seg.c0), abs(prev.c0), abs(prev.c1 * u),
+                   abs(prev.c2 * u * u))
+        floor = STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u)
+        if abs(left - seg.c0) > max(STRUCT_TOL * size, floor):
+            raise ValueError(f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}")
         prev = seg
 
 

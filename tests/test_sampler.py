@@ -514,9 +514,11 @@ def _steep(theta):
 @example((pwl_from_points(1.0, [0.0, 0.2, 0.9], [0.0, 0.0, 3.0]), 1.0))
 @example((pwl_from_points(2.0, [0.0, 0.3, 1.1, 2.0], [0.0, 0.7, 0.7, 0.0]), 0.1))
 # the stored joint value 1e-13 above the piece's end, a level between them:
-# the root lies past the slack band, so the crossing is not sampled
-@example((signal_of(2.0, Segment(0.0, 0.0, 1e-3), Segment(1.0, 1e-3 + 1e-13)),
-          (1e-3 + 5e-14) / 2))
+# the root lies past the slack band, so the crossing is not sampled (the
+# piece's value, 1.0, is large against its rise of 1e-3, so the miss is
+# inside the joint's tolerance)
+@example((signal_of(2.0, Segment(0.0, 0.0, 2.0), Segment(0.5, 1.0, 1e-3),
+                    Segment(1.5, 1.001 + 1e-13)), 1.001 + 5e-14))
 # a 1e9 fall ending at 0: the joint evaluates to one ulp of 1e9
 @example((pwl_from_points(1.0, [0.0, 0.472, 0.525], [0.0, 1e9, 0.0]), 1e8))
 # the second piece starts on the up level: the event is the first piece's

@@ -10,11 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sodlab import signals
 from sodlab._util import CHUNK
+from sodlab.cli import main
 from sodlab.signals import Signal, load_signal, random_walk, save_signal
 
 from oracles import json_load_signal, signal_to_dict
@@ -277,6 +279,23 @@ def test_a_pipe_is_read_by_json_load(tmp_path):
         assert _bits(load_signal(f"/dev/fd/{r}")) == _bits(f)
     finally:
         os.close(r)
+
+
+def test_both_readers_refuse_a_joint_miss_by_the_one_rule(tmp_path):
+    # a miss of 9e-13 on a joint of size 0.5, written in save_signal's layout
+    # (read in blocks) and compactly (read by json.load)
+    f = Signal._from_columns(1.0, (0.0, 0.5), (0.0, 0.5 + 9e-13), (1.0, 0.0), (0.0, 0.0))
+    block, compact = tmp_path / "block.json", tmp_path / "compact.json"
+    save_signal(block, f)
+    compact.write_text(json.dumps(signal_to_dict(f)))
+    assert _chunked(block) is not None and _chunked(compact) is None
+    for path in (block, compact):
+        with pytest.raises(ValueError) as err:
+            load_signal(path)
+        assert str(err.value) == f"{path}: discontinuity at t=0.5: 0.5 vs 0.5000000000009"
+        result = CliRunner().invoke(main, ["sample", "--input", str(path), "--theta", "0.1",
+                                           "--out", str(tmp_path / "ev.csv")])
+        assert result.exit_code == 1 and "discontinuity at t=0.5" in result.output
 
 
 def test_read_peak_memory_is_below_twice_the_signal(tmp_path):

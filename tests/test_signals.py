@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sodlab.analysis import emdm_sweep, left_continuity_probe, make_qi_corpus, qi_verify
 from sodlab.sampler import homogeneity_check, if_sample, lc_sample, reconstruct, sod_sample
 from sodlab.signals import (
+    STRUCT_TOL,
     Segment,
     Signal,
     add,
@@ -43,6 +45,7 @@ from oracles import (
     sup_norm,
     validate_segmentwise,
 )
+from test_sampler import cross_scale_inputs
 
 
 def test_ramp_plateau_evaluate():
@@ -121,6 +124,20 @@ _STEEP = Signal(1.0, (0.0,), (0.0,), (1e308,), (0.0,))
 def test_add_refuses_a_sum_the_validator_refuses(f, g, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         add(f, g)
+
+
+def test_a_difference_that_cancels_below_its_operands_rounding_is_refused():
+    # f - 0.99999 f cancels terms of 3e4 to terms below 1, and the
+    # operands' own joint rounding, 3.6e-12, is 1.3e-11 of those: the sum
+    # is refused, as the constructor refuses its pieces, and not closed
+    f = Signal(1.0, (0.0, 0.3333333333333333, 0.6666666666666666),
+               (0.0, 27392.33746429086, -18650.319782935076),
+               (82177.01239287258, -138127.97174167781, -275415.88563828316), (0.0, 0.0, 0.0))
+    message = "discontinuity at t=0.3333333333333333: 0.2739233746397076 vs 0.2739233746433456"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        subtract(f, scale(f, 0.99999))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        add_segmentwise(f, scale_segmentwise(f, -0.99999))
 
 
 def test_add_merges_grids_pointwise():
@@ -459,6 +476,14 @@ def _bits(f: Signal):
     return (f.T.hex(), *(tuple(map(float.hex, col)) for col in (f.t0, f.c0, f.c1, f.c2)))
 
 
+def _bits_or_refusal(op, *args):
+    """`_bits` of op(*args), or the message of the ValueError it raises."""
+    try:
+        return _bits(op(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
 @st.composite
 def column_signals(draw, T):
     """A signal on [0, T] with amplitude 1e-9..1e9: a random walk of 1..12
@@ -489,7 +514,10 @@ def test_columns_match_the_segmentwise_oracles_bit_for_bit(case):
         validate_segmentwise(h.T, tuple(h.segments))
     assert _bits(scale(f, lam)) == _bits(scale_segmentwise(f, lam))
     assert _bits(add(f, g)) == _bits(add_segmentwise(f, g))
-    assert _bits(subtract(f, g)) == _bits(add_segmentwise(f, scale_segmentwise(g, -1.0)))
+    # nearly equal f and g can cancel a joint's terms below its miss: then
+    # both refuse the difference, with one message
+    assert _bits_or_refusal(subtract, f, g) == _bits_or_refusal(
+        add_segmentwise, f, scale_segmentwise(g, -1.0))
     for h in (f, add(f, g)):
         assert diameter_norm(h).hex() == diameter_norm_segmentwise(h).hex()
     for h in (f, g):
@@ -570,6 +598,71 @@ def test_single_faults_raise_the_segmentwise_message(case):
     with pytest.raises(ValueError) as got:
         Signal(T, *cols)
     assert str(got.value) == str(ref.value)
+
+
+def test_a_joint_miss_gets_one_verdict_at_every_scale():
+    # 9e-13 is 1.8e-12 of the joint's size 0.5: refused, as the same signal
+    # scaled by 2 is (an absolute floor of 1e-12 once passed the first)
+    cols = ((0.0, 0.5), (0.0, 0.5 + 9e-13), (1.0, 0.0), (0.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape("discontinuity at t=0.5: 0.5 vs 0.5000000000009")):
+        Signal(1.0, *cols)
+    doubled = (cols[0], *([2.0 * c for c in col] for col in cols[1:]))
+    with pytest.raises(ValueError, match=re.escape("discontinuity at t=0.5: 1.0 vs 1.0000000000018")):
+        Signal(1.0, *doubled)
+
+
+@st.composite
+def near_miss_cases(draw):
+    """(T, t0, c0, c1, c2, theta): the columns of a signal from the
+    cross-scale or the column strategies, anchored at f(0) = 0, with a
+    threshold on its scale; in half the cases one piece's start is moved
+    off its joint by r * STRUCT_TOL times the joint's largest term, with r
+    near 1, so the joint lies just inside or just outside the tolerance."""
+    if draw(st.booleans()):
+        f, _, theta = draw(cross_scale_inputs())
+    else:
+        f = draw(column_cases())[0]
+        theta = diameter_norm(f) / draw(st.floats(1.0, 64.0)) or 1.0
+    t0, c0, c1, c2 = (list(col) for col in (f.t0, f.c0, f.c1, f.c2))
+    if len(t0) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(t0) - 1))
+        u = t0[i] - t0[i - 1]
+        a, b, c = c0[i - 1], c1[i - 1], c2[i - 1]
+        left = a + u * (b + u * c)
+        size = max(abs(left), abs(c0[i]), abs(a), abs(b * u), abs(c * u * u))
+        r = draw(st.floats(0.9, 1.1))
+        c0[i] = left + draw(st.sampled_from((r, -r))) * STRUCT_TOL * size
+    return f.T, t0, c0, c1, c2, theta
+
+
+def _verdict(T, *cols):
+    """None if `Signal` accepts the columns, else its message up to the
+    values (which scale with the signal)."""
+    try:
+        Signal(T, *cols)
+    except ValueError as exc:
+        return str(exc).partition(":")[0]
+    return None
+
+
+@given(near_miss_cases())
+@settings(max_examples=200, deadline=None)
+def test_validity_is_homogeneous_under_powers_of_two(case):
+    # the joint rule is relative to the joint's terms, so scaling by 2^j,
+    # exact while every coefficient stays a normal float, keeps the verdict;
+    # homogeneity_check scales a valid f by 2^j through `scale`
+    T, t0, c0, c1, c2, theta = case
+    verdict = _verdict(T, t0, c0, c1, c2)
+    f = Signal(T, t0, c0, c1, c2) if verdict is None else None
+    for j in range(-40, 41):
+        s = 2.0 ** j
+        cols = [[s * x for x in col] for col in (c0, c1, c2)]
+        if not all(x == 0.0 or sys.float_info.min <= abs(x) < math.inf
+                   for col in cols for x in col):
+            continue
+        assert _verdict(T, t0, *cols) == verdict
+        if f is not None:
+            assert homogeneity_check(f, theta * s, theta)
 
 
 @pytest.mark.parametrize("bad", ["0.5", None, b"1"])

@@ -6,19 +6,21 @@ columns unchecked.  The sampler's output, `reconstruct` and the merged
 sums `add` and `subtract` go through them, each keeping only the checks its
 arithmetic can fail.  Here every such output is rebuilt by its
 public constructor, the oracle, which must accept it and store the same
-fields.
+fields.  A sum that cancels a joint's terms below the joint's miss is
+refused instead, with the message the constructor gives its pieces.
 """
 
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sodlab.events import EventSequence
 from sodlab.sampler import lc_sample, reconstruct, sod_sample
-from sodlab.signals import Signal, add, random_walk, scale, subtract
+from sodlab.signals import Signal, add, integrate, random_walk, scale, subtract
 
+from oracles import add_segmentwise, scale_segmentwise
 from test_sampler import cross_scale_inputs, run_on_inputs
 from test_signals import column_cases
 
@@ -58,13 +60,33 @@ def test_merged_sums_pass_the_validator(case, k):
         assert_revalidates(h)
 
 
+def _antiderivative(T, seed, n_breaks, amplitude):
+    return scale(integrate(random_walk(T, seed, n_breaks, amplitude)), 1.0 / T)
+
+
 @given(column_cases())
 @settings(max_examples=200, deadline=None)
+# g is f / 2 on f's first piece, with values about 1e7: the difference is
+# 0.0 there, and at f's joint only the two operands' rounding is left
+@example((_antiderivative(0.0011174640896517598, 3, 2, 1e8),
+          _antiderivative(0.0011174640896517598, 3, 1, 1e8), 0.5))
 def test_sums_with_signed_zeros_pass_the_validator(case):
-    # signals scaled by 0.0 or -0.0 among them, and any factor
+    # signals scaled by 0.0 or -0.0 among them, and any factor.  A sum that
+    # cancels a joint's terms below its miss is refused, with the message
+    # the public constructor gives the same pieces; a sum with a zero
+    # operand cancels nothing, and every sum returned revalidates
     f, g, lam = case
-    for h in (add(f, g), subtract(f, g), add(scale(f, lam), g), subtract(g, scale(f, lam))):
-        assert_revalidates(h)
+    fl = scale(f, lam)
+    for x, y, sign in ((f, g, 1.0), (f, g, -1.0), (fl, g, 1.0), (g, fl, -1.0)):
+        try:
+            h = add(x, y) if sign > 0.0 else subtract(x, y)
+        except ValueError as exc:
+            assert any(x.c0 + x.c1 + x.c2) and any(y.c0 + y.c1 + y.c2)
+            with pytest.raises(ValueError) as ref:
+                add_segmentwise(x, scale_segmentwise(y, sign))
+            assert str(exc) == str(ref.value)
+        else:
+            assert_revalidates(h)
 
 
 def _mutants():
