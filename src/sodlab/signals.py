@@ -21,8 +21,8 @@ import numpy as np
 
 from ._util import CHUNK, check_integer, check_positive, float_reprs, write_text_atomic
 
-# Joint tolerance, relative to the joint's largest term (floored only below
-# 2^-1022, where floats round absolutely): f and 2^j * f get one verdict.
+# Joint tolerance, relative to the joint's largest term (with a floor only
+# below 2^-1022, where floats round absolutely): f and 2^j * f get one verdict.
 STRUCT_TOL = 1e-12
 
 
@@ -70,10 +70,10 @@ class Signal:
     up to the next start (or T).  The four columns are float tuples of one
     length, at least 1.  Starts increase strictly from t0[0] = 0 and stay
     below T, every coefficient is finite, and consecutive pieces agree at
-    the joints (within ``STRUCT_TOL`` times the largest of the joint values,
-    the terms c0, c1*u, c2*u^2 that evaluate the left piece there, and
-    2^-1022 (1 + u)^2).  The horizon is stored as a float.  Signals are
-    immutable and safe to share.
+    the joints (within ``STRUCT_TOL`` times the largest of the joint values
+    and the terms c0, c1*u, c2*u^2 that evaluate the left piece there; a
+    miss below 2^-1022 may be subnormal rounding).  The horizon is stored
+    as a float.  Signals are immutable and safe to share.
     """
 
     T: float
@@ -142,14 +142,14 @@ def _check_finite(t0, c0, c1, c2) -> None:
 def _check_joints(t0, c0, c1, c2) -> None:
     """Raise for the first joint where the left piece's end misses the
     right piece's start by more than the tolerance of `Signal`."""
-    # the float operations of Segment.value at each joint
     for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
         u = t - lo
-        left = a + u * (b + u * c)
-        if left != v and abs(left - v) > STRUCT_TOL * abs(v):  # filters: size >= |v|
+        left = a + u * (b + u * c)  # the float operations of Segment.value
+        if abs(left - v) > STRUCT_TOL * abs(v):  # a filter: size >= |v|
             size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
-            # floats round absolutely below 2^-1022: 1, u and u^2 units of c0, c1, c2
-            floor = STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u)
+            # below 2^-1022 floats round absolutely: c0, c1, c2 rounded there move
+            # the joint by 1, u, u^2 units, which excuse misses of subnormal size only
+            floor = min(STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u), 2.0 ** -1022)
             if abs(left - v) > max(STRUCT_TOL * size, floor):
                 raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
 
