@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import re
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -145,12 +144,13 @@ def _check_joints(t0, c0, c1, c2) -> None:
     for lo, a, b, c, t, v in zip(t0, c0, c1, c2, t0[1:], c0[1:]):
         u = t - lo
         left = a + u * (b + u * c)  # the float operations of Segment.value
-        if abs(left - v) > STRUCT_TOL * abs(v):  # a filter: size >= |v|
+        if not abs(left - v) <= STRUCT_TOL * abs(v):  # a filter: size >= |v|
             size = max(abs(left), abs(v), abs(a), abs(b * u), abs(c * u * u))
             # below 2^-1022 floats round absolutely: c0, c1, c2 rounded there move
             # the joint by 1, u, u^2 units, which excuse misses of subnormal size only
             floor = min(STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u), 2.0 ** -1022)
-            if abs(left - v) > max(STRUCT_TOL * size, floor):
+            # an overflowed term or end (an infinite bound, or a nan) refuses
+            if not abs(left - v) <= max(STRUCT_TOL * size, floor) < math.inf:
                 raise ValueError(f"discontinuity at t={t!r}: {left!r} vs {v!r}")
 
 
@@ -359,10 +359,20 @@ def generate(kind: str, T: float, **params) -> Signal:
 # {"T": number, "segments": [{"t": .., "c0": .., "c1": .., "c2": ..}, ...]}
 # Round-trips bit-faithfully: json emits shortest round-tripping decimals.
 
-# The types json.load and orjson read a JSON number as; a bool, though an
-# int, is not one.
+# The types json.load reads a JSON number as; a bool, though an int, is not one.
 _JSON_NUMBERS = frozenset((float, int))
 _KEYS = ("t", "c0", "c1", "c2")
+# The text `_signal_json` writes around its values: before T, between T and
+# the first piece, at the end of each piece, between two pieces, and at the
+# end of the last piece and the file.
+_HEAD = '{\n  "T": '
+_FIRST = ',\n  "segments": [\n'
+_END = "\n    }"
+_NEXT = _END + ",\n"
+_TAIL = _END + "\n  ]\n}\n"
+# Characters read at a time, about 500 pieces of that layout: a block's text,
+# its copies and its dicts are the reader's transient memory, about 0.4 MB.
+_BLOCK = 1 << 16
 
 
 def signal_from_dict(d: dict) -> Signal:
@@ -374,18 +384,12 @@ def signal_from_dict(d: dict) -> Signal:
         cols = [[s[key] for s in segs] for key in _KEYS]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
-    return _signal_of_json(T, *cols)
-
-
-def _signal_of_json(T, t, c0, c1, c2) -> Signal:
-    """The step both JSON readers end in: the signal of the values read
-    under "T" and the piece keys, each checked to be a JSON number first."""
-    for key, col in zip(("T", *_KEYS), ((T,), t, c0, c1, c2)):
+    for key, col in zip(("T", *_KEYS), ((T,), *cols)):
         if not _JSON_NUMBERS.issuperset(map(type, col)):
             bad = next(v for v in col if type(v) not in _JSON_NUMBERS)
             raise ValueError(f'signal JSON field "{key}" must be a number, got {json.dumps(bad)}')
     try:
-        return Signal(T, t, c0, c1, c2)
+        return Signal(T, *cols)
     except OverflowError as exc:  # an integer beyond the float range
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
@@ -396,17 +400,17 @@ def _signal_json(f: Signal):
     built directly, since with an indent json falls back to its pure-Python
     encoder.  The columns are finite floats, which json writes by
     float.__repr__."""
-    yield f'{{\n  "T": {f.T!r},\n  "segments": [\n'
+    yield f"{_HEAD}{f.T!r}{_FIRST}"
     sep = ""
     for i in range(0, len(f.t0), CHUNK):
         cols = (float_reprs(col[i:i + CHUNK]) for col in (f.t0, f.c0, f.c1, f.c2))
-        yield sep + ",\n".join(
+        yield sep + _NEXT.join(
             f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
-            f'      "c2": {c2},\n      "t": {t}\n    }}'
+            f'      "c2": {c2},\n      "t": {t}'
             for t, c0, c1, c2 in zip(*cols)
         )
-        sep = ",\n"
-    yield "\n  ]\n}\n"
+        sep = _NEXT
+    yield _TAIL
 
 
 def save_signal(path, f: Signal) -> None:
@@ -417,11 +421,12 @@ def load_signal(path) -> Signal:
     """Read a signal JSON file; a malformed file raises a ValueError that
     names `path`.
 
-    A file in the layout that `save_signal` writes is read by
-    `_chunked_columns`, in memory near the signal's own size.  Any other
-    JSON, and a file that reader leaves, is read again by json.load.  Both
-    end in `_signal_of_json`, so a file reads to the same bits, or fails with
-    the same message, either way."""
+    A file in the layout that `save_signal` writes, with floats only, is
+    read by `_chunked_columns`, in memory near the signal's own size, and
+    its columns go straight to `Signal`.  Any other JSON, and a file that
+    reader leaves, is read again by json.load and `signal_from_dict`.  Both
+    parsers read a float literal to the same float, so a file of floats
+    reads to the same bits, or fails with the same message, either way."""
     with open(path) as handle:
         cols = None
         if handle.seekable():  # the fallback reads the file from its start
@@ -431,42 +436,26 @@ def load_signal(path) -> Signal:
                 pass
             handle.seek(0)
         try:
-            return signal_from_dict(json.load(handle)) if cols is None else _signal_of_json(*cols)
+            return signal_from_dict(json.load(handle)) if cols is None else Signal(*cols)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-# The text of `_signal_json` around its values: before T, between T and the
-# first piece, at the end of each piece, between two pieces, and at the end
-# of the last piece and the file.
-_HEAD = '{\n  "T": '
-_FIRST = ',\n  "segments": [\n'
-_END = "\n    }"
-_NEXT = _END + ",\n"
-_TAIL = _END + "\n  ]\n}\n"
-# Characters read at a time, about 500 pieces of that layout: a block's text,
-# its copies and its dicts are the reader's transient memory, about 0.4 MB.
-_BLOCK = 1 << 16
-# An integer literal of 19 digits or more: orjson reads one beyond 64 bits
-# as a float, json as an int.  (Its digits follow no "." or digit and are
-# followed by no ".", "e" or digit.)
-_LONG_INTEGER = re.compile("(?<![.0-9])[0-9]{19,}(?![.eE0-9])")
-
-
 def _chunked_columns(handle):
     """T, t, c0, c1, c2 of the signal JSON in `handle`, for a file laid out
-    as `_signal_json` writes it (with the piece keys in any order).  None, or
-    a KeyError, TypeError or ValueError, where the text departs from that
-    layout or holds a value that orjson and json.load could read apart:
-    anything but a JSON number, or an integer beyond 64 bits.
+    as `_signal_json` writes it (with the piece keys in any order) and
+    holding floats only, as it writes them.  None, or a KeyError, TypeError
+    or ValueError, where the text departs from that layout or holds a value
+    that orjson reads as anything but a float, such as an integer literal,
+    which json.load then reads as an int.  (orjson reads an integer literal
+    beyond 64 bits as a float, and this takes it as one.)
 
     The text is read `_BLOCK` characters at a time, and the whole pieces in
     the buffer are parsed by one orjson call into a list of dicts, which is
     dropped once its numbers are appended to the columns.  Only the text
     around T and between pieces is matched; every run of pieces between two
     matches parses as a nonempty JSON list, so the file is valid JSON and
-    json.load finds the same pieces in it.  Each piece holds exactly the
-    four keys, each a number that orjson reads as json does.
+    json.load finds the same pieces in it, each with exactly the four keys.
     """
     if handle.read(len(_HEAD)) != _HEAD:
         return None
@@ -476,7 +465,7 @@ def _chunked_columns(handle):
     if not found:
         return None
     T = orjson.loads(head)
-    if not _numbers_as_json(head, [T]):
+    if type(T) is not float:
         return None
     cols = ([], [], [], [])
     while True:
@@ -495,18 +484,9 @@ def _chunked_columns(handle):
         pieces = orjson.loads(f"[{text}{_END}]")
         part = [list(map(operator.itemgetter(key), pieces)) for key in _KEYS]
         # every key has two quotes: a fifth key, or a string, adds more
-        if text.count('"') != 8 * len(pieces) or not _numbers_as_json(text, *part):
+        if text.count('"') != 8 * len(pieces) or not {float}.issuperset(map(type, chain(*part))):
             return None
         for col, values in zip(cols, part):
             col += values
         if not more:
             return T, *cols
-
-
-def _numbers_as_json(text, *cols) -> bool:
-    """Whether every value of `cols`, which orjson read from `text`, is a
-    JSON number that json.load reads the same."""
-    if not all(_JSON_NUMBERS.issuperset(map(type, col)) for col in cols):
-        return False
-    big = any(max(col) >= 2.0 ** 63 or min(col) <= -2.0 ** 63 for col in cols)
-    return not (big and _LONG_INTEGER.search(text))

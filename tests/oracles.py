@@ -271,7 +271,7 @@ def validate_segmentwise(T: float, segs) -> None:
         size = max(abs(left), abs(seg.c0), abs(prev.c0), abs(prev.c1 * u),
                    abs(prev.c2 * u * u))
         floor = min(STRUCT_TOL * 2.0 ** -1022 * (1.0 + u) * (1.0 + u), 2.0 ** -1022)
-        if abs(left - seg.c0) > max(STRUCT_TOL * size, floor):
+        if not abs(left - seg.c0) <= max(STRUCT_TOL * size, floor) < math.inf:
             raise ValueError(f"discontinuity at t={seg.t0!r}: {left!r} vs {seg.c0!r}")
         prev = seg
 

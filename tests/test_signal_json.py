@@ -242,6 +242,22 @@ def test_a_long_integer_reads_as_json_reads_it(tmp_path, d):
     _assert_readers_agree(path)
 
 
+def test_an_integer_literal_is_read_by_json_load(tmp_path):
+    # save_signal writes floats only: "T": 1, or a "c2": 0 in the last block,
+    # leaves the block reader for json.load, which reads the ints
+    path = tmp_path / "ints.json"
+    save_signal(path, random_walk(1.0, 8, 1200, 0.5))
+    text = path.read_text()
+    head, found, tail = text.rpartition('"c2": 0.0,')
+    assert found and text.startswith('{\n  "T": 1.0,')
+    int_c2 = f'{head}"c2": 0,{tail}'
+    for edited in (int_c2.replace('"T": 1.0,', '"T": 1,', 1), int_c2,
+                   text.replace('"T": 1.0,', '"T": 1,', 1)):
+        path.write_text(edited)
+        assert _chunked(path) is None
+        assert _bits(load_signal(path)) == _bits(json_load_signal(path))
+
+
 def test_an_extra_key_is_read_by_json_load(tmp_path):
     # json.load ignores a fifth key, but fails on deep nesting under it,
     # which orjson parses
