@@ -10,6 +10,8 @@ from itertools import islice
 
 import numpy as np
 
+# The types json and orjson read a JSON number as; a bool, though an int, is not one.
+JSON_NUMBERS = frozenset((float, int))
 # Rows or pieces that a file writer formats at a time: its memory is
 # O(CHUNK), not O(n), and one chunk's strings stay small.
 CHUNK = 4096

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._util import CHUNK, check_positive, float_reprs, write_text_atomic
+from ._util import CHUNK, JSON_NUMBERS, check_positive, float_reprs, write_text_atomic
 
 
 def _check_grid(T, times, values, what: str):
@@ -153,9 +153,6 @@ def split_signs(eta: EventSequence) -> tuple[EventSequence, EventSequence]:
 # every cell is a JSON number.
 # The horizon travels in a sidecar JSON (or a CLI flag).
 
-# The types orjson reads a JSON number as (bool is not one of them).
-_NUMBER_TYPES = {float, int}
-
 
 def _sidecar_path(path) -> str:
     return f"{path}.meta.json"
@@ -190,7 +187,7 @@ def _bad_row(path) -> ValueError:
             return ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
         for cell in cells:
             try:
-                number = type(orjson.loads(cell)) in _NUMBER_TYPES
+                number = type(orjson.loads(cell)) in JSON_NUMBERS
             except orjson.JSONDecodeError:
                 number = False
             if not number:
@@ -242,7 +239,7 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
             chunk = rows[i:i + CHUNK]
             cells = orjson.loads("[" + ",".join(chunk) + "]")
             # numbers hold no comma: 2 numbers a row means each cell is one
-            if len(cells) != 2 * len(chunk) or not set(map(type, cells)) <= _NUMBER_TYPES:
+            if len(cells) != 2 * len(chunk) or not set(map(type, cells)) <= JSON_NUMBERS:
                 raise ValueError("a cell that is not a JSON number")
             times += cells[0::2]
             values += cells[1::2]

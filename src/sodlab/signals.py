@@ -18,7 +18,8 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from ._util import CHUNK, check_integer, check_positive, float_reprs, write_text_atomic
+from ._util import (CHUNK, JSON_NUMBERS, check_integer, check_positive, float_reprs,
+                    write_text_atomic)
 
 # Joint tolerance, relative to the joint's largest term (with a floor only
 # below 2^-1022, where floats round absolutely): f and 2^j * f get one verdict.
@@ -82,20 +83,19 @@ class Signal:
     c2: tuple[float, ...]
 
     def __post_init__(self):
-        # The checks run column by column, each naming the first piece that
-        # fails it.  They read the entries as given, so one that is not a
-        # real number (a string, None) is refused there, not parsed by the
-        # float() that stores it.
+        # Every check reads the stored floats (an integer is judged as the float
+        # it becomes), and each names the first piece that fails it; an entry
+        # that is no real number (a string, None) is refused: see `_check_finite`.
         T = check_positive(self.T, "horizon")
         t0, c0, c1, c2 = self.t0, self.c0, self.c1, self.c2
-        n = len(t0)
-        if not n:
+        if not len(t0):
             raise ValueError("signal needs at least one segment")
-        if not len(c0) == len(c1) == len(c2) == n:
+        if not len(c0) == len(c1) == len(c2) == len(t0):
             raise ValueError("signal columns must have equal lengths")
+        _check_finite(t0, c0, c1, c2)
+        t0, c0, c1, c2 = (tuple(map(float, col)) for col in (t0, c0, c1, c2))
         if t0[0] != 0.0:
             raise ValueError(f"first segment must start at 0, got {t0[0]!r}")
-        _check_finite(t0, c0, c1, c2)
         if not (all(map(operator.lt, t0, t0[1:])) and t0[-1] < T):
             for prev, t in zip(t0, t0[1:]):  # the first piece at fault
                 if not t > prev:
@@ -103,9 +103,7 @@ class Signal:
                 if not t < T:
                     raise ValueError("segment start times must lie in [0, T)")
         _check_joints(t0, c0, c1, c2)
-        object.__setattr__(self, "T", T)
-        for name, col in (("t0", t0), ("c0", c0), ("c1", c1), ("c2", c2)):
-            object.__setattr__(self, name, tuple(map(float, col)))
+        self.__dict__.update(T=T, t0=t0, c0=c0, c1=c1, c2=c2)
 
     @classmethod
     def _from_columns(cls, T: float, t0: tuple, c0: tuple, c1: tuple, c2: tuple) -> Signal:
@@ -131,11 +129,14 @@ class Signal:
 
 
 def _check_finite(t0, c0, c1, c2) -> None:
-    """Raise for the first piece with a non-finite coefficient."""
+    """Raise for the first piece with a non-finite coefficient (a non-finite
+    start is left to the start checks).  An entry that is no real number, a
+    start too, raises a TypeError, unless a non-finite one comes first."""
     isfinite = math.isfinite
-    if not all(map(isfinite, chain(c0, c1, c2))):
-        t = next(t for t, *abc in zip(t0, c0, c1, c2) if not all(map(isfinite, abc)))
-        raise ValueError(f"non-finite coefficient in the segment at t={t!r}")
+    if not all(map(isfinite, chain(t0, c0, c1, c2))):
+        for t, *abc in zip(t0, c0, c1, c2):
+            if not all(map(isfinite, abc)):
+                raise ValueError(f"non-finite coefficient in the segment at t={float(t)!r}")
 
 
 def _check_joints(t0, c0, c1, c2) -> None:
@@ -258,9 +259,10 @@ def integrate(f: Signal) -> Signal:
 def pwl_from_points(T: float, times, values) -> Signal:
     """Piecewise-linear interpolant through (times[i], values[i]).
 
-    times must be strictly increasing, start at 0, and end at or before T;
-    the signal continues at the last value up to T.
+    times must be strictly increasing, start at 0, and end at or before the
+    float horizon T; the signal continues at the last value up to T.
     """
+    T = check_positive(T, "horizon")
     times = list(map(float, times))
     values = list(map(float, values))
     if len(times) != len(values) or len(times) < 1:
@@ -359,8 +361,6 @@ def generate(kind: str, T: float, **params) -> Signal:
 # {"T": number, "segments": [{"t": .., "c0": .., "c1": .., "c2": ..}, ...]}
 # Round-trips bit-faithfully: json emits shortest round-tripping decimals.
 
-# The types json.load reads a JSON number as; a bool, though an int, is not one.
-_JSON_NUMBERS = frozenset((float, int))
 _KEYS = ("t", "c0", "c1", "c2")
 # The text `_signal_json` writes around its values: before T, between T and
 # the first piece, at the end of each piece, between two pieces, and at the
@@ -385,8 +385,8 @@ def signal_from_dict(d: dict) -> Signal:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
     for key, col in zip(("T", *_KEYS), ((T,), *cols)):
-        if not _JSON_NUMBERS.issuperset(map(type, col)):
-            bad = next(v for v in col if type(v) not in _JSON_NUMBERS)
+        if not JSON_NUMBERS.issuperset(map(type, col)):
+            bad = next(v for v in col if type(v) not in JSON_NUMBERS)
             raise ValueError(f'signal JSON field "{key}" must be a number, got {json.dumps(bad)}')
     try:
         return Signal(T, *cols)
@@ -425,8 +425,9 @@ def load_signal(path) -> Signal:
     read by `_chunked_columns`, in memory near the signal's own size, and
     its columns go straight to `Signal`.  Any other JSON, and a file that
     reader leaves, is read again by json.load and `signal_from_dict`.  Both
-    parsers read a float literal to the same float, so a file of floats
-    reads to the same bits, or fails with the same message, either way."""
+    parsers read a float literal to the same float, and `Signal` judges an
+    integer as the float it stores, so a number spelled either way reads to
+    the same bits, or fails with the same message, by either reader."""
     with open(path) as handle:
         cols = None
         if handle.seekable():  # the fallback reads the file from its start

@@ -41,13 +41,12 @@ def equidistant_alternating(n: int, delta: float, T: float | None = None,
     """Alternating unit train at (k+1)*delta, k = 0..n-1."""
     n = check_integer(n, "n", 1)
     delta = check_positive(delta, "delta")
-    if T is None:
-        T = n * delta
+    T = check_positive(n * delta if T is None else T, "horizon")
     sign = 1.0 if start > 0 else -1.0
     pairs = [((k + 1) * delta, sign * (-1.0) ** k) for k in range(n)]
     if pairs[-1][0] > T:
         raise ValueError("train exceeds the horizon")
-    return from_pairs(float(T), pairs)
+    return from_pairs(T, pairs)
 
 
 def _random_times(rng, n: int, T: float):

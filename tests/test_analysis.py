@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -634,6 +635,15 @@ def test_counts_are_refused_unless_integers_in_range(build, name):
 def test_train_and_transcription_counts_are_refused_by_name(build, message):
     with pytest.raises(ValueError, match=f"^{message}, got "):
         build()
+
+
+def test_equidistant_alternating_compares_its_events_with_the_float_horizon():
+    # float(10**20 - 1) is 1e20: the one event is at the stored horizon
+    eta = equidistant_alternating(1, 1e20, 10**20 - 1)
+    twin = equidistant_alternating(1, 1e20, 1e20)
+    assert (eta.T, eta.times, eta.values) == (1e20, (1e20,), (1.0,))
+    assert struct.pack("<3d", eta.T, *eta.times, *eta.values) == struct.pack(
+        "<3d", twin.T, *twin.times, *twin.values)
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.1, math.inf, math.nan, True, "0.1"])

@@ -228,18 +228,37 @@ def _constant(T, c0, starts) -> dict:
     return {"T": T, "segments": [{"t": t, "c0": c0, "c1": 0, "c2": 0} for t in starts]}
 
 
-@pytest.mark.parametrize("d", [
-    _constant(10**19, 1, [0, 1]),          # below 2^64: an int to orjson too
-    _constant(2.0, 10**20, [0, 1]),        # a float to orjson
-    _constant(2.0, -10**19, [0, 1]),       # below -2^63: a float to orjson
-    # 10^20 and 10^20 + 1 increase as ints, not as floats: only json.load's
-    # reading passes the start check (and stores 1e20 twice)
-    _constant(10**21, 0, [0, 10**20, 10**20 + 1]),
+_REPEATED = "segment start times must be strictly increasing"
+# Floats but for the two long starts, which orjson reads as floats too:
+# the block reader takes the file
+_LONG_STARTS = {"T": 1e21, "segments": [{"t": t, "c0": 0.0, "c1": 0.0, "c2": 0.0}
+                                        for t in (0.0, 10**20, 10**20 + 1)]}
+
+
+@pytest.mark.parametrize("d, error", [
+    # below 2^64: an int to orjson too
+    pytest.param(_constant(10**19, 1, [0, 1]), None, id="d0"),
+    # a float to orjson
+    pytest.param(_constant(2.0, 10**20, [0, 1]), None, id="d1"),
+    # below -2^63: a float to orjson
+    pytest.param(_constant(2.0, -10**19, [0, 1]), None, id="d2"),
+    # 10^20 and 10^20 + 1 increase as ints, not as the one float they round
+    # to: the start check reads the stored floats, so both readers refuse
+    # the file, whether its ints send it to json.load or, as floats, to the
+    # block reader
+    pytest.param(_constant(10**21, 0, [0, 10**20, 10**20 + 1]), _REPEATED, id="d3"),
+    pytest.param(_LONG_STARTS, _REPEATED, id="long_starts_among_floats"),
 ])
-def test_a_long_integer_reads_as_json_reads_it(tmp_path, d):
+def test_a_long_integer_reads_as_json_reads_it(tmp_path, d, error):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
-    _assert_readers_agree(path)
+    if error is None:
+        _assert_readers_agree(path)
+        return
+    for read in (load_signal, json_load_signal):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {error}"
 
 
 def test_an_integer_literal_is_read_by_json_load(tmp_path):

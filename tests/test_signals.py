@@ -351,6 +351,12 @@ def test_pwl_from_points_validation():
         pwl_from_points(1.0, [0.0, 0.5, 0.5], [0.0, 1.0, 2.0])
 
 
+def test_pwl_from_points_compares_its_knots_with_the_float_horizon():
+    # float(10**20 + 1) is 1e20: the last knot is at the stored horizon
+    f = pwl_from_points(10**20 + 1, [0.0, 1e20], [0.0, 2.0])
+    assert _packed(f) == _packed(pwl_from_points(1e20, [0.0, 1e20], [0.0, 2.0]))
+
+
 def _packed(f):
     """T and the four columns as their doubles' bytes."""
     return struct.pack(f"<{1 + 4 * len(f.t0)}d", f.T, *f.t0, *f.c0, *f.c1, *f.c2)
@@ -708,6 +714,69 @@ def test_columns_are_float_tuples_after_construction():
     for col in (f.t0, f.c0, f.c1, f.c2):
         assert type(col) is tuple and all(type(x) is float for x in col)
     assert f == signal_of(3.0, Segment(0.0, 0.0, 1.0), Segment(1.0, 1.0, 0.0, -1.0))
+
+
+def _spelled(values):
+    """Entries drawn from `values`, each as given or as a numpy scalar:
+    np.int64 where it holds the int, np.float64 or np.float32 otherwise
+    (float32 rounds the value, which is then the entry's value)."""
+    def spell(x, wrap):
+        if wrap is np.int64:
+            return np.int64(x) if type(x) is int and -2**63 <= x < 2**63 else x
+        return x if wrap is None or type(x) is bool else wrap(x)
+    return st.builds(spell, values, st.sampled_from((None, np.int64, np.float64, np.float32)))
+
+
+# Starts near 2^53 and 10^20, where consecutive ints round to one float.
+_LONG_INTS = st.integers(2**53 - 2, 2**53 + 6) | st.integers(10**20 - 3, 10**20 + 3)
+
+
+@st.composite
+def mixed_columns(draw):
+    """(T, t0, c0, c1, c2) with entries of mixed types: floats, ints (long
+    ones among them, which float() rounds), numpy scalars and bools.  The
+    starts are sorted by exact value, so two that round to one float may
+    both be there; each c0 after the first is the left piece's end in
+    floats, written as an int where it is integral."""
+    zeros = st.sampled_from((0, 0.0, -0.0, False, np.int64(0), np.float64(0.0)))
+    later = _spelled(st.integers(1, 10**6) | st.floats(1e-3, 1e6) | _LONG_INTS | st.just(True))
+    starts = draw(st.lists(later, max_size=6))
+    t0 = [draw(zeros), *sorted(starts, key=lambda x: (float(x), int(x)))]
+    last = float(t0[-1])
+    T = draw(_spelled(st.integers(1, 4).map(lambda k: int(last) + k)
+                      | st.floats(1.0, 2.0).map(lambda s: s * last + 1.0)))
+    coef = _spelled(st.integers(-3, 3) | st.floats(-10.0, 10.0) | st.booleans())
+    c1, c2 = ([draw(coef) for _ in t0] for _ in "12")
+    c0 = [draw(coef)]
+    for i in range(len(t0) - 1):
+        u = float(t0[i + 1]) - float(t0[i])
+        end = float(c0[i]) + u * (float(c1[i]) + u * float(c2[i]))
+        c0.append(int(end) if draw(st.booleans()) and end == int(end) else end)
+    return T, t0, c0, c1, c2
+
+
+def _message(T, *cols):
+    """None if `Signal` accepts the columns, else its message."""
+    try:
+        Signal(T, *cols)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(mixed_columns())
+@settings(max_examples=150, deadline=None)
+def test_a_stored_signal_is_accepted_again_from_its_own_columns(case):
+    # every check reads the stored floats: the entries and their floats get
+    # one verdict, and a signal rebuilt from its columns has the same bits
+    T, *cols = case
+    floats = [list(map(float, col)) for col in cols]
+    message = _message(T, *cols)
+    assert message == _message(float(T), *floats)
+    if message is None:
+        f = Signal(T, *cols)
+        assert _packed(Signal(f.T, f.t0, f.c0, f.c1, f.c2)) == _packed(f)
+        assert _packed(Signal(float(T), *floats)) == _packed(f)
 
 
 def test_columns_of_unequal_length_are_refused():
