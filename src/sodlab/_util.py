@@ -1,5 +1,5 @@
 """Small shared helpers (positive-number and integer checks, float
-formatting, report JSON, atomic file output)."""
+columns, float formatting, report JSON, atomic file output)."""
 
 import json
 import math
@@ -38,6 +38,15 @@ def check_integer(x, name: str, minimum: int) -> int:
     if type(x) is not bool and isinstance(x, numbers.Integral) and x >= minimum:
         return int(x)
     raise ValueError(f"{name} must be an integer >= {minimum}, got {x!r}")
+
+
+def float_columns(*cols) -> tuple[bool, list[tuple[float, ...]]]:
+    """(finite, columns): whether every entry is finite, and the columns as
+    float tuples.  math.isfinite reads every entry, with no early stop (sum,
+    not all), before any is converted: a string, bytes or None raises a TypeError."""
+    cols = [col if isinstance(col, (list, tuple)) else list(col) for col in cols]
+    finite = all([sum(map(math.isfinite, col)) == len(col) for col in cols])
+    return finite, [tuple(map(float, col)) for col in cols]
 
 
 def float_reprs(col) -> list[str]:

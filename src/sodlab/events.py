@@ -8,22 +8,21 @@ arithmetic, so collisions are intentional, never tolerance-matched.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._util import CHUNK, JSON_NUMBERS, check_positive, float_reprs, write_text_atomic
+from ._util import (CHUNK, JSON_NUMBERS, check_positive, float_columns, float_reprs,
+                    write_text_atomic)
 
 
 def _check_grid(T, times, values, what: str):
     """Validation shared by EventSequence and DenseEvents: a positive finite
     horizon, strictly increasing `what` times in [0, T], and one finite
-    value per time.  Returns the horizon as a float and times and values as
-    float tuples."""
+    value per time, checked on the floats of `float_columns`.  Returns the
+    horizon as a float and times and values as float tuples."""
     T = check_positive(T, "horizon")
-    times = tuple(map(float, times))
-    values = tuple(map(float, values))
+    finite, (times, values) = float_columns(times, values)
     if len(times) != len(values):
         raise ValueError(f"{what} times and values must have equal length")
     if not all(map(operator.lt, times, times[1:])):
@@ -31,7 +30,7 @@ def _check_grid(T, times, values, what: str):
     for t in times[:1] + times[-1:]:  # increasing: the ends bound the rest
         if not 0.0 <= t <= T:
             raise ValueError(f"{what} time {t!r} outside [0, {T!r}]")
-    if not all(map(math.isfinite, values)):
+    if not finite:  # the times lie in [0, T]: a value is not finite
         raise ValueError(f"{what} values must be finite")
     return T, times, values
 
@@ -40,7 +39,8 @@ def _check_grid(T, times, values, what: str):
 class EventSequence:
     """Finite ordered list of (time, amplitude) events on [0, T].
 
-    Times are strictly increasing within [0, T]; amplitudes are nonzero.
+    Times are strictly increasing within [0, T]; amplitudes are finite and
+    nonzero; an entry that is no real number raises a TypeError, unparsed.
     A sequence is theta-pure when all |v_k| coincide; differences of two
     theta-pure sequences may carry amplitudes in {-2t, -t, t, 2t}.
     """

@@ -21,10 +21,6 @@ from .events import EventSequence
 from .signals import Signal, _check_finite, _pwl_columns, integrate, scale, zero
 
 
-def _check_theta(theta: float) -> float:
-    return check_positive(theta, "threshold")
-
-
 def _check_anchored(f: Signal) -> None:
     if f.c0[0] != 0.0:
         raise ValueError("sampling requires f(0) = 0")
@@ -216,7 +212,7 @@ def sod_sample(f: Signal, theta: float) -> EventSequence:
     empty sequence.  f(t_k) is the level k*theta the last event hit, so the
     output equals `lc_sample`'s.
     """
-    theta = _check_theta(theta)
+    theta = check_positive(theta, "threshold")
     return _sample(f, theta)
 
 
@@ -228,14 +224,14 @@ def lc_sample(f: Signal, theta: float) -> EventSequence:
     lies on the lattice.  This is the recursion of `sod_sample`, kept a
     function of its own so that a profile or trace tells the schemes apart.
     """
-    theta = _check_theta(theta)
+    theta = check_positive(theta, "threshold")
     return _sample(f, theta)
 
 
 def if_sample(f: Signal, theta: float) -> EventSequence:
     """Integrate-and-fire with infinite leak time: SOD applied to the exact
     antiderivative of a piecewise-linear input."""
-    return sod_sample(integrate(f), _check_theta(theta))
+    return sod_sample(integrate(f), check_positive(theta, "threshold"))
 
 
 def reconstruct(eta: EventSequence) -> Signal:
@@ -267,7 +263,7 @@ def reconstruct(eta: EventSequence) -> Signal:
     theta = abs(eta.values[0])
     n = 0.0  # the net count: each v / theta is +-1.0 exactly
     levels = [(n := n + v / theta) * theta for v in eta.values]
-    cols = _pwl_columns(eta.T, [0.0, *eta.times], [0.0, *levels])
+    cols = _pwl_columns(eta.T, (0.0, *eta.times), (0.0, *levels))
     _check_finite(*cols)
     return Signal._from_columns(eta.T, *cols)
 
@@ -280,8 +276,8 @@ def homogeneity_check(f: Signal, theta: float, theta_tilde: float) -> bool:
     theta_tilde / theta is a power of two (scaling by 2^k is lossless); for
     arbitrary ratios the crossing arithmetic may differ in the last ulp.
     """
-    theta = _check_theta(theta)
-    theta_tilde = _check_theta(theta_tilde)
+    theta = check_positive(theta, "threshold")
+    theta_tilde = check_positive(theta_tilde, "threshold")
     lhs = sod_sample(f, theta_tilde)
     rhs = sod_sample(scale(f, theta / theta_tilde), theta)
     if lhs.times != rhs.times:

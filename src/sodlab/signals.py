@@ -18,8 +18,8 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from ._util import (CHUNK, JSON_NUMBERS, check_integer, check_positive, float_reprs,
-                    write_text_atomic)
+from ._util import (CHUNK, JSON_NUMBERS, check_integer, check_positive, float_columns,
+                    float_reprs, write_text_atomic)
 
 # Joint tolerance, relative to the joint's largest term (with a floor only
 # below 2^-1022, where floats round absolutely): f and 2^j * f get one verdict.
@@ -85,15 +85,15 @@ class Signal:
     def __post_init__(self):
         # Every check reads the stored floats (an integer is judged as the float
         # it becomes), and each names the first piece that fails it; an entry
-        # that is no real number (a string, None) is refused: see `_check_finite`.
+        # that is no real number (a string, None) is refused: see `float_columns`.
         T = check_positive(self.T, "horizon")
-        t0, c0, c1, c2 = self.t0, self.c0, self.c1, self.c2
-        if not len(t0):
+        if not len(self.t0):
             raise ValueError("signal needs at least one segment")
-        if not len(c0) == len(c1) == len(c2) == len(t0):
+        if not len(self.c0) == len(self.c1) == len(self.c2) == len(self.t0):
             raise ValueError("signal columns must have equal lengths")
-        _check_finite(t0, c0, c1, c2)
-        t0, c0, c1, c2 = (tuple(map(float, col)) for col in (t0, c0, c1, c2))
+        finite, (t0, c0, c1, c2) = float_columns(self.t0, self.c0, self.c1, self.c2)
+        if not finite:
+            _check_finite(t0, c0, c1, c2)
         if t0[0] != 0.0:
             raise ValueError(f"first segment must start at 0, got {t0[0]!r}")
         if not (all(map(operator.lt, t0, t0[1:])) and t0[-1] < T):
@@ -129,14 +129,13 @@ class Signal:
 
 
 def _check_finite(t0, c0, c1, c2) -> None:
-    """Raise for the first piece with a non-finite coefficient (a non-finite
-    start is left to the start checks).  An entry that is no real number, a
-    start too, raises a TypeError, unless a non-finite one comes first."""
+    """Raise for the first piece of these float columns with a non-finite
+    coefficient (a non-finite start is left to the start checks)."""
     isfinite = math.isfinite
     if not all(map(isfinite, chain(t0, c0, c1, c2))):
         for t, *abc in zip(t0, c0, c1, c2):
             if not all(map(isfinite, abc)):
-                raise ValueError(f"non-finite coefficient in the segment at t={float(t)!r}")
+                raise ValueError(f"non-finite coefficient in the segment at t={t!r}")
 
 
 def _check_joints(t0, c0, c1, c2) -> None:
@@ -260,11 +259,11 @@ def pwl_from_points(T: float, times, values) -> Signal:
     """Piecewise-linear interpolant through (times[i], values[i]).
 
     times must be strictly increasing, start at 0, and end at or before the
-    float horizon T; the signal continues at the last value up to T.
+    float horizon T; the signal continues at the last value up to T.  The
+    checks read the floats of `float_columns` (iterables of real numbers).
     """
     T = check_positive(T, "horizon")
-    times = list(map(float, times))
-    values = list(map(float, values))
+    _, (times, values) = float_columns(times, values)
     if len(times) != len(values) or len(times) < 1:
         raise ValueError("need equally many times and values (at least one)")
     if times[0] != 0.0:
@@ -278,18 +277,17 @@ def pwl_from_points(T: float, times, values) -> Signal:
 
 def _pwl_columns(T: float, times: list, values: list):
     """The columns (t0, c0, c1, c2), as float tuples, of the interpolant
-    through the knots (times[i], values[i]): float lists, the times
+    through the knots (times[i], values[i]): float tuples, the times
     strictly increasing from 0 to at most T.  The last value is held up to
-    T; a last knot at T starts no piece and is deleted from the lists.
-    Coefficients that overflow are returned as they are, for the caller to
-    check."""
+    T; a last knot at T starts no piece and is left out.  Coefficients that
+    overflow are returned as they are, for the caller to check."""
     slopes = [(v1 - v0) / (t1 - t0)
               for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:])]
     if times[-1] < T:
         slopes.append(0.0)  # the last value, held up to T
     else:
-        del times[-1], values[-1]
-    return tuple(times), tuple(values), tuple(slopes), (0.0,) * len(slopes)
+        times, values = times[:-1], values[:-1]
+    return times, values, tuple(slopes), (0.0,) * len(slopes)
 
 
 def ramp_plateau(T: float) -> Signal:

@@ -10,6 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sodlab.analysis import emdm_sweep, left_continuity_probe, make_qi_corpus, qi_verify
+from sodlab.events import EventSequence, from_pairs
 from sodlab.sampler import homogeneity_check, if_sample, lc_sample, reconstruct, sod_sample
 from sodlab.signals import (
     STRUCT_TOL,
@@ -31,6 +32,7 @@ from sodlab.signals import (
     subtract,
     zero,
 )
+from sodlab.structure import DenseEvents
 
 from oracles import (
     add_segmentwise,
@@ -705,8 +707,35 @@ def test_validity_is_homogeneous_under_powers_of_two(case):
 def test_a_column_entry_that_is_no_real_number_is_refused(bad, where, col):
     cols = [[0.0, 0.5], [0.0, 0.5], [1.0, 0.0], [0.0, 0.0]]
     cols[col][where] = bad
-    with pytest.raises((TypeError, ValueError)):
+    with pytest.raises(TypeError):
         Signal(1.0, *cols)
+
+
+def test_an_entry_that_is_no_real_number_is_refused_after_a_non_finite_one():
+    # every entry is read before any is converted: the "0.7" is not parsed
+    with pytest.raises(TypeError):
+        Signal(1.0, (0.0, math.inf, "0.7"), (0.0,) * 3, (0.0,) * 3, (0.0,) * 3)
+
+
+# The other constructors of float columns, each from a times and a values column.
+_TWO_COLUMN_MAKERS = {
+    "EventSequence": lambda times, values: EventSequence(1.0, times, values),
+    "DenseEvents": lambda times, values: DenseEvents(1.0, times, values),
+    "from_pairs": lambda times, values: from_pairs(1.0, list(zip(times, values))),
+    "pwl_from_points": lambda times, values: pwl_from_points(1.0, times, values),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, b"1"])
+@pytest.mark.parametrize("where", [0, 1])
+@pytest.mark.parametrize("col", range(2))
+@pytest.mark.parametrize("make", _TWO_COLUMN_MAKERS)
+def test_an_event_or_knot_entry_that_is_no_real_number_is_refused(make, bad, where, col):
+    cols = [[0.0, 0.5], [1.0, -1.0]]
+    _TWO_COLUMN_MAKERS[make](*cols)  # valid as given
+    cols[col][where] = bad
+    with pytest.raises(TypeError):
+        _TWO_COLUMN_MAKERS[make](*cols)
 
 
 def test_columns_are_float_tuples_after_construction():
