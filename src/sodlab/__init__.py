@@ -51,7 +51,6 @@ from .structure import (
     chain_decompose,
     mmd_intervals,
     pi_map,
-    transcribe,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Small shared helpers (positive-number and integer checks, float
-columns, float formatting, report JSON, atomic file output)."""
+"""Small shared helpers (real-number, positive-number and integer checks,
+float columns, float formatting, report JSON, atomic file output)."""
 
 import json
 import math
@@ -17,18 +17,24 @@ JSON_NUMBERS = frozenset((float, int))
 CHUNK = 4096
 
 
-def check_positive(x, name: str) -> float:
-    """x as a float, if x is a positive finite real number (ints and numpy
-    scalars included, bools not); anything else raises a ValueError naming
-    the quantity `name`."""
+def real_float(x) -> float:
+    """x as a float if x is a real number, ints and numpy scalars included
+    (inf past the float range), else nan: a bool, a string or None."""
     # the ABC check is slow; bool is a numbers.Real, but not a quantity
     if type(x) is float or (type(x) is not bool and isinstance(x, numbers.Real)):
         try:
-            value = float(x)
+            return float(x)
         except OverflowError:
-            value = math.inf
-        if math.isfinite(value) and value > 0.0:
-            return value
+            return math.inf
+    return math.nan
+
+
+def check_positive(x, name: str) -> float:
+    """x as a float, if `real_float` reads it as a positive finite number;
+    anything else raises a ValueError naming the quantity `name`."""
+    value = real_float(x)
+    if math.isfinite(value) and value > 0.0:
+        return value
     raise ValueError(f"{name} must be a positive finite number, got {x!r}")
 
 

@@ -316,12 +316,11 @@ def sine_pwl(T: float, resolution: int) -> Signal:
     return pwl_from_points(T, times, values)
 
 
-def _check_walk(T: float, n_breaks: int, amplitude: float) -> tuple[float, int]:
-    """(T, n_breaks) as a float and an int, if `random_walk` takes them and
-    `amplitude`; anything else raises a ValueError naming the quantity."""
+def _check_walk(T: float, n_breaks: int, amplitude: float) -> tuple[float, int, float]:
+    """(T, n_breaks, amplitude) converted, if `random_walk` takes them;
+    anything else raises a ValueError naming the quantity."""
     n_breaks = check_integer(n_breaks, "n_breaks", 1)
-    if not amplitude > 0.0:
-        raise ValueError("amplitude must be positive")
+    amplitude = check_positive(amplitude, "amplitude")
     T = check_positive(T, "horizon")
     # steps reach `amplitude` over pieces of length T / n_breaks, and the
     # walk reaches n_breaks * amplitude; both, with a factor 2 of slack for
@@ -330,13 +329,13 @@ def _check_walk(T: float, n_breaks: int, amplitude: float) -> tuple[float, int]:
         raise ValueError(f"random_walk: amplitude {amplitude!r} over n_breaks={n_breaks} "
                          f"pieces of horizon T={T!r} gives slopes or values past the "
                          "float range")
-    return T, n_breaks
+    return T, n_breaks, amplitude
 
 
 def random_walk(T: float, seed: int, n_breaks: int, amplitude: float) -> Signal:
     """Seed-deterministic PWL walk: equally spaced knots, uniform steps."""
     seed = check_integer(seed, "seed", 0)
-    T, n_breaks = _check_walk(T, n_breaks, amplitude)
+    T, n_breaks, amplitude = _check_walk(T, n_breaks, amplitude)
     steps = np.random.default_rng(seed).uniform(-amplitude, amplitude, n_breaks)
     times = [i * T / n_breaks for i in range(n_breaks + 1)]
     times[-1] = T
@@ -350,7 +349,7 @@ def generate(kind: str, T: float, **params) -> Signal:
     if kind == "sine_pwl":
         return sine_pwl(T, params["resolution"])
     if kind == "random_walk":
-        return random_walk(T, params["seed"], params["n_breaks"], float(params["amplitude"]))
+        return random_walk(T, params["seed"], params["n_breaks"], params["amplitude"])
     raise ValueError(f"unknown generator kind {kind!r} "
                      "(from_events lives in sampler.reconstruct)")
 

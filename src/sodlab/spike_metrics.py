@@ -10,6 +10,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from ._util import real_float
 from .events import EventSequence, difference
 
 # Valid Params names, in the order the CLI lists them.
@@ -27,8 +28,10 @@ class VanRossumParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+        alpha = real_float(self.alpha)
+        if not (math.isfinite(alpha) and alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,10 @@ class VictorPurpuraParams:
     mode: str = "combined"
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s >= 0.0):
+        s = real_float(self.s)
+        if not (math.isfinite(s) and s >= 0.0):
             raise ValueError(f"s must be finite and >= 0, got {self.s!r}")
+        object.__setattr__(self, "s", s)
         if self.mode not in VP_MODES:
             raise ValueError(f"mode must be 'combined' or 'separate', got {self.mode!r}")
 
@@ -77,10 +82,10 @@ class SchreiberParams:
             if name != width and getattr(self, name) is not None:
                 raise ValueError(f"the {self.kernel} kernel takes no {name}")
         value = getattr(self, width)
-        if value is None:
-            object.__setattr__(self, width, 1.0)
-        elif not (math.isfinite(value) and value > 0.0):
+        real = 1.0 if value is None else real_float(value)
+        if not (math.isfinite(real) and real > 0.0):
             raise ValueError(f"{self.kernel} needs {width} > 0 and finite, got {value!r}")
+        object.__setattr__(self, width, real)
 
 
 def _exp_gram(eta1: EventSequence, eta2: EventSequence, alpha: float) -> float:

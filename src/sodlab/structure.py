@@ -1,13 +1,12 @@
 """Discrete structure of unit event sequences: minimal intervals of maximal
-discrepancy, the unit-step chain factorization, pattern-transcription
-operators, and the sign-purification map built from them.
+discrepancy, the unit-step chain factorization and sign purification.
 
 The interval searches run on the prefix-sum walk: the discrepancy of a
 contiguous block of events equals the range of the global prefix-sum array
 over the block's index window (left base included), so they are sliding
-range queries on one array.  Transcription runs on the sparse sequence: one
-pass (`_transcribe_pass`) drops each cancelled pair, and `transcribe` and
-`pi_map` both repeat it.
+range queries on one array.  The sign-purification map reaches the fixpoint
+of the paper's pattern transcription in one matching pass; the transcription
+passes themselves are test oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_integer
 from .events import EventSequence, _check_grid
 from .norms import discrepancy_norm
 
@@ -161,72 +159,29 @@ def chain_decompose(eta: EventSequence) -> ChainDecomposition:
     return ChainDecomposition(eta, r, tuple(first.tolist()))
 
 
-_PATTERNS = {"plus_minus": 1.0, "minus_plus": -1.0}
-
-
-def _transcribe_pass(cur, first):
-    """One left-to-right transcription pass over a zero-free list: drop each
-    disjoint adjacent pair whose first entry has the sign of `first` and
-    whose second has the opposite sign.  Only signs are read.  The scan
-    resumes after a dropped pair, so a pair that the drop brings together
-    waits for the next pass."""
-    out = []
-    k, last = 0, len(cur) - 1
-    while k < last:
-        if cur[k] * first > 0.0 > cur[k + 1] * first:
-            k += 2
-        else:
-            out.append(cur[k])
-            k += 1
-    if k == last:
-        out.append(cur[k])
-    return out
-
-
-def _survivors(values, firsts, n):
-    """Positions of the events of a unit list that survive n passes for each
-    sign in `firsts`, in turn (fewer once a pass drops nothing).  The passes
-    run on the signed position codes +-(k + 1)."""
-    codes = [k if v > 0.0 else -k for k, v in enumerate(values, start=1)]
-    for first in firsts:
-        for _ in range(n):
-            nxt = _transcribe_pass(codes, first)
-            if len(nxt) == len(codes):
-                break
-            codes = nxt
-    return [abs(c) - 1 for c in codes]
-
-
-def transcribe(eta: EventSequence, pattern: str, n: int) -> EventSequence:
-    """n transcription applications to a unit sequence: each cancels every
-    disjoint adjacent (+1, -1) pair ("plus_minus") or (-1, +1) pair
-    ("minus_plus") and drops both events.  Idempotent once no pattern
-    remains."""
-    if pattern not in _PATTERNS:
-        raise ValueError(f"pattern must be 'plus_minus' or 'minus_plus', got {pattern!r}")
-    n = check_integer(n, "n", 0)
-    _require_unit(eta.values)
-    kept = _survivors(eta.values, (_PATTERNS[pattern],), n)
-    return EventSequence(eta.T, tuple(eta.times[k] for k in kept),
-                         tuple(eta.values[k] for k in kept))
-
-
 def pi_map(eta: EventSequence) -> DenseEvents:
-    """Restrict to the first MMD interval and transcribe both pattern kinds
-    r = ||eta||_D times each; the survivors are laid onto the window's grid.
+    """The first MMD interval's events left by cancelling adjacent (+1, -1)
+    pairs, then (-1, +1) pairs, until none remain, on the interval's grid.
 
-    The result is single-signed with exactly r nonzero values and
-    discrepancy r: inside the minimal window the walk meets its extremes only
-    at the ends, so every opposing event pairs off.
+    A down event closes the latest open up event, and unmatched events
+    survive.  This is the paper's fixpoint: a transcription pass drops every
+    adjacent (+, -) pair, so reduction takes as many passes as the deepest
+    nesting, and as the walk meets its extremes only at the window's ends,
+    matched pairs nest at most r - 1 deep, within r = ||eta||_D passes.  An
+    unmatched down event would pass the start's extreme, and an unmatched up
+    event the end's, so r survivors of one sign remain, with discrepancy r,
+    and the (-, +) stage drops nothing.
     """
     if not eta.times:
         raise ValueError("pi_map needs a nonempty sequence")
     _require_unit(eta.values)
-    r_val, idx, _ = _mmd_index_intervals(eta.values)
-    r = int(r_val)
+    _, idx, _ = _mmd_index_intervals(eta.values)
     i, j = idx[0]
-    window = eta.values[i:j + 1]
-    values = [0.0] * len(window)
-    for k in _survivors(window, (1.0, -1.0), r):
-        values[k] = window[k]
+    values = list(eta.values[i:j + 1])
+    open_ups = []
+    for k, v in enumerate(values):
+        if v > 0.0:
+            open_ups.append(k)
+        elif open_ups:
+            values[open_ups.pop()] = values[k] = 0.0
     return DenseEvents(eta.T, eta.times[i:j + 1], tuple(values))

@@ -4,13 +4,13 @@ Nothing in the library calls these.  They are the slow or redundant forms
 that the library's paths are checked against (the O(n^2) discrepancy, the
 O(n*|t|) smoothed train, the sorted-key signal JSON and its reader by
 json.load alone, the scanning MMD search and chain, transcription on the
-dense grid and its sign-list sweep, the row-by-row Victor-Purpura program
-and its split/merge form on signed trains, the signal operations piece by
-piece on `Segment`s, the f-string event CSV, the event difference and the
-quasi-isometry fit one trial at a time, the qi corpus built as one list,
-send-on-delta and its right limit in the threshold in exact rational
-arithmetic), seeded train generators, curated adversarial signals, and the
-Schreiber conflation witness.
+dense grid, its sign-list sweep and the sparse transcription passes, the
+row-by-row Victor-Purpura program and its split/merge form on signed
+trains, the signal operations piece by piece on `Segment`s, the f-string
+event CSV, the event difference and the quasi-isometry fit one trial at a
+time, the qi corpus built as one list, send-on-delta and its right limit in
+the threshold in exact rational arithmetic), seeded train generators,
+curated adversarial signals, and the Schreiber conflation witness.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from sodlab.spike_metrics import (
     schreiber_distance,
     schreiber_similarity,
 )
-from sodlab.structure import DenseEvents
+from sodlab.structure import DenseEvents, _require_unit
 from sodlab.trains import _random_times, alternating_train, mmsn_train
 
 # --- oracles --------------------------------------------------------------
@@ -672,6 +672,58 @@ def transcription_sweep_compact(eta: EventSequence, kind: str) -> float:
                     if v > best:
                         best = v
     return best
+
+
+# --- transcription on the sparse sequence ----------------------------------
+
+_PATTERNS = {"plus_minus": 1.0, "minus_plus": -1.0}
+
+
+def _transcribe_pass(cur, first):
+    """One left-to-right transcription pass over a zero-free list: drop each
+    disjoint adjacent pair whose first entry has the sign of `first` and
+    whose second has the opposite sign.  Only signs are read.  The scan
+    resumes after a dropped pair, so a pair that the drop brings together
+    waits for the next pass."""
+    out = []
+    k, last = 0, len(cur) - 1
+    while k < last:
+        if cur[k] * first > 0.0 > cur[k + 1] * first:
+            k += 2
+        else:
+            out.append(cur[k])
+            k += 1
+    if k == last:
+        out.append(cur[k])
+    return out
+
+
+def _survivors(values, firsts, n):
+    """Positions of the events of a unit list that survive n passes for each
+    sign in `firsts`, in turn (fewer once a pass drops nothing).  The passes
+    run on the signed position codes +-(k + 1)."""
+    codes = [k if v > 0.0 else -k for k, v in enumerate(values, start=1)]
+    for first in firsts:
+        for _ in range(n):
+            nxt = _transcribe_pass(codes, first)
+            if len(nxt) == len(codes):
+                break
+            codes = nxt
+    return [abs(c) - 1 for c in codes]
+
+
+def transcribe(eta: EventSequence, pattern: str, n: int) -> EventSequence:
+    """n transcription applications to a unit sequence: each cancels every
+    disjoint adjacent (+1, -1) pair ("plus_minus") or (-1, +1) pair
+    ("minus_plus") and drops both events.  Idempotent once no pattern
+    remains."""
+    if pattern not in _PATTERNS:
+        raise ValueError(f"pattern must be 'plus_minus' or 'minus_plus', got {pattern!r}")
+    n = check_integer(n, "n", 0)
+    _require_unit(eta.values)
+    kept = _survivors(eta.values, (_PATTERNS[pattern],), n)
+    return EventSequence(eta.T, tuple(eta.times[k] for k in kept),
+                         tuple(eta.values[k] for k in kept))
 
 
 # --- Schreiber conflation witness ---------------------------------------------

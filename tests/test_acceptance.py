@@ -32,7 +32,7 @@ from sodlab.signals import (
     subtract,
 )
 from sodlab.spike_metrics import VictorPurpuraParams, victor_purpura
-from sodlab.structure import pi_map, transcribe
+from sodlab.structure import pi_map
 from sodlab.trains import (
     equidistant_alternating,
     mmsn_train,
@@ -48,6 +48,7 @@ from oracles import (
     random_pure_train,
     schreiber_conflation_witness,
     signal_of,
+    transcribe,
 )
 
 

@@ -40,7 +40,6 @@ from sodlab.signals import (
     subtract,
     zero,
 )
-from sodlab.structure import transcribe
 from sodlab.trains import (
     alternating_train,
     equidistant_alternating,
@@ -623,15 +622,13 @@ def test_counts_are_refused_unless_integers_in_range(build, name):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: transcribe(alternating_train(2), "plus_minus", 2.5), "n must be an integer >= 0"),
-    (lambda: transcribe(alternating_train(2), "plus_minus", True), "n must be an integer >= 0"),
     (lambda: positive_train(2.5), "n must be an integer >= 0"),
     (lambda: positive_train(-3), "n must be an integer >= 0"),
     (lambda: equidistant_alternating(2.5, 0.1), "n must be an integer >= 1"),
     (lambda: equidistant_alternating(3, True), "delta must be a positive finite number"),
     (lambda: equidistant_alternating(3, math.inf), "delta must be a positive finite number"),
-], ids=["transcribe_float", "transcribe_bool", "positive_float", "positive_negative",
-        "equidistant_float", "equidistant_bool_delta", "equidistant_inf_delta"])
+], ids=["positive_float", "positive_negative", "equidistant_float", "equidistant_bool_delta",
+        "equidistant_inf_delta"])
 def test_train_and_transcription_counts_are_refused_by_name(build, message):
     with pytest.raises(ValueError, match=f"^{message}, got "):
         build()

@@ -262,6 +262,18 @@ def test_random_walk_refuses_a_bad_seed(seed):
         random_walk(1.0, seed, 4, 0.5)
 
 
+@pytest.mark.parametrize("amplitude", [-3, 0, 0.0, True, "0.4", math.inf, math.nan, 10**400],
+                         ids=["-3", "0", "0.0", "True", "'0.4'", "inf", "nan", "10**400"])
+def test_random_walk_refuses_a_bad_amplitude(amplitude):
+    message = f"^amplitude must be a positive finite number, got {re.escape(repr(amplitude))}$"
+    with pytest.raises(ValueError, match=message):
+        random_walk(1.0, 0, 3, amplitude)
+    with pytest.raises(ValueError, match=message):
+        generate("random_walk", 1.0, seed=0, n_breaks=3, amplitude=amplitude)
+    with pytest.raises(ValueError, match=message):
+        make_qi_corpus(3, 0, amplitude=amplitude)
+
+
 def test_segment_joint_continuity():
     for seed in range(5):
         f = random_walk(1.0, seed + 40, 10, 0.5)

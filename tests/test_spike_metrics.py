@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -263,6 +265,25 @@ class TestVanRossum:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             VanRossumParams(-1.0)
+
+
+@pytest.mark.parametrize("cls, kwargs, field, message, zero_ok", [
+    (VanRossumParams, {}, "alpha", "alpha must be finite and >= 0", True),
+    (VictorPurpuraParams, {}, "s", "s must be finite and >= 0", True),
+    (SchreiberParams, {}, "alpha", "causal_exponential needs alpha > 0 and finite", False),
+    (SchreiberParams, {"kernel": "gaussian"}, "sigma", "gaussian needs sigma > 0 and finite",
+     False),
+], ids=["vr_alpha", "vp_s", "schreiber_alpha", "schreiber_sigma"])
+def test_a_metric_parameter_is_a_real_number_stored_as_a_float(cls, kwargs, field, message,
+                                                                zero_ok):
+    # a bool is no number, and a string is refused by the same message
+    for bad in (True, False, "1", b"1", 1j, 10**400, math.nan):
+        with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(bad))}$"):
+            cls(**kwargs, **{field: bad})
+    goods = (2, np.int64(3), np.float32(0.5), Fraction(3, 2), 0.25) + ((0,) if zero_ok else ())
+    for good in goods:
+        got = getattr(cls(**kwargs, **{field: good}), field)
+        assert type(got) is float and got == float(good)
 
 
 class TestSchreiber:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -13,7 +14,6 @@ from sodlab.structure import (
     chain_decompose,
     mmd_intervals,
     pi_map,
-    transcribe,
 )
 from sodlab.trains import alternating_train, mmsn_train, random_unit_train
 
@@ -23,6 +23,7 @@ from oracles import (
     is_alternating,
     mmd_index_intervals_scan,
     pi_map_dense,
+    transcribe,
     transcribe_dense,
     transcription_sweep_compact,
 )
@@ -325,7 +326,7 @@ def test_chain_at_128k_events_runs_in_linear_passes():
     assert elapsed < 2.0
 
 
-# --- the sparse transcription pass against the dense-grid oracles -----------
+# --- pi_map and the sparse transcription passes against the dense-grid oracles
 
 short_unit_trains = st.one_of(
     st.lists(st.sampled_from((-1.0, 1.0)), min_size=1, max_size=300).map(_train_from_signs),
@@ -348,6 +349,14 @@ def test_transcribe_and_pi_equal_the_dense_oracles(eta):
     out, ref = pi_map(eta), pi_map_dense(eta)
     assert (out.T, out.grid) == (ref.T, ref.grid)
     assert list(map(repr, out.values)) == list(map(repr, ref.values))
+
+
+def test_pi_equals_the_dense_oracle_on_every_short_sign_list():
+    # all 2,046 sign lists of length 1 to 10
+    for n in range(1, 11):
+        for signs in itertools.product((-1.0, 1.0), repeat=n):
+            eta = _train_from_signs(signs)
+            assert repr(pi_map(eta)) == repr(pi_map_dense(eta))
 
 
 @given(st.lists(st.sampled_from((-1.0, 1.0)), min_size=1, max_size=40).map(_train_from_signs))
