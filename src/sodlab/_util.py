@@ -15,6 +15,10 @@ JSON_NUMBERS = frozenset((float, int))
 # Rows or pieces that a file writer formats at a time: its memory is
 # O(CHUNK), not O(n), and one chunk's strings stay small.
 CHUNK = 4096
+# Characters a file reader takes at a time: about 500 signal JSON pieces or
+# 1,600 event CSV rows.  A block's text, its copies and its parsed list are
+# the reader's transient memory, a few hundred KB.
+BLOCK = 1 << 16
 
 
 def real_float(x) -> float:

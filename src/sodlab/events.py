@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 
-from ._util import (CHUNK, JSON_NUMBERS, check_positive, float_columns, float_reprs,
+from ._util import (BLOCK, CHUNK, JSON_NUMBERS, check_positive, float_columns, float_reprs,
                     write_text_atomic)
 
 
@@ -219,15 +219,87 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     refuses raise one that starts with ``path:``.
 
     Every cell must be a JSON number, which is what `write_events_csv`
-    writes.  They are parsed by one orjson call per `CHUNK` rows, which
-    reads each exactly as float() does and holds one chunk's list at a
-    time."""
-    import orjson  # here, not at import: only reading a file pays for it
-
+    writes; orjson reads each exactly as float() does.  A file in the
+    layout that `write_events_csv` writes (the header ``t,v``, then rows of
+    one comma each, every row ended by a newline) is read by
+    `_block_columns`, one `BLOCK` of text and one orjson call at a time.
+    Any other file, and a file that reader leaves, is read again line by
+    line by `_line_columns`, which skips blank lines, strips each row and
+    names the first bad line.  The two read the same numbers from a file
+    both take, so a file reads to the same bits, or fails with the same
+    message, by either."""
     if horizon is not None:
         horizon = check_positive(horizon, "horizon")
     with open(path) as handle:
-        rows = list(filter(None, map(str.strip, handle)))
+        cols = None
+        if handle.seekable():  # the per-line path reads the file from its start
+            try:
+                cols = _block_columns(handle)
+            except ValueError:  # orjson's errors are ValueErrors
+                pass
+            handle.seek(0)
+        if cols is None:
+            cols = _line_columns(handle, path)
+    if horizon is None:
+        horizon = _read_sidecar(path)
+    try:
+        return EventSequence(horizon, *cols)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+# Every byte but the comma and the newline, which `_block_columns` deletes
+# to see a block's row layout.
+_CELL_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _block_columns(handle):
+    """The times and values of the event CSV in `handle`, for a file laid
+    out as `write_events_csv` writes it.  None, or a ValueError, where the
+    text departs from that layout or holds a cell that is not a JSON number.
+
+    The text is read `BLOCK` characters at a time.  The whole rows in the
+    buffer are one comma-and-newline-separated run of cells: its commas
+    and newlines must alternate, starting and ending with a comma, which
+    puts exactly one comma in each row (a count of commas alone misses a
+    row of 3 cells before a row of 1).  The run is then parsed by one
+    orjson call as a list of 2 numbers a row, and the list is dropped once
+    its numbers are appended to the columns.  The text after the last
+    newline waits for the next block."""
+    if handle.read(4) != "t,v\n":
+        return None
+    import orjson  # here, not at import: only reading a file pays for it
+
+    times, values = [], []
+    buf = ""
+    while True:
+        more = handle.read(BLOCK)
+        text, found, buf = (buf + more).rpartition("\n")
+        if found:
+            separators = text.encode().translate(None, _CELL_BYTES)
+            rows = len(separators) // 2 + 1
+            if separators != b",\n" * (rows - 1) + b",":
+                return None
+            cells = orjson.loads("[" + text.replace("\n", ",") + "]")
+            # numbers hold no comma: 2 numbers a row means each cell is one
+            if len(cells) != 2 * rows or not set(map(type, cells)) <= JSON_NUMBERS:
+                return None
+            times += cells[0::2]
+            values += cells[1::2]
+        if not more:  # the file ends: with a newline, as the writer ends it
+            return None if buf else (times, values)
+        if len(buf) > 2 * BLOCK:  # no row ends within two blocks: not this layout
+            return None
+
+
+def _line_columns(handle, path):
+    """The times and values of the event CSV in `handle`, read line by line:
+    blank lines are skipped and rows stripped.  The numbers are parsed by
+    one orjson call per `CHUNK` rows, over the rows joined into a JSON list;
+    a bad header or row raises the ValueError of `read_events_csv`."""
+    import orjson  # here, not at import: only reading a file pays for it
+
+    rows = list(filter(None, map(str.strip, handle)))
     if not rows or rows[0] != "t,v":
         raise ValueError(f"{path}: expected header 't,v'")
     del rows[0]
@@ -243,12 +315,6 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
                 raise ValueError("a cell that is not a JSON number")
             times += cells[0::2]
             values += cells[1::2]
-        del rows  # freed before the validator copies the columns, to lower the peak
     except ValueError as exc:  # orjson.JSONDecodeError is a ValueError
         raise _bad_row(path) from exc
-    if horizon is None:
-        horizon = _read_sidecar(path)
-    try:
-        return EventSequence(horizon, times, values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return times, values

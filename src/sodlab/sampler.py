@@ -120,7 +120,8 @@ def _sample(f: Signal, theta: float, right: bool = False) -> EventSequence:
     lies after the last one (``t > t_cur``, or the guard ``hi > t_cur``
     for a stored end joint), from ``t_cur = 0``, so the times are floats
     that increase strictly from above 0 and, each in its piece, end at or
-    before T; each amplitude is the finite, nonzero float +-theta.
+    before T; each amplitude is the finite, nonzero float +-theta, one of
+    two float objects made once per call.
     """
     _check_anchored(f)
     T, t0, c0s, c1s, c2s = f.T, f.t0, f.c0, f.c1, f.c2
@@ -129,6 +130,8 @@ def _sample(f: Signal, theta: float, right: bool = False) -> EventSequence:
     ends = c0s[1:] + (c0s[-1] + u * (c1s[-1] + u * c2s[-1]),)
     inf = math.inf
     up_gate, down_gate = (theta, -theta) if right else (-inf, inf)
+    # the two amplitudes, the bits of sign * theta, shared by every event
+    rise, fall = 1.0 * theta, -1.0 * theta
     k = 0.0  # the net count: a float is exact below 2**53 and multiplies faster
     t_cur = 0.0
     times, values = [], []
@@ -175,10 +178,9 @@ def _sample(f: Signal, theta: float, right: bool = False) -> EventSequence:
             if t_up <= t_down:
                 if t_up == inf:
                     break
-                t_cur, sign = t_up, 1.0
+                t_cur, sign, amp = t_up, 1.0, rise
             else:
-                t_cur, sign = t_down, -1.0
-            amp = sign * theta
+                t_cur, sign, amp = t_down, -1.0, fall
             times.append(t_cur)
             values.append(amp)
             k += sign

@@ -18,7 +18,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from ._util import (CHUNK, JSON_NUMBERS, check_integer, check_positive, float_columns,
+from ._util import (BLOCK, CHUNK, JSON_NUMBERS, check_integer, check_positive, float_columns,
                     float_reprs, write_text_atomic)
 
 # Joint tolerance, relative to the joint's largest term (with a floor only
@@ -367,9 +367,6 @@ _FIRST = ',\n  "segments": [\n'
 _END = "\n    }"
 _NEXT = _END + ",\n"
 _TAIL = _END + "\n  ]\n}\n"
-# Characters read at a time, about 500 pieces of that layout: a block's text,
-# its copies and its dicts are the reader's transient memory, about 0.4 MB.
-_BLOCK = 1 << 16
 
 
 def signal_from_dict(d: dict) -> Signal:
@@ -448,7 +445,7 @@ def _chunked_columns(handle):
     which json.load then reads as an int.  (orjson reads an integer literal
     beyond 64 bits as a float, and this takes it as one.)
 
-    The text is read `_BLOCK` characters at a time, and the whole pieces in
+    The text is read `BLOCK` characters at a time, and the whole pieces in
     the buffer are parsed by one orjson call into a list of dicts, which is
     dropped once its numbers are appended to the columns.  Only the text
     around T and between pieces is matched; every run of pieces between two
@@ -459,7 +456,7 @@ def _chunked_columns(handle):
         return None
     import orjson  # here, not at import: only reading a file pays for it
 
-    head, found, buf = handle.read(_BLOCK).partition(_FIRST)
+    head, found, buf = handle.read(BLOCK).partition(_FIRST)
     if not found:
         return None
     T = orjson.loads(head)
@@ -467,12 +464,12 @@ def _chunked_columns(handle):
         return None
     cols = ([], [], [], [])
     while True:
-        more = handle.read(_BLOCK)
+        more = handle.read(BLOCK)
         if more:  # the whole pieces read so far; the text after them waits
             text, found, buf = buf.rpartition(_NEXT)
             buf += more
             if not found:
-                if len(buf) > 2 * _BLOCK:  # no piece ends within a block: not this layout
+                if len(buf) > 2 * BLOCK:  # no piece ends within a block: not this layout
                     return None
                 continue
         elif buf.endswith(_TAIL):

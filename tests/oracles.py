@@ -7,10 +7,12 @@ json.load alone, the scanning MMD search and chain, transcription on the
 dense grid, its sign-list sweep and the sparse transcription passes, the
 row-by-row Victor-Purpura program and its split/merge form on signed
 trains, the signal operations piece by piece on `Segment`s, the f-string
-event CSV, the event difference and the quasi-isometry fit one trial at a
-time, the qi corpus built as one list, send-on-delta and its right limit in
-the threshold in exact rational arithmetic), seeded train generators,
-curated adversarial signals, and the Schreiber conflation witness.
+event CSV and its line-by-line reader, the event difference and the
+quasi-isometry fit one trial at a time, the qi corpus built as one list,
+send-on-delta and its right limit in the threshold in exact rational
+arithmetic, the coarse sample of a nested threshold read from the fine
+one), seeded train generators, curated adversarial signals, and the
+Schreiber conflation witness.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ import json
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
-from sodlab._util import check_integer
+from sodlab._util import CHUNK, JSON_NUMBERS, check_integer, check_positive
 from sodlab.analysis import _eta_payload
-from sodlab.events import EventSequence, difference, from_pairs, scale_events, split_signs
+from sodlab.events import (EventSequence, _bad_row, _read_sidecar, difference, from_pairs,
+                           scale_events, split_signs)
 from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk, signal_from_dict
 from sodlab.spike_metrics import (
@@ -387,6 +391,41 @@ def events_csv_text(eta: EventSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_events_csv_lines(path, horizon: float | None = None) -> EventSequence:
+    """`events.read_events_csv` as it read every file before its block path:
+    the stripped nonblank lines as strings, one orjson call per `CHUNK` rows,
+    and `_bad_row` for the first bad line."""
+    import orjson
+
+    if horizon is not None:
+        horizon = check_positive(horizon, "horizon")
+    with open(path) as handle:
+        rows = list(filter(None, map(str.strip, handle)))
+    if not rows or rows[0] != "t,v":
+        raise ValueError(f"{path}: expected header 't,v'")
+    del rows[0]
+    times, values = [], []
+    try:
+        if set(map(str.count, rows, repeat(","))) - {1}:
+            raise ValueError("a row without exactly two columns")
+        for i in range(0, len(rows), CHUNK):
+            chunk = rows[i:i + CHUNK]
+            cells = orjson.loads("[" + ",".join(chunk) + "]")
+            if len(cells) != 2 * len(chunk) or not set(map(type, cells)) <= JSON_NUMBERS:
+                raise ValueError("a cell that is not a JSON number")
+            times += cells[0::2]
+            values += cells[1::2]
+        del rows
+    except ValueError as exc:
+        raise _bad_row(path) from exc
+    if horizon is None:
+        horizon = _read_sidecar(path)
+    try:
+        return EventSequence(horizon, times, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def signal_to_dict(f: Signal) -> dict:
     return {
         "T": f.T,
@@ -550,6 +589,30 @@ def knot_in_slack_band(f: Signal, theta: float) -> bool:
         if any(0 < abs(v - Fraction(n * theta)) <= band for n in (m - 1, m, m + 1)):
             return True
     return False
+
+
+def coarse_events(eta: EventSequence, m: int) -> EventSequence:
+    """C_m: the sample at threshold m * theta of the signal whose sample at
+    theta is the theta-pure `eta`, read from `eta` alone.  It keeps the
+    events at which the net count k of `eta` first reaches m(K + 1) or
+    m(K - 1) from the coarse reference level mK (K = `k_coarse`), each with
+    amplitude +-(m * theta), and steps K.  Between two events of `eta` the signal
+    stays strictly within theta of the level k * theta, so every first hit
+    of a coarse level is an event of `eta`."""
+    if not eta.values:
+        return eta
+    theta = abs(eta.values[0])
+    rise, fall = m * theta, -(m * theta)
+    k = k_coarse = 0
+    times, values = [], []
+    for t, v in zip(eta.times, eta.values):
+        k += 1 if v > 0.0 else -1
+        if k == m * (k_coarse + 1) or k == m * (k_coarse - 1):
+            up = k > m * k_coarse
+            k_coarse += 1 if up else -1
+            times.append(t)
+            values.append(rise if up else fall)
+    return EventSequence(eta.T, tuple(times), tuple(values))
 
 
 # --- curated adversarial signals --------------------------------------------

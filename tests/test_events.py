@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sodlab._util import CHUNK
+from sodlab._util import BLOCK, CHUNK
 from sodlab.events import (
     EventSequence,
+    _block_columns,
     _unit_normalized,
     difference,
     empty,
@@ -25,7 +26,8 @@ from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points, random_walk
 from sodlab.structure import DenseEvents, chain_decompose
 
-from oracles import difference_stepwise, events_csv_text, is_alternating, random_signed_train
+from oracles import (difference_stepwise, events_csv_text, is_alternating, random_signed_train,
+                     read_events_csv_lines)
 
 
 def seq(*pairs, T=10.0):
@@ -369,10 +371,9 @@ def test_csv_round_trip_across_chunk_borders(tmp_path):
         read_events_csv(path)
 
 
-def test_csv_read_peak_memory_is_a_few_times_the_sequence(tmp_path):
-    # the numbers are parsed one chunk of rows at a time and the row strings
-    # are freed before the validator copies the columns; a whole-file split
-    # into cell strings peaks at about 4x what the sequence holds
+def _csv_read_peak_and_held(tmp_path):
+    """The tracemalloc peak of reading 10^5 written events, and the bytes
+    the sequence read holds: its two tuples and its distinct floats."""
     n = 100_000
     rng = np.random.default_rng(5)
     eta = EventSequence(1.0, np.sort(rng.uniform(0.0, 1.0, n)).tolist(),
@@ -389,4 +390,90 @@ def test_csv_read_peak_memory_is_a_few_times_the_sequence(tmp_path):
     held = (sys.getsizeof(back.times) + sys.getsizeof(back.values)
             + sum(map(sys.getsizeof, floats)))
     assert len(back) == n
+    return peak, held
+
+
+def test_csv_read_peak_memory_is_a_few_times_the_sequence(tmp_path):
+    # the text is parsed one block at a time, each block's list dropped once
+    # its numbers join the columns; a whole-file split into cell strings
+    # peaks at about 4x what the sequence holds
+    peak, held = _csv_read_peak_and_held(tmp_path)
     assert peak < 3 * held, f"peak {peak / 1e6:.1f} MB, sequence {held / 1e6:.1f} MB"
+
+
+def test_csv_block_read_peak_memory_is_below_1_75_times_the_sequence(tmp_path):
+    # about 1.4x: the columns as lists while the validator copies them into
+    # tuples; a string per row, as the line-by-line reader holds, made 2.4x
+    peak, held = _csv_read_peak_and_held(tmp_path)
+    assert peak < 1.75 * held, f"peak {peak / 1e6:.1f} MB, sequence {held / 1e6:.1f} MB"
+
+
+# --- the block reader against the line-by-line reference ---------------------
+
+_BAD_CELLS = ("+0.5", "x", "", "1.0.0", "true", "null", "[1]", "0x10", "nan", '"1"')
+
+
+def _mutate(draw, lines, i, kind):
+    """Apply the mutation `kind` to `lines` at line i >= 1."""
+    if kind == "blank":
+        lines.insert(i, "")
+    elif kind == "whitespace":
+        lines.insert(i, draw(st.sampled_from((" ", "\t", "  \t "))))
+    elif kind == "spaces":
+        lines[i] = " " + lines[i].replace(",", " , ") + " "
+    elif kind == "crlf":
+        lines[i] += "\r"
+    elif kind == "three_then_one":  # a row of 3 cells, then a row of 1
+        cell, _, rest = lines[i + 1].partition(",")
+        lines[i:i + 2] = [lines[i] + "," + cell, rest]
+    elif kind == "bad_cell":
+        t, _, v = lines[i].partition(",")
+        bad = draw(st.sampled_from(_BAD_CELLS))
+        lines[i] = f"{bad},{v}" if draw(st.booleans()) else f"{t},{bad}"
+    elif kind == "long_row":  # valid, but no row end within two blocks
+        lines[i] = lines[i].replace(",", "," + " " * (2 * BLOCK), 1)
+
+
+@st.composite
+def _mutated_csv_texts(draw):
+    """(text, plain): the writer's text for 1,800..2,200 random events, which
+    reaches past the first `BLOCK` border, with up to three mutations, each
+    within three lines of that border, and maybe without its final newline;
+    plain when the text is the writer's."""
+    n = draw(st.integers(1800, 2200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = np.sort(rng.uniform(0.0, 1.0, n)).tolist()
+    values = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)).tolist()
+    lines = events_csv_text(EventSequence(1.0, times, values)).splitlines()
+    # the line holding the first border: the header's 4 characters, then a block
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    border = int(np.searchsorted(ends, 4 + BLOCK, side="right"))
+    kinds = draw(st.lists(st.sampled_from(("blank", "whitespace", "spaces", "crlf",
+                                           "three_then_one", "bad_cell", "long_row")),
+                          max_size=3))
+    for kind in kinds:
+        _mutate(draw, lines, border + draw(st.integers(-3, 3)), kind)
+    final = draw(st.booleans())
+    return "\n".join(lines) + ("\n" if final else ""), final and not kinds
+
+
+def _read_outcome(read, path):
+    try:
+        eta = read(path, 1.0)
+    except ValueError as exc:
+        return str(exc)
+    return _bits(eta.times), _bits(eta.values)
+
+
+@given(_mutated_csv_texts())
+@settings(max_examples=150, deadline=None)
+def test_the_block_reader_reads_as_the_line_reader(tmp_path_factory, case):
+    # the same bits, or the same `path:line:` message, on either side of a
+    # block border; the writer's own text takes the block path
+    text, plain = case
+    path = tmp_path_factory.mktemp("csv") / "events.csv"
+    path.write_bytes(text.encode())
+    assert _read_outcome(read_events_csv, path) == _read_outcome(read_events_csv_lines, path)
+    if plain:
+        with open(path) as handle:
+            assert _block_columns(handle) is not None

@@ -22,6 +22,7 @@ from sodlab.sampler import (
 from sodlab.signals import (
     Segment,
     Signal,
+    diameter_norm,
     evaluate,
     integrate,
     pwl_from_points,
@@ -32,6 +33,7 @@ from sodlab.signals import (
 )
 
 from oracles import (
+    coarse_events,
     comb_signal,
     exact_right_limit_check,
     exact_sample,
@@ -692,3 +694,52 @@ def test_right_limit_has_the_signs_of_a_slightly_larger_threshold(case):
     limit = sampler._sample(f, theta, right=True)
     above = sod_sample(f, theta * (1.0 + 2.0 ** -30))
     assert [v > 0.0 for v in limit.values] == [v > 0.0 for v in above.values]
+
+
+@pytest.mark.parametrize("f", [random_walk(1.0, 3, 400, 0.4),
+                               reconstruct(sod_sample(random_walk(1.0, 3, 400, 0.4), 2.0 ** -7))],
+                         ids=["walk", "reconstruction"])
+def test_every_event_carries_one_of_two_shared_amplitudes(f):
+    # on a reconstruction each event is found by a piece's search, not by a
+    # run-on: the amplitude is still one of two floats made once per call
+    theta = 2.0 ** -7
+    for eta in (sod_sample(f, theta), lc_sample(f, theta), if_sample(f, theta),
+                sampler._sample(f, theta, right=True)):
+        assert len(eta) > 100
+        assert len(set(map(id, eta.values))) <= 2
+
+
+# --- nested thresholds: the coarse sample is a function of the fine one ------
+
+@st.composite
+def nested_inputs(draw):
+    """(f, theta): a random walk of 1..30 pieces, its antiderivative (the
+    integrate-and-fire input), or the reconstruction of its sample at
+    theta, on a horizon of 1, 2^-30 or 2^20, then scaled by 1, 2^-30 or
+    2^20 with theta alike; theta is 1/256..1/4 of the diameter."""
+    scales = st.sampled_from((1.0, 2.0 ** -30, 2.0 ** 20))
+    walk = random_walk(draw(scales), draw(st.integers(0, 2**32 - 1)),
+                       draw(st.integers(1, 30)), 10.0 ** draw(st.floats(-9.0, 9.0)))
+    kind = draw(st.sampled_from(("walk", "if", "reconstruction")))
+    f = integrate(walk) if kind == "if" else walk
+    theta = diameter_norm(f) * draw(st.floats(1.0 / 256.0, 1.0 / 4.0))
+    if kind == "reconstruction":
+        f = reconstruct(sod_sample(walk, theta))
+    s = draw(scales)
+    return scale(f, s), theta * s
+
+
+@given(nested_inputs())
+@settings(max_examples=300, deadline=None)
+@example((local_max_signal(0.25), 0.125))
+@example((comb_signal(3, 0.25), 0.0625))
+def test_the_coarse_sample_is_read_from_the_fine_one(case):
+    # PAPER.md statement 8, exact in floats for m = 2^j, in both modes; the
+    # times are positive and the amplitudes nonzero, so == compares bits
+    f, theta = case
+    for right in (False, True):
+        fine = sampler._sample(f, theta, right)
+        for m in (2, 4, 8):
+            coarse = sampler._sample(f, m * theta, right)
+            expected = coarse_events(fine, m)
+            assert coarse.times == expected.times and coarse.values == expected.values

@@ -134,7 +134,7 @@ def test_every_layout_reads_alike_at_chunk_sizes(tmp_path, n):
 def test_block_borders(tmp_path, monkeypatch, n, block):
     # a block of 200 characters ends one piece or none; of 1000, several
     if block:
-        monkeypatch.setattr(signals, "_BLOCK", block)
+        monkeypatch.setattr(signals, "BLOCK", block)
     f = _wide_signal(n, n)
     path = tmp_path / "wide.json"
     save_signal(path, f)
@@ -296,7 +296,7 @@ def test_an_extra_key_is_read_by_json_load(tmp_path):
 
 
 def test_a_piece_longer_than_a_block_is_read_by_json_load(tmp_path, monkeypatch):
-    monkeypatch.setattr(signals, "_BLOCK", 200)
+    monkeypatch.setattr(signals, "BLOCK", 200)
     path = tmp_path / "long.json"
     text = json.dumps(signal_to_dict(random_walk(1.0, 5, 3, 0.5)), indent=2, sort_keys=True)
     path.write_text(text.replace('"c0": ', " " * 300 + '"c0": ') + "\n")
