@@ -1,5 +1,6 @@
 """Small shared helpers (real-number, positive-number and integer checks,
-float columns, float formatting, report JSON, atomic file output)."""
+float columns, float formatting, report JSON, atomic file output, the
+usable CPU count)."""
 
 import json
 import math
@@ -19,6 +20,15 @@ CHUNK = 4096
 # 1,600 event CSV rows.  A block's text, its copies and its parsed list are
 # the reader's transient memory, a few hundred KB.
 BLOCK = 1 << 16
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on, or 1 where the platform
+    cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
 
 
 def real_float(x) -> float:
@@ -74,10 +84,16 @@ def float_reprs(col) -> list[str]:
     if not col:
         return []
     out = orjson.dumps(col)[1:-1].decode().split(",")
-    a = np.abs(np.fromiter(col, dtype=float, count=len(col)))
-    for i in np.flatnonzero((a != 0.0) & ~((a >= 1e-4) & (a < 1e16))).tolist():
+    for i in _repr_exponents(col):
         out[i] = repr(col[i])
     return out
+
+
+def _repr_exponents(col) -> list[int]:
+    """The indices of the floats of `col` whose repr orjson does not write:
+    nonzero |x| < 1e-4, |x| >= 1e16, inf and nan."""
+    a = np.abs(np.fromiter(col, dtype=float, count=len(col)))
+    return np.flatnonzero((a != 0.0) & ~((a >= 1e-4) & (a < 1e16))).tolist()
 
 
 def write_text_atomic(path, text):
@@ -101,7 +117,8 @@ def write_text_atomic(path, text):
 
 
 # Types whose C-encoded JSON holds no ", " of its own.
-_FLAT_SCALARS = (float, int, bool, type(None))
+_FLAT_SCALARS = frozenset((float, int, bool, type(None)))
+_FLOATS = frozenset((float,))
 # Longest inner list that a list of flat lists is encoded in one call for.
 # Short ones, like (x, y) pairs, cost more per list in the recursion than
 # per value; long ones cost about the same either way, but one call over
@@ -118,25 +135,35 @@ def json_report(payload) -> str:
 
     json.dumps with an indent runs the pure-Python encoder.  Here a flat
     list of scalars, or a list of short nonempty flat lists of scalars
-    (such as qi-check's envelope pairs), is written in one call, by
-    `float_reprs` when it holds only floats and by the C encoder otherwise,
-    and laid out again; dicts and other lists recurse.
+    (such as qi-check's envelope pairs), is written in one call, by orjson
+    or `float_reprs` when it holds only floats and by the C encoder
+    otherwise, and laid out again; dicts and other lists recurse.
     """
     parts = []
     _encode(payload, "\n", parts)
     return "".join(parts)
 
 
-def _scalar_tokens(values) -> list[str]:
-    """The JSON of each value of a list of `_FLAT_SCALARS`, as json writes
-    it: a finite float as its repr."""
-    if not all(type(x) is float for x in values):
+def _scalar_tokens(values, types) -> list[str]:
+    """The JSON of each value of a list of `_FLAT_SCALARS` whose types are
+    `types`, as json writes it: a finite float as its repr."""
+    if types != _FLOATS:
         # no flat scalar's JSON holds ", ", so the separators are the only ones
         return json.dumps(values)[1:-1].split(", ")
     tokens = float_reprs(values)
     if not math.isfinite(sum(values)):  # an inf or a nan, or a sum past the range
         tokens = [_NON_FINITE.get(s, s) for s in tokens]
     return tokens
+
+
+def _scalars_json(values, types, sep) -> str:
+    """`_scalar_tokens(values, types)` joined by `sep`.  Floats that orjson
+    writes as repr does, the common case, stay in orjson's one string."""
+    if types == _FLOATS and not _repr_exponents(values):
+        import orjson  # as in float_reprs
+
+        return orjson.dumps(values)[1:-1].decode().replace(",", sep)
+    return sep.join(_scalar_tokens(values, types))
 
 
 def _encode(obj, newline, parts) -> None:
@@ -157,13 +184,13 @@ def _encode(obj, newline, parts) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
-        elif all(type(x) in _FLAT_SCALARS for x in obj):
+        elif (types := set(map(type, obj))) <= _FLAT_SCALARS:
             # appended apart: joining them here would copy the body once more
-            parts.extend(("[", inner, ("," + inner).join(_scalar_tokens(obj)), newline, "]"))
+            parts.extend(("[", inner, _scalars_json(obj, types, "," + inner), newline, "]"))
         elif (all(isinstance(x, (list, tuple)) and 0 < len(x) <= _SHORT for x in obj)
-              and all(type(y) in _FLAT_SCALARS for x in obj for y in x)):
+              and (types := set(map(type, flat := [y for x in obj for y in x]))) <= _FLAT_SCALARS):
             deeper = inner + "  "
-            tokens = iter(_scalar_tokens([y for x in obj for y in x]))
+            tokens = iter(_scalar_tokens(flat, types))
             rows = [("," + deeper).join(islice(tokens, len(x))) for x in obj]
             body = f"{inner}],{inner}[{deeper}".join(rows)
             parts.extend(("[", inner, "[", deeper, body, inner, "]", newline, "]"))

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spike_metrics
-from ._util import check_integer, check_positive
+from ._util import check_integer, check_positive, usable_cpus
 from .events import EventSequence, _unit_normalized, difference, empty
 from .norms import NORM_KINDS, discrepancy_norm, norm_by_kind
 from .sampler import _sample, reconstruct, sod_sample
@@ -302,15 +301,6 @@ _QI_SLACK = 1e-9
 _QI_MIN_TRIALS_PER_WORKER = 128
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where the platform
-    cannot tell."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def _qi_trials(pairs, theta, normf):
     """(dxs, dys, failures) over the pairs, in order: diam(f - g), the norm
     of the difference of the two samples, and the number of samples that
@@ -420,7 +410,7 @@ def qi_verify(corpus, theta: float, kind: str = "D") -> QiReport:
         raise ValueError("corpus must be nonempty")
     normf = norm_by_kind(kind)
     n = len(corpus)
-    k = min(_usable_cpus(), n // _QI_MIN_TRIALS_PER_WORKER)
+    k = min(usable_cpus(), n // _QI_MIN_TRIALS_PER_WORKER)
     if k > 1 and isinstance(corpus, (list, tuple, QiCorpus)):
         bounds = [n * i // k for i in range(k + 1)]
         ranges = [corpus[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

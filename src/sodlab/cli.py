@@ -31,7 +31,7 @@ def _write_json(path, payload, omit=()) -> None:
 def _write_csv(path, header, rows) -> None:
     """The rows under `header`; a column of floats only goes through
     `float_reprs`, any other column through repr (floats) and str."""
-    columns = [float_reprs(col) if all(type(c) is float for c in col)
+    columns = [float_reprs(col) if {float}.issuperset(map(type, col))
                else [repr(c) if isinstance(c, float) else str(c) for c in col]
                for col in zip(*rows)]
     lines = map(",".join, zip(*columns))

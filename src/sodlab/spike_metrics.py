@@ -4,13 +4,14 @@ extensions for up/down trains."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
 
-from ._util import real_float
+from ._util import real_float, usable_cpus
 from .events import EventSequence, difference
 
 # Valid Params names, in the order the CLI lists them.
@@ -111,21 +112,69 @@ def _exp_gram(eta1: EventSequence, eta2: EventSequence, alpha: float) -> float:
     return total / (2.0 * alpha)
 
 
-# Kernel rows evaluated at once: peak memory is _GAUSS_ROWS x m floats.
+# Kernel rows a worker evaluates at once.  With at most _GAUSS_WORKERS
+# workers, the kernels' peak memory is 2 x _GAUSS_ROWS x m floats.
 _GAUSS_ROWS = 256
+# Most threads a Gaussian Gram runs on.
+_GAUSS_WORKERS = 2
+
+
+def _gauss_rows(kern, rows, t2, weights, v2, sigma: float) -> float:
+    """weights @ exp(-(rows_i - t2_j)^2 / (4 sigma^2)) @ v2, with the kernel
+    written into `kern`, a len(rows) x len(t2) array."""
+    np.subtract(rows[:, None], t2[None, :], out=kern)
+    kern *= kern
+    kern /= -4.0 * sigma * sigma
+    return float(weights @ (np.exp(kern, out=kern) @ v2))
 
 
 def _gauss_gram(eta1: EventSequence, eta2: EventSequence, sigma: float) -> float:
     """Whole-line Gaussian-smoothing inner product (peak-normalized; the
-    constant sigma*sqrt(pi) factor cancels in the similarity)."""
+    constant sigma*sqrt(pi) factor cancels in the similarity).
+
+    eta1's events are taken in blocks of `_GAUSS_ROWS`, each block's
+    partial sum by one `_gauss_rows` call.  On a host with several usable
+    CPUs, up to `_GAUSS_WORKERS` threads take every k-th block (exp and the
+    matrix-vector products release the GIL); the calling thread is the
+    first.  Each worker writes its kernels into one buffer the calling
+    thread allocates, so the kernels take at most 2 x _GAUSS_ROWS x m
+    floats, freed on return.  The partials are added in block order after
+    every thread has joined, so the sum has the serial loop's bits on any
+    CPU count: a block is never split, since a matrix-vector product over
+    part of a block can round differently.  An exception in a block is
+    raised after every thread has joined; of several, the first block's.
+    """
     t1, v1 = np.asarray(eta1.times), np.asarray(eta1.values)
     t2, v2 = np.asarray(eta2.times), np.asarray(eta2.values)
+    starts = range(0, len(t1), _GAUSS_ROWS)
+    k = max(1, min(usable_cpus(), len(starts), _GAUSS_WORKERS))
+    partials = [0.0] * len(starts)
+    failed = {}
+
+    def work(first: int, buf) -> None:
+        for b in range(first, len(starts), k):
+            blk = slice(starts[b], starts[b] + _GAUSS_ROWS)
+            rows = t1[blk]
+            try:
+                partials[b] = _gauss_rows(buf[:len(rows)], rows, t2, v1[blk], v2, sigma)
+            except BaseException as exc:  # raised again by the calling thread
+                failed[b] = exc
+                return
+
+    bufs = [np.empty((min(len(t1), _GAUSS_ROWS), len(t2))) for _ in range(k)]
+    threads = [threading.Thread(target=work, args=(i, bufs[i])) for i in range(1, k)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0, bufs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
     total = 0.0
-    for lo in range(0, len(t1), _GAUSS_ROWS):
-        kern = t1[lo:lo + _GAUSS_ROWS, None] - t2[None, :]
-        kern *= kern
-        kern /= -4.0 * sigma * sigma
-        total += float(v1[lo:lo + _GAUSS_ROWS] @ (np.exp(kern, out=kern) @ v2))
+    for partial_sum in partials:  # not sum(): from Python 3.12 it compensates rounding
+        total += partial_sum
     return total
 
 

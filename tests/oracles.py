@@ -6,8 +6,9 @@ O(n*|t|) smoothed train, the sorted-key signal JSON and its reader by
 json.load alone, the scanning MMD search and chain, transcription on the
 dense grid, its sign-list sweep and the sparse transcription passes, the
 row-by-row Victor-Purpura program and its split/merge form on signed
-trains, the signal operations piece by piece on `Segment`s, the f-string
-event CSV and its line-by-line reader, the event difference and the
+trains, the Gaussian Gram's row blocks on one thread, the signal
+operations piece by piece on `Segment`s, the f-string event CSV and its
+line-by-line reader, the event difference and the
 quasi-isometry fit one trial at a time, the qi corpus built as one list,
 send-on-delta and its right limit in the threshold in exact rational
 arithmetic, the coarse sample of a nested threshold read from the fine
@@ -33,6 +34,7 @@ from sodlab.events import (EventSequence, _bad_row, _read_sidecar, difference, f
 from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk, signal_from_dict
 from sodlab.spike_metrics import (
+    _GAUSS_ROWS,
     SchreiberParams,
     VictorPurpuraParams,
     _vp_dp,
@@ -239,6 +241,20 @@ def exp_response(eta: EventSequence, alpha: float, t) -> np.ndarray:
         else:
             out[mask] += vk * np.exp(-alpha * (t[mask] - tk))
     return out
+
+
+def gauss_gram_serial(eta1: EventSequence, eta2: EventSequence, sigma: float) -> float:
+    """The Gaussian Gram's row blocks on one thread, each block's kernel
+    allocated afresh: the bits `_gauss_gram` must give on any CPU count."""
+    t1, v1 = np.asarray(eta1.times), np.asarray(eta1.values)
+    t2, v2 = np.asarray(eta2.times), np.asarray(eta2.values)
+    total = 0.0
+    for lo in range(0, len(t1), _GAUSS_ROWS):
+        kern = t1[lo:lo + _GAUSS_ROWS, None] - t2[None, :]
+        kern *= kern
+        kern /= -4.0 * sigma * sigma
+        total += float(v1[lo:lo + _GAUSS_ROWS] @ (np.exp(kern, out=kern) @ v2))
+    return total
 
 
 def signal_of(T: float, *segments: Segment) -> Signal:

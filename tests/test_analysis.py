@@ -452,7 +452,7 @@ def test_qi_verify_memory_per_trial_is_bounded(monkeypatch):
     # only the per-trial results grow with the trial count: the pairs are
     # built a batch at a time and freed after it.  One worker: tracemalloc
     # sees only this process, which would otherwise run half the trials.
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 1)
     # about 440 B per trial; a corpus built up front adds about 3 KB
     assert qi_peak_growth_per_trial(50, 100, 600) < 1000.0
 
@@ -463,7 +463,7 @@ def test_qi_verify_memory_per_trial_is_bounded_with_forked_workers(monkeypatch):
     # the campaign stays that of the results
     forks = []
     forked = analysis._qi_trials_forked
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     monkeypatch.setattr(analysis, "_qi_trials_forked",
                         lambda ranges, *args: forks.append(len(ranges)) or forked(ranges, *args))
     assert qi_peak_growth_per_trial(300, 300, 800) < 1000.0
@@ -475,7 +475,7 @@ def _qi_with_cpus(monkeypatch, cpus, corpus, theta, kind):
     each range this process ran itself."""
     ran = []
     trials = analysis._qi_trials
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(analysis, "_qi_trials",
                         lambda pairs, *args: ran.append(len(pairs)) or trials(pairs, *args))
     try:
@@ -600,7 +600,7 @@ def test_a_worker_that_dies_is_reported_and_reaped(monkeypatch):
             os._exit(7)
         return trials(pairs, *args)
 
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(analysis, "usable_cpus", lambda: 2)
     monkeypatch.setattr(analysis, "_qi_trials", die_in_a_child)
     with pytest.raises(RuntimeError, match="exited with code 7 before sending its trials"):
         qi_verify(corpus, 0.1, "D")

@@ -318,6 +318,9 @@ _json_scalars = st.one_of(
     st.booleans(),
     st.none(),
 )
+# Floats that repr writes with an exponent or as a non-finite token, where
+# orjson's text differs; and -0.0.
+_REPR_EXPONENTS = (1e-05, 9.99e-05, 1e16, -0.0, 5e-324, math.inf, math.nan)
 _json_payloads = st.recursive(
     st.one_of(_json_scalars, st.text(), st.lists(_json_scalars, max_size=8)),
     lambda inner: st.one_of(
@@ -337,6 +340,12 @@ _json_payloads = st.recursive(
 @example([[True, None], [False, 0], (None,)])
 @example({"rho": [[-0.0, math.inf], [10 ** 40, -math.inf], [math.nan, -(10 ** 40)]]})
 @example([["], [", 1.0], [2.0, ", "]])
+@example([i / 7.0 - 140.0 for i in range(2000)])
+@example([1e-05, 0.5, 9.99e-05, 1e16, -0.0, 5e-324, -1e16, 2.5])
+@example({"alone": {repr(x): [x] for x in _REPR_EXPONENTS},
+          "among_floats": {repr(x): [0.5, x, 0.0001] for x in _REPR_EXPONENTS},
+          "all": list(_REPR_EXPONENTS), "mixed": [*_REPR_EXPONENTS, 3, True, 0.25, False, -7]})
+@example([[x, 1, False] for x in _REPR_EXPONENTS])
 @settings(max_examples=150, deadline=None)
 def test_json_report_equals_sorted_indented_json_dumps(payload):
     assert json_report(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
@@ -33,6 +35,7 @@ from sodlab.trains import (
 
 from oracles import (
     exp_response,
+    gauss_gram_serial,
     random_nonnegative_train,
     random_signed_train,
     victor_purpura_split_merge,
@@ -180,12 +183,86 @@ def test_gauss_gram_row_blocks_match_oracle():
         assert abs(_gauss_gram(x, y, 0.3) - oracle) <= gauss_tol(x, y)
 
 
-@pytest.mark.parametrize("metric", [
-    lambda a, b: van_rossum(a, b, VanRossumParams(1.0)),
-    lambda a, b: schreiber_similarity(a, b, SchreiberParams()),
-    lambda a, b: schreiber_similarity(a, b, SchreiberParams(kernel="gaussian")),
-], ids=["van_rossum", "schreiber_exp", "schreiber_gauss"])
-def test_memory_bounded_at_2000_events(metric):
+def _count_thread_starts(monkeypatch) -> list:
+    """The threads started from here on, in a list that grows as they start."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 700, 2000])
+def test_gauss_gram_has_the_serial_bits_on_any_cpu_count(monkeypatch, n, cpus):
+    monkeypatch.setattr(spike_metrics, "usable_cpus", lambda: cpus)
+    a = random_signed_train(40 + n, n, T=4.0)
+    b = random_signed_train(41, 700, T=4.0)
+    started = _count_thread_starts(monkeypatch)
+    assert _gauss_gram(a, b, 0.3) == gauss_gram_serial(a, b, 0.3)
+    blocks = -(-n // spike_metrics._GAUSS_ROWS)
+    assert len(started) == max(0, min(cpus, blocks, 2) - 1)
+    assert not any(thread.is_alive() for thread in started)
+    for x, y in ((b, a), (a, a)):
+        assert _gauss_gram(x, y, 0.3) == gauss_gram_serial(x, y, 0.3)
+
+
+def test_gauss_gram_keeps_every_partial_under_frequent_thread_switches(monkeypatch):
+    # two workers and a thread switch every microsecond: a partial lost or
+    # stored under another block's index changes the sum
+    monkeypatch.setattr(spike_metrics, "usable_cpus", lambda: 8)
+    a = random_signed_train(43, 2000, T=4.0)
+    expect = gauss_gram_serial(a, a, 0.3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _gauss_gram(a, a, 0.3) == expect
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("first_bad", [0, 1, 6])
+def test_gauss_gram_raises_the_first_failing_block_after_every_thread_joins(
+        monkeypatch, first_bad):
+    # blocks first_bad, first_bad + 1, ... raise, on both workers: the
+    # serial loop would raise the first of them
+    a = random_signed_train(42, 2000, T=4.0)
+    rows_of = spike_metrics._gauss_rows
+
+    def failing(kern, rows, *args):
+        block = int(np.searchsorted(a.times, rows[0])) // spike_metrics._GAUSS_ROWS
+        if block >= first_bad:
+            raise _BlockFailed(block)
+        return rows_of(kern, rows, *args)
+
+    monkeypatch.setattr(spike_metrics, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(spike_metrics, "_gauss_rows", failing)
+    started = _count_thread_starts(monkeypatch)
+    with pytest.raises(_BlockFailed) as raised:
+        _gauss_gram(a, a, 0.3)
+    assert raised.value.args == (first_bad,)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+
+
+@pytest.mark.parametrize("metric, cpus", [
+    pytest.param(lambda a, b: van_rossum(a, b, VanRossumParams(1.0)), None, id="van_rossum"),
+    pytest.param(lambda a, b: schreiber_similarity(a, b, SchreiberParams()), None,
+                 id="schreiber_exp"),
+    pytest.param(lambda a, b: schreiber_similarity(a, b, SchreiberParams(kernel="gaussian")),
+                 None, id="schreiber_gauss"),
+    # at most two workers, each with one block's kernels, on any host
+    pytest.param(lambda a, b: schreiber_similarity(a, b, SchreiberParams(kernel="gaussian")),
+                 64, id="schreiber_gauss_64_cpus"),
+])
+def test_memory_bounded_at_2000_events(monkeypatch, metric, cpus):
+    if cpus is not None:
+        monkeypatch.setattr(spike_metrics, "usable_cpus", lambda: cpus)
     a = random_signed_train(21, 2000)
     b = random_signed_train(22, 2000)
     tracemalloc.start()
