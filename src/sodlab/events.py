@@ -80,6 +80,7 @@ class EventSequence:
 
 
 def from_pairs(T: float, pairs) -> EventSequence:
+    pairs = list(pairs)  # read once: an iterator has no second pass
     times = tuple(p[0] for p in pairs)
     values = tuple(p[1] for p in pairs)
     return EventSequence(T, times, values)
@@ -173,29 +174,6 @@ def _events_csv(eta: EventSequence):
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
-def _bad_row(path) -> ValueError:
-    """The error for the first malformed data row of the CSV at `path`,
-    numbered by its physical line: each cell is read by the rule of
-    `read_events_csv`, so this finds a row whenever that refuses one."""
-    import orjson
-
-    with open(path) as handle:
-        rows = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
-    for lineno, row in rows[1:]:  # after the header
-        cells = row.split(",")
-        if len(cells) != 2:
-            return ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
-        for cell in cells:
-            try:
-                number = type(orjson.loads(cell)) in JSON_NUMBERS
-            except orjson.JSONDecodeError:
-                number = False
-            if not number:
-                return ValueError(
-                    f"{path}:{lineno}: could not convert {cell!r}: expected a JSON number")
-    raise AssertionError("no malformed row")
-
-
 def _read_sidecar(path) -> float:
     """The horizon `T` from the sidecar of the CSV at `path`; a missing or
     malformed sidecar raises a ValueError that names it."""
@@ -219,102 +197,95 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     refuses raise one that starts with ``path:``.
 
     Every cell must be a JSON number, which is what `write_events_csv`
-    writes; orjson reads each exactly as float() does.  A file in the
-    layout that `write_events_csv` writes (the header ``t,v``, then rows of
-    one comma each, every row ended by a newline) is read by
-    `_block_columns`, one `BLOCK` of text and one orjson call at a time.
-    Any other file, and a file that reader leaves, is read again line by
-    line by `_line_columns`, which skips blank lines, strips each row and
-    names the first bad line.  The two read the same numbers from a file
-    both take, so a file reads to the same bits, or fails with the same
-    message, by either."""
+    writes; orjson reads each exactly as float() does.  The file is read
+    once, front to back, so a pipe reads as a file does.  The header is
+    its first nonblank line.  The lines after it are read `BLOCK`
+    characters at a time, each block completed to the end of its last
+    line, and `_block_cells` reads each block."""
     if horizon is not None:
         horizon = check_positive(horizon, "horizon")
+    times, values = [], []
     with open(path) as handle:
-        cols = None
-        if handle.seekable():  # the per-line path reads the file from its start
-            try:
-                cols = _block_columns(handle)
-            except ValueError:  # orjson's errors are ValueErrors
-                pass
-            handle.seek(0)
-        if cols is None:
-            cols = _line_columns(handle, path)
+        lineno, line = 0, ""  # the lines read so far, and the last of them
+        for lineno, line in enumerate(iter(handle.readline, ""), start=1):
+            if line.strip():
+                break
+        if line.strip() != "t,v":
+            raise ValueError(f"{path}: expected header 't,v'")
+        while block := handle.read(BLOCK) + handle.readline():
+            text = block.removesuffix("\n")
+            lines, cells = _block_cells(text, path, lineno)
+            times += cells[0::2]
+            values += cells[1::2]
+            lineno += lines
     if horizon is None:
         horizon = _read_sidecar(path)
     try:
-        return EventSequence(horizon, *cols)
+        return EventSequence(horizon, times, values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-# Every byte but the comma and the newline, which `_block_columns` deletes
+# Every byte but the comma and the newline, which `_block_cells` deletes
 # to see a block's row layout.
 _CELL_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-def _block_columns(handle):
-    """The times and values of the event CSV in `handle`, for a file laid
-    out as `write_events_csv` writes it.  None, or a ValueError, where the
-    text departs from that layout or holds a cell that is not a JSON number.
+def _block_cells(text: str, path, lineno: int) -> tuple[int, list]:
+    """The number of lines in `text`, whole lines of an event CSV after its
+    line `lineno`, and their numbers, two a row: the time and the value.
 
-    The text is read `BLOCK` characters at a time.  The whole rows in the
-    buffer are one comma-and-newline-separated run of cells: its commas
-    and newlines must alternate, starting and ending with a comma, which
-    puts exactly one comma in each row (a count of commas alone misses a
-    row of 3 cells before a row of 1).  The run is then parsed by one
-    orjson call as a list of 2 numbers a row, and the list is dropped once
-    its numbers are appended to the columns.  The text after the last
-    newline waits for the next block."""
-    if handle.read(4) != "t,v\n":
+    Text laid out as `write_events_csv` writes it is checked in C, with no
+    Python object per row: its commas and newlines must alternate,
+    starting and ending with a comma, which puts exactly one comma in each
+    row (a count of commas alone misses a row of 3 cells before a row of
+    1).  It is then parsed by one orjson call, each newline read as a
+    comma.  Any other text, and text that parse refuses, is read by
+    `_line_cells`; text both refuse is scanned line by line for its first
+    bad row, whose ValueError names the file and the line."""
+    separators = text.encode().translate(None, _CELL_BYTES)
+    lines = separators.count(b"\n") + 1
+    cells = None
+    if separators == b",\n" * (lines - 1) + b",":
+        cells = _json_numbers(text.replace("\n", ","), 2 * lines)
+    if cells is None:
+        cells = _line_cells(text)
+    if cells is not None:
+        return lines, cells
+    for lineno, row in enumerate(map(str.strip, text.split("\n")), start=lineno + 1):
+        if not row:
+            continue
+        cells = row.split(",")
+        if len(cells) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
+        for cell in cells:
+            if _json_numbers(cell, 1) is None:
+                raise ValueError(
+                    f"{path}:{lineno}: could not convert {cell!r}: expected a JSON number")
+    raise AssertionError("no malformed row")
+
+
+def _line_cells(text: str) -> list | None:
+    """The numbers of the event CSV lines `text` read line by line: blank
+    lines are skipped, each row is stripped and must hold exactly one
+    comma, and one orjson call parses the rows joined.  None for text that
+    this refuses."""
+    rows = list(filter(None, map(str.strip, text.split("\n"))))
+    if set(map(str.count, rows, repeat(","))) - {1}:
         return None
+    return _json_numbers(",".join(rows), 2 * len(rows))
+
+
+def _json_numbers(cells: str, count: int) -> list | None:
+    """The comma-separated `cells` parsed by orjson, if they are `count`
+    JSON numbers (float or int, not bool); None if not."""
     import orjson  # here, not at import: only reading a file pays for it
 
-    times, values = [], []
-    buf = ""
-    while True:
-        more = handle.read(BLOCK)
-        text, found, buf = (buf + more).rpartition("\n")
-        if found:
-            separators = text.encode().translate(None, _CELL_BYTES)
-            rows = len(separators) // 2 + 1
-            if separators != b",\n" * (rows - 1) + b",":
-                return None
-            cells = orjson.loads("[" + text.replace("\n", ",") + "]")
-            # numbers hold no comma: 2 numbers a row means each cell is one
-            if len(cells) != 2 * rows or not set(map(type, cells)) <= JSON_NUMBERS:
-                return None
-            times += cells[0::2]
-            values += cells[1::2]
-        if not more:  # the file ends: with a newline, as the writer ends it
-            return None if buf else (times, values)
-        if len(buf) > 2 * BLOCK:  # no row ends within two blocks: not this layout
-            return None
-
-
-def _line_columns(handle, path):
-    """The times and values of the event CSV in `handle`, read line by line:
-    blank lines are skipped and rows stripped.  The numbers are parsed by
-    one orjson call per `CHUNK` rows, over the rows joined into a JSON list;
-    a bad header or row raises the ValueError of `read_events_csv`."""
-    import orjson  # here, not at import: only reading a file pays for it
-
-    rows = list(filter(None, map(str.strip, handle)))
-    if not rows or rows[0] != "t,v":
-        raise ValueError(f"{path}: expected header 't,v'")
-    del rows[0]
-    times, values = [], []
     try:
-        if set(map(str.count, rows, repeat(","))) - {1}:
-            raise ValueError("a row without exactly two columns")
-        for i in range(0, len(rows), CHUNK):
-            chunk = rows[i:i + CHUNK]
-            cells = orjson.loads("[" + ",".join(chunk) + "]")
-            # numbers hold no comma: 2 numbers a row means each cell is one
-            if len(cells) != 2 * len(chunk) or not set(map(type, cells)) <= JSON_NUMBERS:
-                raise ValueError("a cell that is not a JSON number")
-            times += cells[0::2]
-            values += cells[1::2]
-    except ValueError as exc:  # orjson.JSONDecodeError is a ValueError
-        raise _bad_row(path) from exc
-    return times, values
+        numbers = orjson.loads("[" + cells + "]")
+    except orjson.JSONDecodeError:
+        return None
+    # numbers hold no comma: `count` numbers means each cell is one
+    if len(numbers) != count or not set(map(type, numbers)) <= JSON_NUMBERS:
+        return None
+    return numbers

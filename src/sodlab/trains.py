@@ -50,14 +50,22 @@ def equidistant_alternating(n: int, delta: float, T: float | None = None,
 
 
 def _random_times(rng, n: int, T: float):
+    """n distinct sorted uniform times in [0, T]: a draw that repeats a time
+    is drawn once more, and a horizon with too few floats for a second
+    draw to be distinct raises a ValueError."""
     times = np.sort(rng.uniform(0.0, T, n))
-    while len(np.unique(times)) != n:  # pragma: no cover - measure-zero
+    if len(np.unique(times)) != n:
         times = np.sort(rng.uniform(0.0, T, n))
+        if len(np.unique(times)) != n:
+            raise ValueError(f"could not draw n = {n} distinct times in [0, T = {T!r}]")
     return [float(t) for t in times]
 
 
 def random_unit_train(seed: int, n: int, T: float = 1.0) -> EventSequence:
     """n events with +-1 amplitudes at sorted uniform times."""
+    seed = check_integer(seed, "seed", 0)
+    n = check_integer(n, "n", 0)
+    T = check_positive(T, "horizon")
     rng = np.random.default_rng(seed)
     times = _random_times(rng, n, T)
     signs = rng.integers(0, 2, n) * 2 - 1

@@ -29,7 +29,7 @@ import numpy as np
 
 from sodlab._util import CHUNK, JSON_NUMBERS, check_integer, check_positive
 from sodlab.analysis import _eta_payload
-from sodlab.events import (EventSequence, _bad_row, _read_sidecar, difference, from_pairs,
+from sodlab.events import (EventSequence, _read_sidecar, difference, from_pairs,
                            scale_events, split_signs)
 from sodlab.norms import _amplitudes, discrepancy_norm, norm_by_kind
 from sodlab.signals import STRUCT_TOL, Segment, Signal, random_walk, signal_from_dict
@@ -407,10 +407,34 @@ def events_csv_text(eta: EventSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _bad_row(path) -> ValueError:
+    """The error for the first malformed data row of the CSV at `path`,
+    numbered by its physical line: each cell is read by the rule of
+    `read_events_csv`, so this finds a row whenever that refuses one."""
+    import orjson
+
+    with open(path) as handle:
+        rows = [(n, ln.strip()) for n, ln in enumerate(handle, start=1) if ln.strip()]
+    for lineno, row in rows[1:]:  # after the header
+        cells = row.split(",")
+        if len(cells) != 2:
+            return ValueError(f"{path}:{lineno}: expected two columns, got {row!r}")
+        for cell in cells:
+            try:
+                number = type(orjson.loads(cell)) in JSON_NUMBERS
+            except orjson.JSONDecodeError:
+                number = False
+            if not number:
+                return ValueError(
+                    f"{path}:{lineno}: could not convert {cell!r}: expected a JSON number")
+    raise AssertionError("no malformed row")
+
+
 def read_events_csv_lines(path, horizon: float | None = None) -> EventSequence:
-    """`events.read_events_csv` as it read every file before its block path:
-    the stripped nonblank lines as strings, one orjson call per `CHUNK` rows,
-    and `_bad_row` for the first bad line."""
+    """`events.read_events_csv` as it read a file before it read one block
+    at a time: the stripped nonblank lines of the whole file as strings, one
+    orjson call per `CHUNK` rows, and `_bad_row`, which opens the file again,
+    for the first bad line.  So it reads only a file that can be reopened."""
     import orjson
 
     if horizon is not None:

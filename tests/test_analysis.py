@@ -634,6 +634,18 @@ def test_train_and_transcription_counts_are_refused_by_name(build, message):
         build()
 
 
+@pytest.mark.parametrize("args, message", [
+    ((True, 3), "seed must be an integer >= 0, got True"),
+    ((1, -1), "n must be an integer >= 0, got -1"),
+    ((1, 3, 0.0), "horizon must be a positive finite number, got 0.0"),
+    # 21 floats lie in [0, 1e-322]: every draw of 40 repeats one
+    ((1, 40, 1e-322), r"could not draw n = 40 distinct times in \[0, T = 1e-322\]"),
+], ids=["bool_seed", "negative_n", "zero_horizon", "subnormal_horizon"])
+def test_random_unit_train_refuses_what_it_cannot_draw(args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        random_unit_train(*args)
+
+
 def test_equidistant_alternating_compares_its_events_with_the_float_horizon():
     # float(10**20 - 1) is 1e20: the one event is at the stored horizon
     eta = equidistant_alternating(1, 1e20, 10**20 - 1)

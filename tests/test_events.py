@@ -1,7 +1,9 @@
 import math
 import operator
+import os
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sodlab import events
 from sodlab._util import BLOCK, CHUNK
 from sodlab.events import (
     EventSequence,
-    _block_columns,
     _unit_normalized,
     difference,
     empty,
@@ -32,6 +34,11 @@ from oracles import (difference_stepwise, events_csv_text, is_alternating, rando
 
 def seq(*pairs, T=10.0):
     return from_pairs(T, list(pairs))
+
+
+def test_from_pairs_reads_a_generator_once():
+    eta = from_pairs(1.0, ((t, v) for t, v in [(0.5, 1.0), (0.7, -1.0)]))
+    assert eta.pairs() == [(0.5, 1.0), (0.7, -1.0)]
 
 
 def test_difference_with_self_is_empty():
@@ -371,15 +378,19 @@ def test_csv_round_trip_across_chunk_borders(tmp_path):
         read_events_csv(path)
 
 
-def _csv_read_peak_and_held(tmp_path):
+def _csv_read_peak_and_held(tmp_path, loose=False):
     """The tracemalloc peak of reading 10^5 written events, and the bytes
-    the sequence read holds: its two tuples and its distinct floats."""
+    the sequence read holds: its two tuples and its distinct floats.  With
+    `loose`, the file has a blank line after every 7th line."""
     n = 100_000
     rng = np.random.default_rng(5)
     eta = EventSequence(1.0, np.sort(rng.uniform(0.0, 1.0, n)).tolist(),
                         rng.choice([-0.0078125, 0.0078125], n).tolist())
     path = tmp_path / "events.csv"
     write_events_csv(path, eta)
+    if loose:
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line + "\n" * (i % 7 == 6) for i, line in enumerate(lines)))
     tracemalloc.start()
     try:
         back = read_events_csv(path)
@@ -406,6 +417,54 @@ def test_csv_block_read_peak_memory_is_below_1_75_times_the_sequence(tmp_path):
     # tuples; a string per row, as the line-by-line reader holds, made 2.4x
     peak, held = _csv_read_peak_and_held(tmp_path)
     assert peak < 1.75 * held, f"peak {peak / 1e6:.1f} MB, sequence {held / 1e6:.1f} MB"
+
+
+def test_csv_read_peak_memory_with_blank_lines_is_below_1_75_times_the_sequence(tmp_path):
+    # each block of lines is read on its own: a string per row of the whole
+    # file, as a line-by-line reader holds, made 2.4x
+    peak, held = _csv_read_peak_and_held(tmp_path, loose=True)
+    assert peak < 1.75 * held, f"peak {peak / 1e6:.1f} MB, sequence {held / 1e6:.1f} MB"
+
+
+def _read_through_pipe(text):
+    """read_events_csv of `text` written into a pipe by a thread: a file
+    that reads once, front to back, and has nothing left to read again."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        try:
+            with open(write_end, "w") as out:
+                out.write(text)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read_events_csv(f"/dev/fd/{read_end}", horizon=1.0)
+    finally:
+        os.close(read_end)
+        writer.join()
+
+
+def test_csv_bad_row_in_a_pipe_is_named_by_its_line():
+    with pytest.raises(ValueError, match=r"^/dev/fd/\d+:3: could not convert 'x'"):
+        _read_through_pipe("t,v\n0.1,1.0\n0.2,x\n")
+
+
+def test_csv_with_blank_lines_reads_from_a_pipe_as_from_a_file(tmp_path):
+    # several blocks of rows, each with blank and whitespace-only lines
+    n = 10_000
+    rng = np.random.default_rng(35)
+    eta = EventSequence(1.0, np.sort(rng.uniform(0.0, 1.0, n)).tolist(),
+                        rng.choice([-0.5, 0.5], n).tolist())
+    lines = events_csv_text(eta).splitlines()
+    text = "\n" + "".join(f"{line}\n" + "\n  \n" * (i % 7 == 6) for i, line in enumerate(lines))
+    path = tmp_path / "events.csv"
+    path.write_text(text)
+    piped, read = _read_through_pipe(text), read_events_csv(path, horizon=1.0)
+    assert _bits(piped.times) == _bits(read.times) == _bits(eta.times)
+    assert _bits(piped.values) == _bits(read.values) == _bits(eta.values)
 
 
 # --- the block reader against the line-by-line reference ---------------------
@@ -465,15 +524,21 @@ def _read_outcome(read, path):
     return _bits(eta.times), _bits(eta.values)
 
 
+def _refuse_lines(text):
+    raise AssertionError("the writer's text was read line by line")
+
+
 @given(_mutated_csv_texts())
 @settings(max_examples=150, deadline=None)
 def test_the_block_reader_reads_as_the_line_reader(tmp_path_factory, case):
     # the same bits, or the same `path:line:` message, on either side of a
-    # block border; the writer's own text takes the block path
+    # block border; the writer's own text reads with the per-line reading refused
     text, plain = case
     path = tmp_path_factory.mktemp("csv") / "events.csv"
     path.write_bytes(text.encode())
     assert _read_outcome(read_events_csv, path) == _read_outcome(read_events_csv_lines, path)
     if plain:
-        with open(path) as handle:
-            assert _block_columns(handle) is not None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(events, "_line_cells", _refuse_lines)
+            assert _read_outcome(read_events_csv, path) == _read_outcome(
+                read_events_csv_lines, path)
