@@ -39,9 +39,10 @@ def alexiewicz_norm(eta) -> float:
 def max_max_sum_norm(eta) -> float:
     """max(max_k |v_k|, |sum_k v_k|)."""
     values = _amplitudes(eta)
-    if not values:
-        return 0.0
-    return max(max(abs(v) for v in values), abs(sum(values)))
+    total = 0.0
+    for v in values:  # left to right: from Python 3.12, sum() compensates rounding
+        total += v
+    return max(max(map(abs, values), default=0.0), abs(total))
 
 
 _FUNCS = {"D": discrepancy_norm, "A": alexiewicz_norm, "M": max_max_sum_norm}

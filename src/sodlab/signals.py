@@ -388,6 +388,15 @@ def signal_from_dict(d: dict) -> Signal:
         raise ValueError(f"malformed signal JSON: {exc}") from exc
 
 
+def _pieces_json(t, c0, c1, c2) -> str:
+    """These columns' pieces as `_signal_json` writes them, joined by `_NEXT`."""
+    return _NEXT.join(
+        f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
+        f'      "c2": {c2},\n      "t": {t}'
+        for t, c0, c1, c2 in zip(*map(float_reprs, (t, c0, c1, c2)))
+    )
+
+
 def _signal_json(f: Signal):
     """The JSON layout above in chunks of `CHUNK` pieces, byte for byte as
     ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` writes it, but
@@ -397,12 +406,7 @@ def _signal_json(f: Signal):
     yield f"{_HEAD}{f.T!r}{_FIRST}"
     sep = ""
     for i in range(0, len(f.t0), CHUNK):
-        cols = (float_reprs(col[i:i + CHUNK]) for col in (f.t0, f.c0, f.c1, f.c2))
-        yield sep + _NEXT.join(
-            f'    {{\n      "c0": {c0},\n      "c1": {c1},\n'
-            f'      "c2": {c2},\n      "t": {t}'
-            for t, c0, c1, c2 in zip(*cols)
-        )
+        yield sep + _pieces_json(*(col[i:i + CHUNK] for col in (f.t0, f.c0, f.c1, f.c2)))
         sep = _NEXT
     yield _TAIL
 
@@ -412,38 +416,34 @@ def save_signal(path, f: Signal) -> None:
 
 
 def load_signal(path) -> Signal:
-    """Read a signal JSON file; a malformed file raises a ValueError that
-    names `path`.
+    """Read a signal JSON file once, front to back; a malformed file raises
+    a ValueError that names `path`.
 
     A file in the layout that `save_signal` writes, with floats only, is
     read by `_chunked_columns`, in memory near the signal's own size, and
-    its columns go straight to `Signal`.  Any other JSON, and a file that
-    reader leaves, is read again by json.load and `signal_from_dict`.  Both
-    parsers read a float literal to the same float, and `Signal` judges an
-    integer as the float it stores, so a number spelled either way reads to
-    the same bits, or fails with the same message, by either reader."""
+    its columns go straight to `Signal`.  Any other text goes, as the JSON
+    text that reader hands back and the rest of the file, to json.loads and
+    `signal_from_dict`.  Both parsers read a float literal to the same
+    float, and `Signal` judges an integer as the float it stores, so a
+    number spelled either way reads to the same bits, or fails with the
+    same message, by either reader."""
     with open(path) as handle:
-        cols = None
-        if handle.seekable():  # the fallback reads the file from its start
-            try:
-                cols = _chunked_columns(handle)
-            except (KeyError, TypeError, ValueError):  # orjson's errors are ValueErrors
-                pass
-            handle.seek(0)
         try:
-            return signal_from_dict(json.load(handle)) if cols is None else Signal(*cols)
+            cols, text = _chunked_columns(handle)
+            return Signal(*cols) if text is None else signal_from_dict(json.loads(text + handle.read()))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
 def _chunked_columns(handle):
-    """T, t, c0, c1, c2 of the signal JSON in `handle`, for a file laid out
-    as `_signal_json` writes it (with the piece keys in any order) and
-    holding floats only, as it writes them.  None, or a KeyError, TypeError
-    or ValueError, where the text departs from that layout or holds a value
-    that orjson reads as anything but a float, such as an integer literal,
-    which json.load then reads as an int.  (orjson reads an integer literal
-    beyond 64 bits as a float, and this takes it as one.)
+    """(T, t, c0, c1, c2) and None for the signal JSON in `handle`, for a
+    file laid out as `_signal_json` writes it (with the piece keys in any
+    order) and holding floats only, as it writes them.  Otherwise None and
+    JSON text of the value of the text read, up to the first block that
+    departs from that layout or holds a value that orjson reads as anything
+    but a float, such as an integer literal, which json.loads reads as an
+    int.  (orjson reads an integer literal beyond 64 bits as a float, and
+    this takes it as one.)
 
     The text is read `BLOCK` characters at a time, and the whole pieces in
     the buffer are parsed by one orjson call into a list of dicts, which is
@@ -451,37 +451,43 @@ def _chunked_columns(handle):
     around T and between pieces is matched; every run of pieces between two
     matches parses as a nonempty JSON list, so the file is valid JSON and
     json.load finds the same pieces in it, each with exactly the four keys.
+
+    The JSON text is the text before the pieces, the pieces parsed so far
+    as `_pieces_json` writes them, and the text not parsed: json.loads
+    reads repr(x) back to x for every float orjson parses.  A syntax
+    error's position is json.load's where those pieces were so written.
     """
-    if handle.read(len(_HEAD)) != _HEAD:
-        return None
+    start = handle.read(len(_HEAD))
+    if start != _HEAD:
+        return None, start
     import orjson  # here, not at import: only reading a file pays for it
 
-    head, found, buf = handle.read(BLOCK).partition(_FIRST)
-    if not found:
-        return None
-    T = orjson.loads(head)
-    if type(T) is not float:
-        return None
+    head, first, buf = handle.read(BLOCK).partition(_FIRST)
+    start += head + first
+    text = found = ""  # the text read but not parsed is text + found + buf
     cols = ([], [], [], [])
-    while True:
-        more = handle.read(BLOCK)
-        if more:  # the whole pieces read so far; the text after them waits
-            text, found, buf = buf.rpartition(_NEXT)
+    try:
+        T = orjson.loads(head)
+        while first and type(T) is float:
+            more = handle.read(BLOCK)
+            # the whole pieces read so far, or all of them; the text after them waits
+            text, found, buf = buf.rpartition(_NEXT if more else _TAIL)
             buf += more
-            if not found:
-                if len(buf) > 2 * BLOCK:  # no piece ends within a block: not this layout
-                    return None
-                continue
-        elif buf.endswith(_TAIL):
-            text = buf[:-len(_TAIL)]
-        else:
-            return None
-        pieces = orjson.loads(f"[{text}{_END}]")
-        part = [list(map(operator.itemgetter(key), pieces)) for key in _KEYS]
-        # every key has two quotes: a fifth key, or a string, adds more
-        if text.count('"') != 8 * len(pieces) or not {float}.issuperset(map(type, chain(*part))):
-            return None
-        for col, values in zip(cols, part):
-            col += values
-        if not more:
-            return T, *cols
+            if not found and more and len(buf) <= 2 * BLOCK:
+                continue  # no piece has ended yet
+            if not found or buf and not more:  # no piece ends within a block, or text follows the tail
+                break
+            pieces = orjson.loads(f"[{text}{_END}]")
+            part = [list(map(operator.itemgetter(key), pieces)) for key in _KEYS]
+            # every key has two quotes: a fifth key, or a string, adds more
+            if text.count('"') != 8 * len(pieces) or not {float}.issuperset(map(type, chain(*part))):
+                break
+            for col, values in zip(cols, part):
+                col += values
+            if not more:
+                return (T, *cols), None
+    except (KeyError, TypeError, orjson.JSONDecodeError):
+        pass
+    parsed = (_pieces_json(*(col[i:i + CHUNK] for col in cols)) + _NEXT
+              for i in range(0, len(cols[0]), CHUNK))
+    return None, "".join([start, *parsed, text, found, buf])

@@ -57,6 +57,14 @@ def test_norm_alternating_prints_one(runner, tmp_path):
     assert res.output.strip() == "1.0"
 
 
+def test_norm_m_adds_left_to_right(runner, tmp_path):
+    # the same bits on every Python: sum() of 3.12 would print 1.0
+    path = tmp_path / "tenths.csv"
+    write_events_csv(path, from_pairs(1.0, [(k / 11, 0.1) for k in range(1, 11)]))
+    res = invoke(runner, "norm", "--events", str(path), "--kind", "M")
+    assert res.output == "0.9999999999999999\n"
+
+
 def test_distance_command(runner, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

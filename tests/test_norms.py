@@ -87,6 +87,13 @@ def test_max_max_sum_basic():
     assert max_max_sum_norm([]) == 0.0
 
 
+def test_max_max_sum_adds_left_to_right():
+    # ten +0.1 events add left to right to 0.9999999999999999; from Python
+    # 3.12 sum() compensates rounding and gives 1.0
+    eta = from_pairs(1.0, [(k / 11, 0.1) for k in range(1, 11)])
+    assert max_max_sum_norm(eta) == max_max_sum_norm([0.1] * 10) == 0.9999999999999999
+
+
 def test_empty_has_all_norms_zero():
     for fn in (discrepancy_norm, alexiewicz_norm, max_max_sum_norm):
         assert fn([]) == 0.0

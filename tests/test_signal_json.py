@@ -1,12 +1,16 @@
 """The signal JSON reader: save_signal's layout read in blocks by orjson,
-every other layout by json.load, with the same bits and the same errors."""
+any other text by json.loads in the same one pass, as json.load reads it."""
 
+import io
 import json
 import os
 import random
+import shutil
 import struct
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ def _bits(f: Signal) -> bytes:
 
 def _chunked(path):
     with open(path) as handle:
-        return signals._chunked_columns(handle)
+        return signals._chunked_columns(handle)[0]
 
 
 def _with_int_literals(d: dict) -> dict:
@@ -56,6 +60,37 @@ def _layouts(d: dict, rnd) -> dict:
 
 def _assert_readers_agree(path):
     assert _bits(load_signal(path)) == _bits(json_load_signal(path))
+
+
+def _outcome(read, path):
+    """The bits `read` reads from `path`, or its message without the path."""
+    try:
+        return _bits(read(path))
+    except ValueError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+
+
+@contextmanager
+def _pipe_from(path):
+    """The name of a pipe's read end, which a thread feeds from the file at
+    `path` in 64 KiB chunks."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with open(path, "rb") as src, open(w, "wb") as out:
+                shutil.copyfileobj(src, out, 1 << 16)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 # Values whose text or reading differs: signed zeros, subnormals, the ends
@@ -304,16 +339,42 @@ def test_a_piece_longer_than_a_block_is_read_by_json_load(tmp_path, monkeypatch)
     _assert_readers_agree(path)
 
 
-def test_a_pipe_is_read_by_json_load(tmp_path):
-    # no rewinding a pipe: a layout the block reader leaves is read whole
-    f = random_walk(1.0, 3, 40, 0.5)
-    r, w = os.pipe()
-    os.write(w, json.dumps(signal_to_dict(f)).encode())  # well inside a pipe's buffer
-    os.close(w)
-    try:
-        assert _bits(load_signal(f"/dev/fd/{r}")) == _bits(f)
-    finally:
-        os.close(r)
+def _departures(text, k):
+    """save_signal's text `text` with one departure: in piece k, whose c1 and
+    c2 are lines 3 + 6k + 2 and 3 + 6k + 3, or at the end of the file; each
+    with the message json.load gives it, or None where it reads the signal."""
+    lines = text.split("\n")
+
+    def edit(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:])
+
+    c1, c2 = 3 + 6 * k + 2, 3 + 6 * k + 3
+    return {
+        "int literal": (edit(c2, '      "c2": 0,'), None),
+        "extra key": (edit(c2, '      "x": 1,\n      "c2": 0.0,'), None),
+        "bool": (edit(c1, '      "c1": true,'), 'field "c1" must be a number, got true'),
+        "tail on one line": (text.removesuffix("\n  ]\n}\n") + "]}", None),
+        "trailing text": (text + '{"T": 2.0}', "Extra data"),
+        "wrong closer": (text.removesuffix("  ]\n}\n") + "  }\n}\n", "Expecting ',' delimiter"),
+    }
+
+
+def test_a_departure_in_a_pipe_reads_as_json_load_reads_the_file(tmp_path):
+    # no rewinding a pipe, and no second read: the pieces parsed before the
+    # departure go to json.loads as repr writes them, the rest as read
+    f = random_walk(1.0, 3, 1200, 0.5)
+    path = tmp_path / "walk.json"
+    save_signal(path, f)
+    text, k = path.read_text(), 600
+    assert signals.BLOCK < len("\n".join(text.split("\n")[:3 + 6 * k])) < len(text) - signals.BLOCK
+    cases = _departures(text, k)
+    cases["compact"] = (json.dumps(signal_to_dict(f)), None)
+    for name, (edited, message) in cases.items():
+        path.write_text(edited)
+        expected = _outcome(json_load_signal, path)
+        assert expected == _bits(f) if message is None else message in expected, name
+        with _pipe_from(path) as pipe:
+            assert _outcome(load_signal, pipe) == expected, name
 
 
 def test_both_readers_refuse_a_joint_miss_by_the_one_rule(tmp_path):
@@ -333,13 +394,15 @@ def test_both_readers_refuse_a_joint_miss_by_the_one_rule(tmp_path):
         assert result.exit_code == 1 and "discontinuity at t=0.5" in result.output
 
 
-def test_read_peak_memory_is_below_twice_the_signal(tmp_path):
-    # json.load's whole text and one dict per piece peak at about 3.1x the
-    # signal; one block's dicts at a time leave the columns and their tuples
-    n = 100_000
-    f = random_walk(1.0, 14, n, 0.5)
-    path = tmp_path / "walk.json"
+@pytest.fixture(scope="module")
+def walk_100k(tmp_path_factory):
+    f = random_walk(1.0, 14, 100_000, 0.5)
+    path = tmp_path_factory.mktemp("walk") / "walk.json"
     save_signal(path, f)
+    return path, f
+
+
+def _assert_read_below_twice_the_signal(path, f):
     tracemalloc.start()
     try:
         back = load_signal(path)
@@ -351,3 +414,58 @@ def test_read_peak_memory_is_below_twice_the_signal(tmp_path):
     held = sum(map(sys.getsizeof, cols)) + sum(map(sys.getsizeof, floats))
     assert _bits(back) == _bits(f)
     assert peak < 2 * held, f"peak {peak / 1e6:.1f} MB, signal {held / 1e6:.1f} MB"
+
+
+def test_read_peak_memory_is_below_twice_the_signal(walk_100k):
+    # json.load's whole text and one dict per piece peak at about 3.1x the
+    # signal; one block's dicts at a time leave the columns and their tuples
+    _assert_read_below_twice_the_signal(*walk_100k)
+
+
+def test_a_pipe_is_read_in_blocks_below_twice_the_signal(walk_100k):
+    path, f = walk_100k
+    with _pipe_from(path) as pipe:
+        _assert_read_below_twice_the_signal(pipe, f)
+
+
+class _OnePass(io.TextIOWrapper):
+    """A text file that counts the characters it returns and cannot seek."""
+
+    chars = 0
+
+    def read(self, size=-1):
+        text = super().read(size)
+        self.chars += len(text)
+        return text
+
+    def seek(self, *args):
+        raise AssertionError("seek on a file read in one pass")
+
+
+@pytest.mark.parametrize("defect", [None, *_DEFECTS])
+def test_each_file_is_read_once_front_to_back(tmp_path, monkeypatch, saved_lines, defect):
+    # the layouts, and each defect in the first, a middle and the last
+    # block: every character read once, and json.load's bits or message
+    handles = []
+
+    def one_pass_open(path):
+        handles.append(_OnePass(open(path, "rb"), encoding="utf-8"))
+        return handles[-1]
+
+    monkeypatch.setattr(signals, "open", one_pass_open, raising=False)
+    if defect is None:
+        d = signal_to_dict(_wide_signal(2 * CHUNK + 1, 7))
+        texts = list(_layouts(d, random.Random(7)).values())
+        texts += _layouts(_with_int_literals(d), random.Random(8)).values()
+    else:
+        texts = []
+        for k in (0, CHUNK, 2 * CHUNK):
+            lines = list(saved_lines)
+            _DEFECTS[defect][0](lines, k)
+            texts.append("\n".join(lines))
+    path = tmp_path / "signal.json"
+    for text in texts:
+        path.write_text(text)
+        assert _outcome(load_signal, path) == _outcome(json_load_signal, path)
+        assert [handle.chars for handle in handles] == [len(text)]
+        handles.clear()
