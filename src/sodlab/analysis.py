@@ -132,52 +132,43 @@ def emdm_characterize(metric, n_max: int = 200, T: float = 1.0,
     """Supremum of the metric over the discrepancy unit sphere.
 
     The sphere intersected with unit sequences is exactly the alternating
-    trains, so norm metrics reduce to a family supremum (1 for D and A).
-    Time-sensitive metrics (van Rossum, Victor-Purpura) get a growth table
-    over equidistant alternating trains; for van Rossum the table also
-    carries the squared distance (the energy the threshold-discontinuity
-    bounds are stated for) and the reported value is its maximum.
+    trains.  An alternating unit train's prefix walk visits only 0 and
+    +-1, so every norm of NORM_KINDS is exactly 1 on each of them, and a
+    norm metric's value is 1 with no train built (`n_max` is checked, the
+    kind and the horizon too).  Time-sensitive metrics (van Rossum,
+    Victor-Purpura) get a growth table over equidistant alternating
+    trains; for van Rossum the table also carries the squared distance
+    (the energy the threshold-discontinuity bounds are stated for) and the
+    reported value is its maximum.
     """
     metric = _emdm_metric(metric)
     n_max = check_integer(n_max, "n_max", 1)
     if metric.is_norm:
-        normf = norm_by_kind(metric.kind)
-        counts = sorted({1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
-                         max(1, n_max // 2), n_max})
-        best = 0.0
-        for n in counts:
-            if n > n_max:
-                continue
-            for start in (1, -1):
-                best = max(best, normf(alternating_train(n, T, start)))
-        return CharacterizeResult(best, None)
+        norm_by_kind(metric.kind)  # an unknown kind raises
+        empty(T)  # checks the horizon
+        return CharacterizeResult(1.0, None)
     zero_train = empty(T)  # checks the horizon
     if deltas is None:
         deltas = (T / 8.0, T / 16.0, T / 32.0)
-    deltas = [check_positive(delta, "delta") for delta in deltas]
-    for delta in deltas:
-        if round(T / delta) == 0:
+    counts = []
+    for delta in [check_positive(delta, "delta") for delta in deltas]:
+        n = round(T / delta)
+        if n == 0:
             raise ValueError(f"delta {delta!r} puts no event on the horizon "
                              f"T = {T!r}: round(T / delta) is 0")
+        counts.append(min(n, n_max))
+    key = "energy" if metric.kind == "van_rossum" else "distance"
     rows = []
-    for delta in deltas:
-        n = int(round(T / delta))
-        n = min(n, n_max)
+    for n in counts:
         step = T / n
         if n * step > T:  # rounded past T; one ulp less puts n * step <= T
             step = math.nextafter(step, 0.0)
-        eta = equidistant_alternating(n, step, T)
-        dist = metric(eta, zero_train)
-        row = {"n": n, "T": T, "delta": step, "distance": dist}
-        row.update(metric.params)
-        if metric.kind == "van_rossum":
+        dist = metric(equidistant_alternating(n, step, T), zero_train)
+        row = {"n": n, "T": T, "delta": step, "distance": dist, **metric.params}
+        if key == "energy":
             row["energy"] = dist * dist
         rows.append(row)
-    if metric.kind == "van_rossum":
-        value = max(row["energy"] for row in rows)
-    else:
-        value = max(row["distance"] for row in rows)
-    return CharacterizeResult(value, tuple(rows))
+    return CharacterizeResult(max(row[key] for row in rows), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -467,8 +458,10 @@ def left_continuity_probe(f: Signal, theta0: float,
     each event time coordinate must then converge monotonically to its theta0
     time: crossings reached on a rise approach from below (direction "up"),
     crossings after a direction reversal may approach from above ("down")
-    since their target level rises with the threshold.  A count that never
-    stabilizes within n_steps is reported (stabilized_at = None), not raised.
+    since their target level rises with the threshold.  `stabilized_at` is
+    the first step from which every count is theta0's, judged by count
+    only; a count that never stabilizes within n_steps is reported
+    (stabilized_at = None), not raised.
     The control run is the right limit at theta0, lim Phi_{theta0 + eps} f
     as eps -> 0+, computed exactly: it drops the events of the levels f
     only touches, so its count falls below theta0's exactly when theta0
@@ -476,54 +469,32 @@ def left_continuity_probe(f: Signal, theta0: float,
     """
     theta0 = check_positive(theta0, "threshold")
     n_steps = check_integer(n_steps, "n_steps", 1)
-    reference = sod_sample(f, theta0)
-    ref_times = reference.times
+    ref_times = sod_sample(f, theta0).times
     steps = []
-    counts = []
-    tail_times = []
     for n in range(1, n_steps + 1):
         th = theta0 * (1.0 - 2.0 ** (-n))
-        eta = sod_sample(f, th)
-        times = eta.times
-        shared_ref = min(len(ref_times), len(times))
-        gap = max((abs(ref_times[k] - times[k]) for k in range(shared_ref)),
-                  default=0.0)
-        steps.append({
-            "n": n,
-            "theta": th,
-            "count": len(times),
-            "max_gap": gap,
-            "times": list(times),
-        })
-        counts.append(len(times))
-    stabilized_at = None
-    for n, _ in enumerate(counts, start=1):
-        if all(c == len(ref_times) for c in counts[n - 1:]):
-            stabilized_at = n
-            break
-    monotone = stabilized_at is not None
+        times = sod_sample(f, th).times
+        gap = max((abs(r - t) for r, t in zip(ref_times, times)), default=0.0)
+        steps.append({"n": n, "theta": th, "count": len(times), "max_gap": gap,
+                      "times": list(times)})
+    last_off = max((s["n"] for s in steps if s["count"] != len(ref_times)), default=0)
+    stabilized_at = last_off + 1 if last_off < n_steps else None
     directions = []
     if stabilized_at is not None:
         tol = 1e-12 * f.T
-        tail_times = [tuple(s["times"]) for s in steps[stabilized_at - 1:]]
-        for k in range(len(ref_times)):
-            seq = [t[k] for t in tail_times] + [ref_times[k]]
+        tails = [s["times"] for s in steps[stabilized_at - 1:]]
+        for seq in zip(*tails, ref_times):  # one event's times, then theta0's
             nondec = all(a <= b + tol for a, b in zip(seq, seq[1:]))
             noninc = all(a >= b - tol for a, b in zip(seq, seq[1:]))
-            if not (nondec or noninc):
-                monotone = False
-                directions.append("none")
-            elif nondec and noninc:
-                directions.append("flat")
-            else:
-                directions.append("up" if nondec else "down")
+            directions.append("flat" if nondec and noninc else "up" if nondec
+                              else "down" if noninc else "none")
     control = _sample(f, theta0, right=True)
     return LeftContinuityReport(
         theta0=theta0,
         reference_times=ref_times,
         steps=tuple(steps),
         stabilized_at=stabilized_at,
-        monotone=monotone,
+        monotone=stabilized_at is not None and "none" not in directions,
         directions=tuple(directions),
         control_count=len(control),
         control_times=control.times,

@@ -218,12 +218,7 @@ def decompose(events_path, what, horizon, out):
     if what in ("chain", "pi"):
         eta, theta = events._unit_normalized(eta)
     if what == "mmd":
-        dec = structure.mmd_intervals(eta)
-        payload = {
-            "r": dec.r,
-            "intervals": [list(iv) for iv in dec.intervals],
-            "partial_sums": list(dec.partial_sums),
-        }
+        payload = dict(vars(structure.mmd_intervals(eta)))
     elif what == "chain":
         payload = _chain_payload(eta)
     else:

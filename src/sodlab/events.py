@@ -201,11 +201,12 @@ def read_events_csv(path, horizon: float | None = None) -> EventSequence:
     once, front to back, so a pipe reads as a file does.  The header is
     its first nonblank line.  The lines after it are read `BLOCK`
     characters at a time, each block completed to the end of its last
-    line, and `_block_cells` reads each block."""
+    line, and `_block_cells` reads each block.  A byte that is not UTF-8
+    is read as a lone surrogate, so its cell is malformed."""
     if horizon is not None:
         horizon = check_positive(horizon, "horizon")
     times, values = [], []
-    with open(path) as handle:
+    with open(path, errors="surrogateescape") as handle:
         lineno, line = 0, ""  # the lines read so far, and the last of them
         for lineno, line in enumerate(iter(handle.readline, ""), start=1):
             if line.strip():
@@ -243,7 +244,7 @@ def _block_cells(text: str, path, lineno: int) -> tuple[int, list]:
     comma.  Any other text, and text that parse refuses, is read by
     `_line_cells`; text both refuse is scanned line by line for its first
     bad row, whose ValueError names the file and the line."""
-    separators = text.encode().translate(None, _CELL_BYTES)
+    separators = text.encode(errors="surrogateescape").translate(None, _CELL_BYTES)
     lines = separators.count(b"\n") + 1
     cells = None
     if separators == b",\n" * (lines - 1) + b",":

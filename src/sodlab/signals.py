@@ -430,7 +430,11 @@ def load_signal(path) -> Signal:
     with open(path) as handle:
         try:
             cols, text = _chunked_columns(handle)
-            return Signal(*cols) if text is None else signal_from_dict(json.loads(text + handle.read()))
+            if text is None:
+                return Signal(*cols)
+            text += handle.read()  # in place, with no second copy of the text
+            data, text = json.loads(text), None  # dropped before the signal is built
+            return signal_from_dict(data)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 

@@ -233,6 +233,26 @@ class TestEmdmCharacterize:
     def test_max_max_sum_is_one(self):
         assert emdm_characterize("M", n_max=100).value == 1.0
 
+    def test_every_norm_is_one_on_every_alternating_train(self):
+        # the identity a norm's characterization rests on: an alternating
+        # unit train's prefix walk visits only 0 and +-1
+        trains = [alternating_train(n, start=start)
+                  for n in range(1, 201) for start in (1, -1)]
+        for kind in NORM_KINDS:
+            normf = norm_by_kind(kind)
+            assert {normf(eta) for eta in trains} == {1.0}, kind
+            # no train is built: a horizon too large for one still reads 1
+            assert emdm_characterize(kind, T=1e308).value == 1.0
+
+    def test_a_norm_is_checked_for_n_max_then_kind_then_horizon(self):
+        unknown = analysis.EventMetric("X", lambda a, b: 0.0, True)
+        with pytest.raises(ValueError, match="^n_max must be an integer >= 1"):
+            emdm_characterize(unknown, n_max=0, T=0.0)
+        with pytest.raises(ValueError, match="^unknown norm kind 'X'"):
+            emdm_characterize(unknown, T=0.0)
+        with pytest.raises(ValueError, match="^horizon must be a positive finite number"):
+            emdm_characterize("D", T=0.0)
+
     def test_characterization_dominates_sweeps(self):
         char = emdm_characterize("D").value
         for f in (unit_ramp(), local_max_signal(0.25), comb_signal(3, 0.25)):
@@ -700,6 +720,24 @@ class TestLeftContinuityProbe:
         assert len(rep.reference_times) == 19
         assert rep.control_count == 19
         assert rep.control_times == rep.reference_times
+
+    def test_a_count_that_never_settles(self):
+        rep = left_continuity_probe(random_walk(1.0, 0, 40, 0.4), 0.2, n_steps=3)
+        assert [s["count"] for s in rep.steps] == [68, 40, 33]
+        assert len(rep.reference_times) == 28
+        assert rep.stabilized_at is None
+        assert rep.monotone is False
+        assert rep.directions == ()
+
+    def test_a_count_that_settles_by_count_alone(self):
+        # step 6 has theta0's 157 events, 22 of them with other signs: the
+        # count is judged, not the crossings, so 40 events have no direction
+        rep = left_continuity_probe(random_walk(1.0, 5, 40, 0.4), 0.05)
+        assert [s["count"] for s in rep.steps[4:]] == [155] + [157] * 7
+        assert rep.stabilized_at == 6
+        assert rep.monotone is False
+        assert len(rep.directions) == 157
+        assert rep.directions.count("none") == 40
 
     def test_zero_signal(self):
         rep = left_continuity_probe(zero(1.0), 0.2, 4)

@@ -1,6 +1,7 @@
 import math
 import operator
 import os
+import re
 import struct
 import sys
 import threading
@@ -27,6 +28,7 @@ from sodlab.events import (
 from sodlab.sampler import sod_sample
 from sodlab.signals import pwl_from_points, random_walk
 from sodlab.structure import DenseEvents, chain_decompose
+from sodlab.trains import random_unit_train
 
 from oracles import (difference_stepwise, events_csv_text, is_alternating, random_signed_train,
                      read_events_csv_lines)
@@ -433,7 +435,7 @@ def _read_through_pipe(text):
 
     def write():
         try:
-            with open(write_end, "w") as out:
+            with open(write_end, "wb" if isinstance(text, bytes) else "w") as out:
                 out.write(text)
         except BrokenPipeError:  # the reader stopped early
             pass
@@ -450,6 +452,26 @@ def _read_through_pipe(text):
 def test_csv_bad_row_in_a_pipe_is_named_by_its_line():
     with pytest.raises(ValueError, match=r"^/dev/fd/\d+:3: could not convert 'x'"):
         _read_through_pipe("t,v\n0.1,1.0\n0.2,x\n")
+
+
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+def test_csv_byte_that_is_not_utf8_is_named_by_its_line(tmp_path, piped):
+    # in the first row and at byte 300,000, blocks past the first: the cell
+    # that holds the byte fails the row check, which names the file and line
+    text = events_csv_text(random_unit_train(3, 20_000)).encode()
+    path = tmp_path / "bad.csv"
+    for offset in (text.index(b"\n") + 3, 300_000):
+        assert text[offset:offset + 1].isdigit()
+        data = text[:offset] + b"\xff" + text[offset + 1:]
+        line = data[:offset].count(b"\n") + 1
+        where = r"/dev/fd/\d+" if piped else re.escape(str(path))
+        message = rf"^{where}:{line}: could not convert '[^']*\\udcff[^']*': expected a JSON"
+        with pytest.raises(ValueError, match=message):
+            if piped:
+                _read_through_pipe(data)
+            else:
+                path.write_bytes(data)
+                read_events_csv(path, horizon=1.0)
 
 
 def test_csv_with_blank_lines_reads_from_a_pipe_as_from_a_file(tmp_path):

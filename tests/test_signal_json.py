@@ -402,7 +402,9 @@ def walk_100k(tmp_path_factory):
     return path, f
 
 
-def _assert_read_below_twice_the_signal(path, f):
+def _read_peak_and_signal_size(path, f):
+    """load_signal's tracemalloc peak reading `path`, which must give f's
+    bits, and the bytes the signal it returns holds."""
     tracemalloc.start()
     try:
         back = load_signal(path)
@@ -413,6 +415,11 @@ def _assert_read_below_twice_the_signal(path, f):
     floats = {id(x): x for col in cols for x in col}.values()
     held = sum(map(sys.getsizeof, cols)) + sum(map(sys.getsizeof, floats))
     assert _bits(back) == _bits(f)
+    return peak, held
+
+
+def _assert_read_below_twice_the_signal(path, f):
+    peak, held = _read_peak_and_signal_size(path, f)
     assert peak < 2 * held, f"peak {peak / 1e6:.1f} MB, signal {held / 1e6:.1f} MB"
 
 
@@ -426,6 +433,25 @@ def test_a_pipe_is_read_in_blocks_below_twice_the_signal(walk_100k):
     path, f = walk_100k
     with _pipe_from(path) as pipe:
         _assert_read_below_twice_the_signal(pipe, f)
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_late_departure_peaks_below_3_3_times_the_signal(tmp_path, walk_100k, where):
+    # "c2": 0 in the first, the middle or the last piece: from its block on,
+    # json.loads reads the text, and a departure late in the file peaks no
+    # higher than one at its head, as json.load's whole text and one dict
+    # per piece do, near 3.1x the signal
+    path, f = walk_100k
+    lines = path.read_text().split("\n")
+    c2 = [i for i, line in enumerate(lines) if line == '      "c2": 0.0,']
+    assert len(c2) == len(f.t0)
+    k = c2[(0, len(c2) // 2, -1)[where]]
+    lines[k] = '      "c2": 0,'
+    departed = tmp_path / "departed.json"
+    departed.write_text("\n".join(lines))
+    assert _chunked(departed) is None
+    peak, held = _read_peak_and_signal_size(departed, f)
+    assert peak < 3.3 * held, f"peak {peak / 1e6:.1f} MB, signal {held / 1e6:.1f} MB"
 
 
 class _OnePass(io.TextIOWrapper):
